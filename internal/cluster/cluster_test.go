@@ -63,6 +63,7 @@ func startNodes(t *testing.T, count int, mkCfg func(i int) service.Config, tweak
 	t.Helper()
 	nodes := make([]*node, count)
 	peers := make([]Peer, count)
+	listeners := make([]net.Listener, count)
 	for i := range nodes {
 		lis, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -72,10 +73,7 @@ func startNodes(t *testing.T, count int, mkCfg func(i int) service.Config, tweak
 		url := "http://" + lis.Addr().String()
 		peers[i] = Peer{ID: id, URL: url}
 		nodes[i] = &node{id: id, url: url}
-		nodes[i].srv = &http.Server{}
-		go func(n *node, l net.Listener) {
-			n.srv.Serve(l)
-		}(nodes[i], lis)
+		listeners[i] = lis
 	}
 	for i, n := range nodes {
 		n.svc = service.New(mkCfg(i))
@@ -96,7 +94,10 @@ func startNodes(t *testing.T, count int, mkCfg func(i int) service.Config, tweak
 		}
 		n.cl = cl
 		n.svc.AttachCluster(cl)
-		n.srv.Handler = n.svc.Handler()
+		// Serve only once the handler exists: peers probe from New on,
+		// and their connections wait in the listener's backlog until then.
+		n.srv = &http.Server{Handler: n.svc.Handler()}
+		go n.srv.Serve(listeners[i])
 		t.Cleanup(n.kill)
 	}
 	return nodes

@@ -13,18 +13,19 @@ import (
 
 // Handler returns the daemon's HTTP API:
 //
-//	POST   /v1/jobs      submit a minimize request (202, 307, 400, 413, 429, 500, 503);
-//	                     ?verify=true requests independent plan verification
+//	POST   /v1/jobs      submit a minimize job over one die or several (202, 307, 400,
+//	                     413, 429, 500, 503); ?verify=true requests independent plan
+//	                     verification
 //	GET    /v1/jobs      list retained jobs (?state=<state>&limit=<n>&cursor=<tok>)
 //	GET    /v1/jobs/{id} poll one job
 //	DELETE /v1/jobs/{id} cancel one job
 //	POST   /v1/jobs/{id}/replan apply a TSV-fault delta and replan incrementally
 //	                     (200, 400, 404, 409, 410, 413; see docs/REPLAN.md)
 //	POST   /v1/schedules wrapper/TAM co-optimize a stack (200, 400, 413, 429, 503)
-//	POST   /v1/batches   run a multi-die sweep through the batch engine (202, 400, 429, 500, 503)
-//	GET    /v1/batches   list retained batches
-//	GET    /v1/batches/{id} poll one batch's per-die progress
-//	DELETE /v1/batches/{id} cancel one batch
+//	POST   /v1/batches   submit a multi-die job in the batch shape (202, 400, 429, 500, 503)
+//	GET    /v1/batches   list retained multi-die jobs as batches
+//	GET    /v1/batches/{id} poll one multi-die job's per-die progress
+//	DELETE /v1/batches/{id} cancel one multi-die job
 //	GET    /v1/dies      list cached prepared dies
 //	GET    /healthz      liveness (503 once shutdown begins); cluster-aware
 //	GET    /metrics      expvar-style counters and latency histograms
@@ -36,7 +37,8 @@ import (
 //	POST   /v1/cluster/complete/{id} apply a thief's terminal report to a stolen job
 //
 // and POST /v1/jobs submissions whose die key is owned by a live peer are
-// 307-redirected to the owner, so each die is prepared on exactly one node.
+// 307-redirected to the owner, so each die is prepared on exactly one node
+// (multi-die jobs run where they were submitted).
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -110,7 +112,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case "1", "true":
 		req.Refine = true
 	}
-	if s.cluster != nil {
+	if s.cluster != nil && !req.selectsDies() {
 		// Route the submission to the node owning its die key, so each
 		// die is prepared on exactly one node fleet-wide. 307 preserves
 		// the method and body; Go's http.Client follows it transparently.
@@ -119,7 +121,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 			return
 		}
-		if ownerURL, self := s.cluster.Route(j.spec.Name, j.spec.Seed); !self {
+		if ownerURL, self := s.cluster.Route(j.specs[0].Name, j.specs[0].Seed); !self {
 			w.Header().Set("Location", ownerURL+r.URL.RequestURI())
 			writeJSON(w, http.StatusTemporaryRedirect,
 				errorBody{Error: "die key owned by peer, resubmit to " + ownerURL})
@@ -127,6 +129,12 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	st, err := s.Submit(req)
+	writeSubmitted(w, err, "/v1/jobs/"+st.ID, st)
+}
+
+// writeSubmitted answers a submission: 202 with the accepted job's
+// Location and body, or the status its error maps to.
+func writeSubmitted(w http.ResponseWriter, err error, location string, body any) {
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", "1")
@@ -138,8 +146,8 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case err != nil:
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 	default:
-		w.Header().Set("Location", "/v1/jobs/"+st.ID)
-		writeJSON(w, http.StatusAccepted, st)
+		w.Header().Set("Location", location)
+		writeJSON(w, http.StatusAccepted, body)
 	}
 }
 

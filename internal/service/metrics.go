@@ -1,8 +1,6 @@
 package service
 
 import (
-	"context"
-	"errors"
 	"sync/atomic"
 	"time"
 )
@@ -40,18 +38,6 @@ type Metrics struct {
 	SchedulesDone     atomic.Int64
 	SchedulesFailed   atomic.Int64
 	SchedulesRejected atomic.Int64
-
-	// Batch counters: POST /v1/batches outcomes. BatchesActive is a gauge
-	// of batches currently streaming through the engine; Rejected counts
-	// submissions bounced by queue backpressure (HTTP 429). BatchDies is
-	// a histogram of per-batch die counts — its buckets are counts, not
-	// milliseconds — answering "how big are the sweeps people run".
-	BatchesActive   atomic.Int64
-	BatchesDone     atomic.Int64
-	BatchesFailed   atomic.Int64
-	BatchesCanceled atomic.Int64
-	BatchesRejected atomic.Int64
-	BatchDies       Histogram
 
 	// Replan counters: POST /v1/jobs/{id}/replan outcomes. Done counts
 	// applied deltas, Failed counts rejected or failed ones (bad faults,
@@ -115,7 +101,6 @@ const (
 	StageVerify                // independent plan verification (verify=true)
 	StageTotal                 // whole job, submit-to-finish
 	StageSchedule              // whole stack scheduling run (/v1/schedules)
-	StageBatch                 // whole batch-engine run (/v1/batches)
 	StageReplan                // incremental TSV-repair replan (/v1/jobs/{id}/replan)
 	numStages
 )
@@ -138,8 +123,6 @@ func (s Stage) String() string {
 		return "total"
 	case StageSchedule:
 		return "schedule"
-	case StageBatch:
-		return "batch"
 	case StageReplan:
 		return "replan"
 	default:
@@ -162,7 +145,7 @@ func (m *Metrics) ObserveOutcome(s Stage, d time.Duration, err error) {
 	switch {
 	case err == nil:
 		m.outcomes[s][outcomeOK].Add(1)
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+	case isContextErr(err):
 		m.outcomes[s][outcomeCanceled].Add(1)
 	default:
 		m.outcomes[s][outcomeFailed].Add(1)
@@ -179,11 +162,6 @@ type Histogram struct {
 	count  atomic.Int64
 	sumUS  atomic.Int64
 }
-
-// ObserveCount records a unitless count (a batch's die total) by mapping
-// it onto the bucket bounds one-for-one: a bucket's le_ms reads as
-// "batches with at most this many dies".
-func (h *Histogram) ObserveCount(n int) { h.Observe(time.Duration(n) * time.Millisecond) }
 
 // Observe records one duration.
 func (h *Histogram) Observe(d time.Duration) {
@@ -279,18 +257,6 @@ type MetricsSnapshot struct {
 		Failed   int64 `json:"failed"`
 		Rejected int64 `json:"rejected"`
 	} `json:"schedules"`
-	Batches struct {
-		// Active is a gauge of batches currently streaming through the
-		// engine (the `batches.active` signal).
-		Active   int64 `json:"active"`
-		Done     int64 `json:"done"`
-		Failed   int64 `json:"failed"`
-		Canceled int64 `json:"canceled"`
-		Rejected int64 `json:"rejected"`
-		// Dies is the per-batch die-count histogram (`batch.dies`): bucket
-		// bounds are die counts, not milliseconds.
-		Dies HistogramSnapshot `json:"dies"`
-	} `json:"batches"`
 	Replan struct {
 		Done      int64 `json:"done"`
 		Failed    int64 `json:"failed"`
@@ -323,12 +289,6 @@ func (m *Metrics) snapshot() MetricsSnapshot {
 	s.Schedules.Done = m.SchedulesDone.Load()
 	s.Schedules.Failed = m.SchedulesFailed.Load()
 	s.Schedules.Rejected = m.SchedulesRejected.Load()
-	s.Batches.Active = m.BatchesActive.Load()
-	s.Batches.Done = m.BatchesDone.Load()
-	s.Batches.Failed = m.BatchesFailed.Load()
-	s.Batches.Canceled = m.BatchesCanceled.Load()
-	s.Batches.Rejected = m.BatchesRejected.Load()
-	s.Batches.Dies = m.BatchDies.snapshot()
 	s.Replan.Done = m.ReplansDone.Load()
 	s.Replan.Failed = m.ReplansFailed.Load()
 	s.Replan.Recovered = m.ReplansRecovered.Load()

@@ -45,6 +45,10 @@ func (m *memJournal) Finish(id string, state, errMsg string, result *Report) err
 	return nil
 }
 func (m *memJournal) Cancel(id string) error { m.record("cancel " + id); return nil }
+func (m *memJournal) Replan(id string, delta ReplanRequest) error {
+	m.record("replan " + id)
+	return nil
+}
 
 func (m *memJournal) has(ev string) bool {
 	m.mu.Lock()

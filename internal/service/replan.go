@@ -21,9 +21,9 @@ var (
 	// finished successfully — queued, running, failed or canceled (a
 	// cancel racing the replan lands here too).
 	ErrReplanJobNotDone = errors.New("service: replan needs a successfully finished job")
-	// ErrReplanUnsupported marks a job whose method has no incremental
-	// replan path (li, fullwrap).
-	ErrReplanUnsupported = errors.New("service: job's method has no incremental replan")
+	// ErrReplanUnsupported marks a job with no incremental replan path:
+	// its method has none (li, fullwrap), or it is a multi-die job.
+	ErrReplanUnsupported = errors.New("service: job has no incremental replan")
 	// ErrDieEvicted marks a job whose prepared die has left the LRU cache;
 	// the client resubmits the job to re-prepare it.
 	ErrDieEvicted = errors.New("service: prepared die evicted from cache, resubmit the job")
@@ -80,6 +80,9 @@ func (s *Service) Replan(id string, req ReplanRequest) (ReplanStatus, error) {
 	}
 	if j.method != wcm3d.MethodOurs && j.method != wcm3d.MethodAgrawal {
 		return ReplanStatus{}, fmt.Errorf("%w (method %q)", ErrReplanUnsupported, j.req.Method)
+	}
+	if j.req.selectsDies() {
+		return ReplanStatus{}, fmt.Errorf("%w (multi-die job)", ErrReplanUnsupported)
 	}
 
 	j.replanMu.Lock()
@@ -140,7 +143,7 @@ func (s *Service) plannerFor(j *job) (*wcm3d.ReplanPlanner, error) {
 	if j.planner != nil {
 		return j.planner, nil
 	}
-	die, ok := s.dies.peek(DieKey{Name: j.spec.Name, Seed: j.spec.Seed})
+	die, ok := s.dies.peek(DieKey{Name: j.specs[0].Name, Seed: j.specs[0].Seed})
 	if !ok {
 		return nil, ErrDieEvicted
 	}

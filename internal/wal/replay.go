@@ -28,48 +28,23 @@ type jobState struct {
 	replans  []service.ReplanRequest
 }
 
-// batchState is the folded per-batch outcome of a replay.
-type batchState struct {
-	id       string
-	req      *service.BatchRequest
-	submitAt int64
-	finishAt int64
-	terminal string // "", done, failed, canceled
-	errMsg   string
-}
-
-// foldBatch applies one batch record to the per-batch state map with the
-// same idempotence rules as job folding.
-func foldBatch(batches map[string]*batchState, r record) {
-	if r.ID == "" {
-		return
-	}
-	bs := batches[r.ID]
-	if bs == nil {
-		bs = &batchState{id: r.ID}
-		batches[r.ID] = bs
-	}
-	switch r.T {
-	case typeBatchSubmit:
-		if bs.req == nil {
-			bs.req = r.BReq
-			bs.submitAt = r.At
-		}
-	case typeBatchFinish:
-		if bs.terminal == "" {
-			bs.terminal = r.State
-			bs.errMsg = r.Err
-			bs.finishAt = r.At
-		}
-	}
-}
-
 // fold applies one record to the per-job state map. Replay is idempotent
 // and order-tolerant per job: a terminal record wins over everything, a
 // duplicate submit (possible after an interrupted compaction left both the
 // old and rewritten segments behind) is harmless.
 func fold(jobs map[string]*jobState, r record, maxSeq *int) {
-	if r.T == typeMark {
+	switch r.T {
+	case typeBatchSubmit:
+		// A batch journaled before batches became multi-die jobs replays
+		// as the job the batch route submits today.
+		r.T = typeSubmit
+		if r.BReq != nil {
+			req := r.BReq.JobRequest()
+			r.Req = &req
+		}
+	case typeBatchFinish:
+		r.T = typeFinish
+	case typeMark:
 		if r.Seq > *maxSeq {
 			*maxSeq = r.Seq
 		}
@@ -160,25 +135,19 @@ func readSegment(path string, fn func(record)) (corrupt bool, err error) {
 // replayLocked folds every segment into per-job state. Corruption inside a
 // segment discards that segment's tail only; later segments are still
 // replayed (their records fold idempotently).
-func (l *Log) replayLocked() (map[string]*jobState, map[string]*batchState, int, int, error) {
+func (l *Log) replayLocked() (map[string]*jobState, int, int, error) {
 	segs, err := segments(l.dir)
 	if err != nil {
-		return nil, nil, 0, 0, err
+		return nil, 0, 0, err
 	}
 	jobs := make(map[string]*jobState)
-	batches := make(map[string]*batchState)
 	maxSeq, corrupted := 0, 0
 	for _, n := range segs {
 		bad, err := readSegment(filepath.Join(l.dir, segName(n)), func(r record) {
-			switch r.T {
-			case typeBatchSubmit, typeBatchFinish:
-				foldBatch(batches, r)
-			default:
-				fold(jobs, r, &maxSeq)
-			}
+			fold(jobs, r, &maxSeq)
 		})
 		if err != nil {
-			return nil, nil, 0, 0, fmt.Errorf("wal: segment %s: %w", segName(n), err)
+			return nil, 0, 0, fmt.Errorf("wal: segment %s: %w", segName(n), err)
 		}
 		if bad {
 			corrupted++
@@ -189,31 +158,20 @@ func (l *Log) replayLocked() (map[string]*jobState, map[string]*batchState, int,
 			maxSeq = n
 		}
 	}
-	for id := range batches {
-		if n := batchSeq(id); n > maxSeq {
-			maxSeq = n
-		}
-	}
-	return jobs, batches, maxSeq, corrupted, nil
+	return jobs, maxSeq, corrupted, nil
 }
 
-// jobSeq mirrors the service's id numbering ("j-%06d") for watermarking.
+// jobSeq mirrors the service's id numbering ("j-%06d" for single-die jobs,
+// "b-%06d" for multi-die ones, one sequence) for watermarking.
 func jobSeq(id string) int {
 	var n int
-	if _, err := fmt.Sscanf(id, "j-%d", &n); err != nil || n < 0 {
-		return -1
+	if _, err := fmt.Sscanf(id, "j-%d", &n); err == nil && n >= 0 {
+		return n
 	}
-	return n
-}
-
-// batchSeq mirrors batch id numbering ("b-%06d"); batches share the
-// service's sequence counter with jobs, so both feed one watermark.
-func batchSeq(id string) int {
-	var n int
-	if _, err := fmt.Sscanf(id, "b-%d", &n); err != nil || n < 0 {
-		return -1
+	if _, err := fmt.Sscanf(id, "b-%d", &n); err == nil && n >= 0 {
+		return n
 	}
-	return n
+	return -1
 }
 
 // Compact rewrites the log keeping only live jobs — unfinished ones and
@@ -234,7 +192,7 @@ func (l *Log) Compact() error {
 // the old records, or both old and new — and replay folds duplicates
 // idempotently.
 func (l *Log) compactLocked(now time.Time) (service.Recovery, error) {
-	jobs, batches, maxSeq, corrupted, err := l.replayLocked()
+	jobs, maxSeq, corrupted, err := l.replayLocked()
 	if err != nil {
 		return service.Recovery{}, err
 	}
@@ -263,22 +221,6 @@ func (l *Log) compactLocked(now time.Time) (service.Recovery, error) {
 		}
 		live = append(live, js)
 	}
-	bids := make([]string, 0, len(batches))
-	for id := range batches {
-		bids = append(bids, id)
-	}
-	sort.Strings(bids)
-	var liveBatches []*batchState
-	for _, id := range bids {
-		bs := batches[id]
-		if bs.req == nil {
-			continue // finish whose submit was lost to corruption
-		}
-		if bs.terminal != "" && bs.finishAt > 0 && bs.finishAt < cutoff {
-			continue // finished past retention: compacted away
-		}
-		liveBatches = append(liveBatches, bs)
-	}
 
 	// Rewrite live records into a fresh segment numbered after every
 	// existing one, then drop the old segments.
@@ -286,7 +228,7 @@ func (l *Log) compactLocked(now time.Time) (service.Recovery, error) {
 	if len(segs) > 0 {
 		next = segs[len(segs)-1] + 1
 	}
-	if err := l.writeCompacted(next, live, liveBatches, maxSeq); err != nil {
+	if err := l.writeCompacted(next, live, maxSeq); err != nil {
 		return service.Recovery{}, err
 	}
 	if l.f != nil {
@@ -318,22 +260,12 @@ func (l *Log) compactLocked(now time.Time) (service.Recovery, error) {
 		}
 		rec.Jobs = append(rec.Jobs, rj)
 	}
-	for _, bs := range liveBatches {
-		rec.Batches = append(rec.Batches, service.RecoveredBatch{
-			ID:          bs.id,
-			Req:         *bs.req,
-			State:       bs.terminal,
-			Err:         bs.errMsg,
-			SubmittedAt: nanoTime(bs.submitAt),
-			FinishedAt:  nanoTime(bs.finishAt),
-		})
-	}
 	return rec, nil
 }
 
 // writeCompacted writes the mark record and each live job's reconstructed
 // record chain into segment n, fsyncing before it returns.
-func (l *Log) writeCompacted(n int, live []*jobState, liveBatches []*batchState, maxSeq int) error {
+func (l *Log) writeCompacted(n int, live []*jobState, maxSeq int) error {
 	f, err := os.OpenFile(filepath.Join(l.dir, segName(n)), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
@@ -371,17 +303,6 @@ func (l *Log) writeCompacted(n int, live []*jobState, liveBatches []*batchState,
 		}
 		for i := range js.replans {
 			if err := write(record{T: typeReplan, ID: js.id, Delta: &js.replans[i]}); err != nil {
-				return err
-			}
-		}
-	}
-	for _, bs := range liveBatches {
-		if err := write(record{T: typeBatchSubmit, ID: bs.id, At: bs.submitAt, BReq: bs.req}); err != nil {
-			return err
-		}
-		if bs.terminal != "" {
-			if err := write(record{T: typeBatchFinish, ID: bs.id, At: bs.finishAt,
-				State: bs.terminal, Err: bs.errMsg}); err != nil {
 				return err
 			}
 		}

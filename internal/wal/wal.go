@@ -1,9 +1,11 @@
 // Package wal is wcmd's segmented write-ahead job log: every job
-// lifecycle transition (submit, start, finish, cancel) is appended as a
-// CRC-framed, fsynced record, so a kill -9 loses nothing that was ever
-// acknowledged. Open replays the log into a recovery state — pending and
-// orphaned jobs to re-queue, recently finished ones to restore — and
-// compacts away jobs finished past the retention horizon. Segments rotate
+// lifecycle transition (submit, start, finish, cancel, and the replans of
+// a finished job) is appended as a CRC-framed, fsynced record, so a kill
+// -9 loses nothing that was ever acknowledged. Single- and multi-die jobs
+// share the one record family. Open replays the log into a recovery
+// state — pending and orphaned jobs to re-queue, recently finished ones
+// to restore — and compacts away jobs finished past the retention
+// horizon. Segments rotate
 // at a size threshold so compaction rewrites bounded amounts of data.
 //
 // On-disk format: each segment file (wal-NNNNNN.log) is a sequence of
@@ -34,10 +36,9 @@ const (
 	typeStart  = "start"
 	typeFinish = "finish"
 	typeCancel = "cancel"
-	// Batch sweeps (POST /v1/batches) journal as submit/finish pairs; a
-	// batch with a submit but no finish replays as pending and is re-run
-	// from scratch (the engine is idempotent, per-die progress is not
-	// journaled).
+	// bsubmit/bfinish are decode-only: segments written before batches
+	// became multi-die jobs carry them, and replay folds them into the
+	// submit and finish of that job.
 	typeBatchSubmit = "bsubmit"
 	typeBatchFinish = "bfinish"
 	// typeReplan records one applied TSV-repair delta on a finished job
@@ -55,7 +56,7 @@ type record struct {
 	ID    string                 `json:"id,omitempty"`
 	At    int64                  `json:"at,omitempty"` // unix nanoseconds
 	Req   *service.JobRequest    `json:"req,omitempty"`
-	BReq  *service.BatchRequest  `json:"breq,omitempty"`
+	BReq  *service.BatchRequest  `json:"breq,omitempty"` // bsubmit records only
 	State string                 `json:"state,omitempty"`
 	Err   string                 `json:"err,omitempty"`
 	Res   *service.Report        `json:"res,omitempty"`
@@ -245,25 +246,10 @@ func (l *Log) Cancel(id string) error {
 	return l.append(record{T: typeCancel, ID: id, At: time.Now().UnixNano()})
 }
 
-// Replan implements service.ReplanJournal.
+// Replan implements service.Journal.
 func (l *Log) Replan(id string, delta service.ReplanRequest) error {
 	d := delta
 	return l.append(record{T: typeReplan, ID: id, At: time.Now().UnixNano(), Delta: &d})
 }
 
-// SubmitBatch implements service.BatchJournal.
-func (l *Log) SubmitBatch(id string, req service.BatchRequest) error {
-	r := req
-	return l.append(record{T: typeBatchSubmit, ID: id, At: time.Now().UnixNano(), BReq: &r})
-}
-
-// FinishBatch implements service.BatchJournal.
-func (l *Log) FinishBatch(id string, state, errMsg string) error {
-	return l.append(record{T: typeBatchFinish, ID: id, At: time.Now().UnixNano(), State: state, Err: errMsg})
-}
-
-var (
-	_ service.Journal       = (*Log)(nil)
-	_ service.BatchJournal  = (*Log)(nil)
-	_ service.ReplanJournal = (*Log)(nil)
-)
+var _ service.Journal = (*Log)(nil)
