@@ -76,54 +76,56 @@ func (b *BitSet) IntersectCountExcluding(o, excl *BitSet) int {
 	return c
 }
 
-// AndNot returns a new set holding the members of b absent from excl.
-func (b *BitSet) AndNot(excl *BitSet) *BitSet {
-	return b.AndNotInto(excl, &BitSet{words: make([]uint64, len(b.words)), n: b.n})
+// SparseSet is a read-only bit set stored as its nonzero words only, in
+// ascending word order. The WCM edge sweep keeps every source-masked cone
+// this way: on the Table II dies such a cone holds 5-15 nonzero words, yet
+// those words lie spread over 75-90% of the netlist's width, so a pair
+// test that merges two short word lists costs what the cones hold instead
+// of what the die spans.
+type SparseSet struct {
+	words []sparseWord
 }
 
-// AndNotInto writes the members of b absent from excl into dst (every
-// word of which is overwritten) and returns dst. dst must have the same
-// capacity as b; it is how pooled callers run the per-node cone masking
-// without allocating per pair.
-func (b *BitSet) AndNotInto(excl, dst *BitSet) *BitSet {
+// sparseWord is one nonzero word of a SparseSet and its word index.
+type sparseWord struct {
+	idx  int32
+	bits uint64
+}
+
+// SparseAndNot returns the members of b absent from excl as a SparseSet.
+// Both sets must have the same capacity.
+func (b *BitSet) SparseAndNot(excl *BitSet) SparseSet {
+	nz := 0
 	for i, w := range b.words {
-		dst.words[i] = w &^ excl.words[i]
-	}
-	return dst
-}
-
-// WordSpan returns the half-open 64-bit-word range [lo, hi) outside which
-// the set is empty (0, 0 for an empty set). Cones are spatially local, so
-// pair tests bounded to the overlap of two spans skip most of the words a
-// full-width scan would touch.
-func (b *BitSet) WordSpan() (lo, hi int) {
-	hi = len(b.words)
-	for lo < hi && b.words[lo] == 0 {
-		lo++
-	}
-	for hi > lo && b.words[hi-1] == 0 {
-		hi--
-	}
-	return lo, hi
-}
-
-// IntersectsSpan is Intersects restricted to words [lo, hi) — callers
-// pass the overlap of the two sets' WordSpans for the same answer at a
-// fraction of the scan.
-func (b *BitSet) IntersectsSpan(o *BitSet, lo, hi int) bool {
-	for i := lo; i < hi; i++ {
-		if b.words[i]&o.words[i] != 0 {
-			return true
+		if w&^excl.words[i] != 0 {
+			nz++
 		}
 	}
-	return false
+	s := SparseSet{words: make([]sparseWord, 0, nz)}
+	for i, w := range b.words {
+		if m := w &^ excl.words[i]; m != 0 {
+			s.words = append(s.words, sparseWord{idx: int32(i), bits: m})
+		}
+	}
+	return s
 }
 
-// IntersectCountSpan is IntersectCount restricted to words [lo, hi).
-func (b *BitSet) IntersectCountSpan(o *BitSet, lo, hi int) int {
-	c := 0
-	for i := lo; i < hi; i++ {
-		c += bits.OnesCount64(b.words[i] & o.words[i])
+// IntersectCount returns the number of shared members: a merge of the two
+// ascending word lists that ANDs only the words both sets hold.
+func (s SparseSet) IntersectCount(o SparseSet) int {
+	a, b := s.words, o.words
+	c, i, j := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i].idx < b[j].idx:
+			i++
+		case a[i].idx > b[j].idx:
+			j++
+		default:
+			c += bits.OnesCount64(a[i].bits & b[j].bits)
+			i++
+			j++
+		}
 	}
 	return c
 }

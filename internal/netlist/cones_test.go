@@ -278,3 +278,60 @@ func names(n *Netlist, b *BitSet) []string {
 	}
 	return out
 }
+
+// TestSparseSetMatchesFullWidth pins the sparse merge kernel to the
+// full-width masked scans it replaces in the WCM edge sweep: for random
+// sets a, b and mask excl, (a &^ excl) ∩ (b &^ excl) taken over the sparse
+// forms must agree with IntersectsExcluding / IntersectCountExcluding on
+// the dense sets. Sizes cover an empty capacity, a single word, a
+// partial last word and multi-word sets; densities cover empty sets,
+// identical sets and a fully masked set.
+func TestSparseSetMatchesFullWidth(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	random := func(n int, density float64) *BitSet {
+		b := NewBitSet(n)
+		for i := 0; i < n; i++ {
+			if rng.Float64() < density {
+				b.Set(SignalID(i))
+			}
+		}
+		return b
+	}
+	check := func(name string, a, b, excl *BitSet) {
+		t.Helper()
+		sa, sb := a.SparseAndNot(excl), b.SparseAndNot(excl)
+		nz := 0
+		for i, w := range a.words {
+			if w&^excl.words[i] != 0 {
+				nz++
+			}
+		}
+		if len(sa.words) != nz {
+			t.Fatalf("%s: sparse form holds %d words, dense has %d nonzero", name, len(sa.words), nz)
+		}
+		if got, want := sa.IntersectCount(sb) > 0, a.IntersectsExcluding(b, excl); got != want {
+			t.Fatalf("%s: intersects = %v, full-width %v", name, got, want)
+		}
+		if got, want := sa.IntersectCount(sb), a.IntersectCountExcluding(b, excl); got != want {
+			t.Fatalf("%s: IntersectCount = %d, full-width %d", name, got, want)
+		}
+		if got, want := sb.IntersectCount(sa), b.IntersectCountExcluding(a, excl); got != want {
+			t.Fatalf("%s: IntersectCount (swapped) = %d, full-width %d", name, got, want)
+		}
+	}
+	for _, n := range []int{0, 1, 64, 130, 1000} {
+		empty := NewBitSet(n)
+		full := random(n, 1)
+		check("empty", empty, empty, empty)
+		check("empty-vs-full", empty, full, empty)
+		check("fully-masked", full, full, full)
+		for trial := 0; trial < 50; trial++ {
+			da, db := rng.Float64()*0.05, rng.Float64()*0.05
+			a, b := random(n, da), random(n, db)
+			excl := random(n, rng.Float64()*0.5)
+			check("random", a, b, excl)
+			check("identical", a, a.Clone(), excl)
+			check("unmasked", a, b, empty)
+		}
+	}
+}

@@ -112,39 +112,6 @@ func TestArenaNoAliasing(t *testing.T) {
 	}
 }
 
-// TestAndNotIntoMatchesAndNot pins the pooled masking primitive to the
-// allocating one, including that every word of dst is overwritten (a
-// dirty dst must not influence the result).
-func TestAndNotIntoMatchesAndNot(t *testing.T) {
-	const size = 300
-	b := netlist.NewBitSet(size)
-	excl := netlist.NewBitSet(size)
-	for i := 0; i < size; i += 3 {
-		b.Set(netlist.SignalID(i))
-	}
-	for i := 0; i < size; i += 5 {
-		excl.Set(netlist.SignalID(i))
-	}
-	want := b.AndNot(excl)
-
-	dst := netlist.NewBitSet(size)
-	for i := 0; i < size; i++ {
-		dst.Set(netlist.SignalID(i)) // all-dirty destination
-	}
-	got := b.AndNotInto(excl, dst)
-	if got != dst {
-		t.Fatal("AndNotInto must return dst")
-	}
-	if got.Count() != want.Count() {
-		t.Fatalf("AndNotInto count %d, AndNot count %d", got.Count(), want.Count())
-	}
-	for _, m := range want.Members() {
-		if !got.Has(m) {
-			t.Fatalf("AndNotInto missing member %d", m)
-		}
-	}
-}
-
 // TestNilArenaDegradesToPlainAllocation: a nil arena is the documented
 // no-pooling fallback.
 func TestNilArenaDegradesToPlainAllocation(t *testing.T) {

@@ -83,24 +83,13 @@ func BuildShareModel(in Input, opts Options, secondTiming *sta.Result) (*ShareMo
 	if err := in.validate(opts); err != nil {
 		return nil, err
 	}
-	n := in.Netlist
-	firstInbound := true
-	switch opts.Order {
-	case OrderLargerFirst:
-		firstInbound = len(n.InboundTSVs()) >= len(n.OutboundTSVs())
-	case OrderSmallerFirst:
-		firstInbound = len(n.InboundTSVs()) < len(n.OutboundTSVs())
-	case OrderInboundFirst:
-		firstInbound = true
-	case OrderOutboundFirst:
-		firstInbound = false
-	}
 	m := &ShareModel{Opts: opts}
 	timings := [2]*sta.Result{in.Timing, in.Timing}
 	if secondTiming != nil {
 		timings[1] = secondTiming
 	}
-	for pi, inbound := range [2]bool{firstInbound, !firstInbound} {
+	first := firstInbound(in.Netlist, opts.Order)
+	for pi, inbound := range [2]bool{first, !first} {
 		phIn := in
 		phIn.Timing = timings[pi]
 		sp, err := buildSharePhase(phIn, opts, inbound)

@@ -57,8 +57,8 @@ import (
 // through membership (the item filters and ffEligible), so two runs with
 // identical membership and slots produce identical phases even when the
 // refreshed slack values differ. A phase whose inputs changed (the dirty
-// phase after a repair) rebuilds, but assembles its graph in bulk from
-// the verdict matrix rather than replaying per-edge insertions.
+// phase after a repair) rebuilds its graph, pricing only the pairs the
+// verdict matrix has never seen.
 //
 // A Session is not safe for concurrent use.
 type Session struct {
@@ -136,13 +136,12 @@ type slotKey struct {
 // phaseMemo caches masked cones and edge verdicts for one phase kind.
 type phaseMemo struct {
 	slots  map[slotKey]int32
-	masked []*netlist.BitSet // per slot; plain-allocated (outlives arenas)
-	lo, hi []int32           // non-zero word span per slot
+	masked []netlist.SparseSet // per slot: cone &^ sourceMask, nonzero words
 	verd   verdictMatrix
 }
 
 // slotFor returns the memo slot for a key, inserting an empty slot when
-// the key is new (the caller then fills masked/lo/hi at the same index).
+// the key is new (the caller then fills masked at the same index).
 func (m *phaseMemo) slotFor(key slotKey) (slot int32, hit bool) {
 	if m.slots == nil {
 		m.slots = make(map[slotKey]int32)
@@ -152,9 +151,7 @@ func (m *phaseMemo) slotFor(key slotKey) (slot int32, hit bool) {
 	}
 	s := int32(len(m.masked))
 	m.slots[key] = s
-	m.masked = append(m.masked, nil)
-	m.lo = append(m.lo, 0)
-	m.hi = append(m.hi, 0)
+	m.masked = append(m.masked, netlist.SparseSet{})
 	return s, false
 }
 

@@ -25,35 +25,22 @@ func run(in Input, opts Options, st *sessionState) (*Result, error) {
 		return nil, err
 	}
 	n := in.Netlist
-	inbound := n.InboundTSVs()
-	outbound := n.OutboundTSVs()
-	firstInbound := true
-	switch opts.Order {
-	case OrderLargerFirst:
-		firstInbound = len(inbound) >= len(outbound)
-	case OrderSmallerFirst:
-		firstInbound = len(inbound) < len(outbound)
-	case OrderInboundFirst:
-		firstInbound = true
-	case OrderOutboundFirst:
-		firstInbound = false
-	}
-
 	available := make(map[netlist.SignalID]bool, len(n.FlipFlops()))
 	for _, ff := range n.FlipFlops() {
 		available[ff] = true
 	}
 
-	// Every cone, source mask and masked-cone bitset a phase builds dies
-	// with the phase, so their word storage routes through one arena and
-	// returns to the global pools at phase end — repeated runs (the batch
-	// sweep) then recycle instead of reallocating. Nothing reachable from
-	// Result ever comes from the arena.
+	// Every cone and source mask a phase builds dies with the phase, so
+	// their word storage routes through one arena and returns to the
+	// global pools at phase end — repeated runs (the batch sweep) then
+	// recycle instead of reallocating. Nothing reachable from Result ever
+	// comes from the arena.
 	arena := netlist.NewArena()
 	defer arena.Release()
 
 	res := &Result{Assignment: &scan.Assignment{}, Options: opts}
-	phases := []bool{firstInbound, !firstInbound}
+	first := firstInbound(n, opts.Order)
+	phases := []bool{first, !first}
 	for pi, isInbound := range phases {
 		var memo *phaseMemo
 		var sc *stageCache
@@ -114,6 +101,21 @@ func run(in Input, opts Options, st *sessionState) (*Result, error) {
 	return res, nil
 }
 
+// firstInbound reports whether the order policy processes the inbound
+// TSV set first on this netlist.
+func firstInbound(n *netlist.Netlist, order OrderPolicy) bool {
+	switch order {
+	case OrderLargerFirst:
+		return len(n.InboundTSVs()) >= len(n.OutboundTSVs())
+	case OrderSmallerFirst:
+		return len(n.InboundTSVs()) < len(n.OutboundTSVs())
+	case OrderOutboundFirst:
+		return false
+	default: // OrderInboundFirst
+		return true
+	}
+}
+
 // phaseRunner builds and partitions the sharing graph for one TSV set.
 type phaseRunner struct {
 	in        Input
@@ -121,13 +123,11 @@ type phaseRunner struct {
 	inbound   bool
 	available map[netlist.SignalID]bool
 	// arena supplies recycled word storage for every phase-lifetime
-	// bitset (cones, source mask, masked cones). May be nil (benchmarks
-	// drive phaseRunner directly): everything degrades to plain
-	// allocation.
+	// bitset (cones, source mask). May be nil (benchmarks drive
+	// phaseRunner directly): everything degrades to plain allocation.
 	arena *netlist.Arena
 	// memo, when non-nil, caches masked cones and edge verdicts across
-	// runs of a replan session (see Session). Memoized masked cones are
-	// plain-allocated — they outlive the arena.
+	// runs of a replan session (see Session).
 	memo *phaseMemo
 
 	// per-run state
@@ -141,18 +141,15 @@ type phaseRunner struct {
 	cones      *netlist.ConeSet
 	sourceMask *netlist.BitSet // sources excluded from cone-overlap tests
 	graph      *wcmgraph.Graph
-	// nodeCone and nodeAnchor index the sharing-relevant cone and anchor
-	// signal by graph node id, so the O(n²) edge sweep does two array
-	// loads per pair instead of map lookups. nodeMasked is the cone with
-	// shared-source signals already stripped (cone &^ sourceMask) and
-	// nodeLo/nodeHi its non-zero word span: the pair test then scans one
-	// AND over the overlap of two short spans instead of a full-width
-	// double-mask pass, with bit-identical answers. Valid for the initial
-	// (pre-merge) nodes only — exactly the ones the sweep visits.
-	nodeCone   []*netlist.BitSet
-	nodeMasked []*netlist.BitSet
-	nodeLo     []int32
-	nodeHi     []int32
+	// nodeMasked and nodeAnchor index the sharing-relevant cone and the
+	// anchor signal by graph node id, so the O(n²) edge sweep does two
+	// array loads per pair instead of map lookups. nodeMasked is the cone
+	// with shared-source signals stripped (cone &^ sourceMask), kept as
+	// its nonzero words only: the pair test merges two short word lists
+	// instead of scanning the die's width, with bit-identical answers.
+	// Valid for the initial (pre-merge) nodes only — exactly the ones the
+	// sweep visits.
+	nodeMasked []netlist.SparseSet
 	nodeAnchor []netlist.SignalID
 	// nodeSlot maps graph node id to the session memo slot (memo != nil).
 	nodeSlot []int32
@@ -304,29 +301,22 @@ func (ph *phaseRunner) buildGraph(stats *PhaseStats) (items, excluded []int, err
 	}
 
 	// ----- Node construction.
+	// Items take node ids [0, len(items)) in admission order, flip-flops
+	// the ids after them.
 	ph.graph = wcmgraph.New(len(items) + len(ffs))
-	tsvNode := make([]int, len(ph.tsvSignals))
-	for i := range tsvNode {
-		tsvNode[i] = -1
-	}
 	for _, i := range items {
 		node := wcmgraph.Node{Members: []int32{int32(i)}}
 		ph.fillTSVNode(&node, i)
-		id, err := ph.graph.AddNode(node)
-		if err != nil {
+		if _, err := ph.graph.AddNode(node); err != nil {
 			return nil, nil, err
 		}
-		tsvNode[i] = id
 	}
-	ffNode := make([]int, 0, len(ffs))
 	for _, ff := range ffs {
 		node := wcmgraph.Node{HasFF: true, FF: int32(ff)}
 		ph.fillFFNode(&node, ff)
-		id, err := ph.graph.AddNode(node)
-		if err != nil {
+		if _, err := ph.graph.AddNode(node); err != nil {
 			return nil, nil, err
 		}
-		ffNode = append(ffNode, id)
 	}
 	stats.Nodes = ph.graph.NumAlive()
 
@@ -334,27 +324,21 @@ func (ph *phaseRunner) buildGraph(stats *PhaseStats) (items, excluded []int, err
 	// is O(items × (items + ffs)) evaluations of edgeAllowed — pure reads
 	// over the precomputed cones and node fields — so rows are striped
 	// across a worker pool, each worker writing verdicts into its rows of
-	// a flat buffer. The verdicts are then applied to the graph in the
-	// serial (i, j) order, so the graph and the running stats come out
-	// byte-identical at every worker count.
-	nNodes := len(items) + len(ffs)
-	ph.nodeMasked = make([]*netlist.BitSet, nNodes)
-	ph.nodeLo = make([]int32, nNodes)
-	ph.nodeHi = make([]int32, nNodes)
+	// a flat buffer: the pair (a, b), a < b, a an item, sits at
+	// offs[a]+b-a-1. The graph's adjacency rows are then loaded straight
+	// from the buffer, so the graph and the stats come out byte-identical
+	// at every worker count.
+	nItems, nNodes := len(items), len(items)+len(ffs)
 	ph.nodeAnchor = make([]netlist.SignalID, nNodes)
 	for id := 0; id < nNodes; id++ {
 		ph.nodeAnchor[id] = ph.anchor(id)
 	}
+	ph.nodeMasked = make([]netlist.SparseSet, nNodes)
 	if ph.memo == nil {
-		ph.nodeCone = make([]*netlist.BitSet, nNodes)
-		for id := 0; id < nNodes; id++ {
-			ph.nodeCone[id] = ph.coneOf(id)
-		}
+		// Every cone the nodes read was precomputed above, so the
+		// lookups are read-only and safe from every worker.
 		par.Do(ph.opts.Workers, nNodes, func(_, id int) {
-			m := ph.nodeCone[id].AndNotInto(ph.sourceMask, ph.arena.NewBitSet(n.NumGates()))
-			lo, hi := m.WordSpan()
-			ph.nodeMasked[id] = m
-			ph.nodeLo[id], ph.nodeHi[id] = int32(lo), int32(hi)
+			ph.nodeMasked[id] = ph.coneOf(id).SparseAndNot(ph.sourceMask)
 		})
 	} else {
 		ph.nodeSlot = make([]int32, nNodes)
@@ -368,133 +352,108 @@ func (ph *phaseRunner) buildGraph(stats *PhaseStats) (items, excluded []int, err
 			slot, hit := ph.memo.slotFor(key)
 			ph.nodeSlot[id] = slot
 			if !hit {
-				// Plain allocation: the memoized masked cone outlives
-				// this phase's arena.
-				m := ph.coneOf(id).AndNotInto(ph.sourceMask, netlist.NewBitSet(n.NumGates()))
-				lo, hi := m.WordSpan()
-				ph.memo.masked[slot] = m
-				ph.memo.lo[slot], ph.memo.hi[slot] = int32(lo), int32(hi)
+				ph.memo.masked[slot] = ph.coneOf(id).SparseAndNot(ph.sourceMask)
 			}
 			ph.nodeMasked[id] = ph.memo.masked[slot]
-			ph.nodeLo[id], ph.nodeHi[id] = ph.memo.lo[slot], ph.memo.hi[slot]
 		}
 		ph.memo.verd.ensure(len(ph.memo.masked))
 	}
-	if ph.memo != nil {
-		// Session runs assemble the graph in bulk from the verdict matrix
-		// instead of replaying per-edge insertions.
-		return items, excluded, ph.buildEdgesBulk(stats, len(items), nNodes)
+	offs := make([]int, nItems+1)
+	for a := 0; a < nItems; a++ {
+		offs[a+1] = offs[a] + nNodes - 1 - a
 	}
-	offs := make([]int, len(items)+1)
-	for i := 0; i < len(items); i++ {
-		offs[i+1] = offs[i] + (len(items) - 1 - i) + len(ffNode)
-	}
-	verdicts := getVerdicts(offs[len(items)])
+	verdicts := getVerdicts(offs[nItems])
 	defer putVerdicts(verdicts)
-	par.Do(ph.opts.Workers, len(items), func(_, i int) {
-		k := offs[i]
-		for j := i + 1; j < len(items); j++ {
-			verdicts[k] = ph.edgeVerdict(tsvNode[items[i]], tsvNode[items[j]])
-			k++
-		}
-		for _, fid := range ffNode {
-			verdicts[k] = ph.edgeVerdict(tsvNode[items[i]], fid)
-			k++
-		}
-	})
-	apply := func(a, b int, v uint8) {
-		switch v {
-		case edgeClean:
-			ph.graph.AddEdge(a, b)
-		case edgeOverlap:
-			ph.graph.AddOverlapEdge(a, b)
-			stats.OverlapEdges++
-		}
+	if ph.memo == nil {
+		par.Do(ph.opts.Workers, nItems, func(_, a int) {
+			k := offs[a]
+			for b := a + 1; b < nNodes; b++ {
+				verdicts[k] = ph.edgeVerdict(a, b)
+				k++
+			}
+		})
+	} else {
+		ph.memoVerdicts(verdicts, offs, nNodes)
 	}
-	for i := 0; i < len(items); i++ {
-		k := offs[i]
-		for j := i + 1; j < len(items); j++ {
-			apply(tsvNode[items[i]], tsvNode[items[j]], verdicts[k])
-			k++
-		}
-		for _, fid := range ffNode {
-			apply(tsvNode[items[i]], fid, verdicts[k])
-			k++
-		}
-	}
-	stats.Edges = ph.graph.NumEdges()
+	ph.loadEdges(stats, verdicts, offs, nNodes)
 	return items, excluded, nil
 }
 
-// buildEdgesBulk is the session-run edge constructor. The verdict matrix
-// is the authoritative, order-independent edge set: unknown cells (pairs
-// involving a slot the memo has never priced, or old slots never
-// co-present in one run) are computed and filled in first, then every
-// node's adjacency row is written directly from the matrix — row-local
-// writes, so rows build in parallel at any worker count — and the degree
-// indexes are built in one pass. The resulting graph state is
-// bit-identical to the per-edge path: bitset rows are sets, counters are
-// popcounts, and the degree buckets hold the same members, so the
-// partitioner's pick sequence is unchanged. Item nodes occupy ids
-// [0, nItems); their rows span all nodes. Flip-flop rows only carry item
-// bits — flip-flop pairs are never in the pair space.
-func (ph *phaseRunner) buildEdgesBulk(stats *PhaseStats, nItems, nNodes int) error {
+// memoVerdicts fills a session run's verdict buffer from the memo's
+// verdict matrix, the authoritative, order-independent edge set. Cells the
+// memo has never priced (pairs involving a new slot, or old slots never
+// co-present in one run) are computed in the same parallel pass and
+// stored back serially afterwards: two nodes may share a slot (outbound
+// ports on one driver), so concurrent stores could hit one cell.
+func (ph *phaseRunner) memoVerdicts(verdicts []uint8, offs []int, nNodes int) {
 	memo := ph.memo
-	var unkA, unkB []int32
-	for a := 0; a < nItems; a++ {
+	nItems := len(offs) - 1
+	fresh := make([]bool, nItems)
+	par.Do(ph.opts.Workers, nItems, func(_, a int) {
 		sa := ph.nodeSlot[a]
+		k := offs[a]
 		for b := a + 1; b < nNodes; b++ {
-			sb := ph.nodeSlot[b]
-			if sa == sb {
-				// Distinct nodes sharing an anchor (outbound ports on one
-				// driver): edgeAllowed rejects equal anchors
-				// unconditionally, so no cell is stored.
-				continue
+			// Distinct nodes sharing a slot share an anchor, which
+			// edgeAllowed rejects unconditionally: no cell is stored.
+			v := edgeNone
+			if sb := ph.nodeSlot[b]; sa != sb {
+				if v = memo.verd.get(sa, sb); v == verdUnknown {
+					v = ph.edgeVerdict(a, b)
+					fresh[a] = true
+				}
 			}
-			if memo.verd.get(sa, sb) == verdUnknown {
-				unkA = append(unkA, int32(a))
-				unkB = append(unkB, int32(b))
+			verdicts[k] = v
+			k++
+		}
+	})
+	for a := 0; a < nItems; a++ {
+		if !fresh[a] {
+			continue
+		}
+		sa := ph.nodeSlot[a]
+		k := offs[a]
+		for b := a + 1; b < nNodes; b++ {
+			if sb := ph.nodeSlot[b]; sa != sb {
+				memo.verd.set(sa, sb, verdicts[k])
 			}
+			k++
 		}
 	}
-	if len(unkA) > 0 {
-		buf := getVerdicts(len(unkA))
-		par.Do(ph.opts.Workers, len(unkA), func(_, k int) {
-			buf[k] = ph.edgeVerdict(int(unkA[k]), int(unkB[k]))
-		})
-		for k := range unkA {
-			memo.verd.set(ph.nodeSlot[unkA[k]], ph.nodeSlot[unkB[k]], buf[k])
-		}
-		putVerdicts(buf)
-	}
+}
+
+// loadEdges writes the verdict buffer straight into the graph's adjacency
+// rows and derives the degrees and degree indexes in one pass afterwards.
+// Row id collects the verdicts of every pair it belongs to, so each row is
+// written by one worker and rows load in parallel at any worker count.
+// Item nodes occupy ids [0, len(offs)-1); flip-flop rows only carry item
+// bits, as flip-flop pairs are never in the pair space. The graph state is
+// bit-identical to one built edge by edge: rows are sets, counters are
+// popcounts, and the degree buckets hold the same members.
+func (ph *phaseRunner) loadEdges(stats *PhaseStats, verdicts []uint8, offs []int, nNodes int) {
+	nItems := len(offs) - 1
 	par.Do(ph.opts.Workers, nNodes, func(_, id int) {
 		adjRow, cleanRow := ph.graph.BulkRows(id)
-		sa := ph.nodeSlot[id]
-		hi := nNodes
-		if id >= nItems {
-			hi = nItems
-		}
-		for b := 0; b < hi; b++ {
-			sb := ph.nodeSlot[b]
-			if b == id || sa == sb {
-				continue
+		put := func(b int, v uint8) {
+			if v == edgeNone {
+				return
 			}
-			switch memo.verd.get(sa, sb) {
-			case edgeClean:
-				adjRow[b>>6] |= 1 << (uint(b) & 63)
+			adjRow[b>>6] |= 1 << (uint(b) & 63)
+			if v == edgeClean {
 				cleanRow[b>>6] |= 1 << (uint(b) & 63)
-			case edgeOverlap:
-				adjRow[b>>6] |= 1 << (uint(b) & 63)
+			}
+		}
+		for b := 0; b < id && b < nItems; b++ {
+			put(b, verdicts[offs[b]+id-b-1])
+		}
+		if id < nItems {
+			for b, k := id+1, offs[id]; b < nNodes; b, k = b+1, k+1 {
+				put(b, verdicts[k])
 			}
 		}
 	})
 	edges, cleanEdges := ph.graph.FinishBulkEdges()
 	stats.Edges = edges
 	stats.OverlapEdges = edges - cleanEdges
-	// Long delete runs between merges dominate session partitions; the
-	// candidate cache serves them without changing a single pick.
-	ph.graph.EnablePickCache()
-	return nil
 }
 
 // fillTSVNode initializes load/budget/position for a TSV node.
@@ -535,11 +494,9 @@ func (ph *phaseRunner) fillTSVNode(node *wcmgraph.Node, item int) {
 
 // fillFFNode initializes load/budget/position for a flip-flop node.
 func (ph *phaseRunner) fillFFNode(node *wcmgraph.Node, ff netlist.SignalID) {
-	lib := ph.in.Lib
 	node.Budget2 = ph.opts.CapThFF // post-bond drive capacity of the FF
 	node.Load = 0
 	node.Budget = math.Inf(1) // per-node functional costs checked by ffEligible
-	_ = lib
 	if ph.in.Placement != nil {
 		pt := ph.in.Placement.Coords[ff]
 		node.X, node.Y = pt.X, pt.Y
@@ -581,7 +538,7 @@ func (ph *phaseRunner) ffEligible(ff netlist.SignalID) bool {
 	return muxDelay <= ph.in.Timing.SlackPS(d)-ph.opts.SlackThPS
 }
 
-// Edge verdicts recorded by the parallel sweep and replayed serially.
+// Edge verdicts recorded by the parallel sweep and loaded into the graph.
 const (
 	edgeNone uint8 = iota
 	edgeClean
@@ -594,8 +551,7 @@ const (
 var verdictPool sync.Pool
 
 // getVerdicts returns an uninitialized buffer: the parallel sweep writes
-// every slot before the serial replay reads any, so no zeroing pass is
-// needed.
+// every slot before loadEdges reads any, so no zeroing pass is needed.
 func getVerdicts(n int) []uint8 {
 	if v, _ := verdictPool.Get().(*[]uint8); v != nil && cap(*v) >= n {
 		return (*v)[:n]
@@ -645,18 +601,14 @@ func (ph *phaseRunner) edgeAllowed(a, b int) (ok, overlap bool) {
 	// Overlap means shared combinational logic; shared sources (a PI
 	// feeding both cones, a flip-flop read by both) are independently
 	// controllable and do not make sharing unsafe by themselves — the
-	// precomputed masked cones have sources already stripped, and the
-	// scan is bounded to the overlap of the two cones' word spans.
-	lo, hi := maxI32(ph.nodeLo[a], ph.nodeLo[b]), minI32(ph.nodeHi[a], ph.nodeHi[b])
-	ca := ph.nodeMasked[a]
-	cb := ph.nodeMasked[b]
-	if lo >= hi || !ca.IntersectsSpan(cb, int(lo), int(hi)) {
+	// precomputed masked cones have sources already stripped.
+	shared := ph.nodeMasked[a].IntersectCount(ph.nodeMasked[b])
+	if shared == 0 {
 		return true, false
 	}
 	if !ph.opts.AllowOverlap {
 		return false, false
 	}
-	shared := ca.IntersectCountSpan(cb, int(lo), int(hi))
 	covLoss, patInc := ph.opts.Testability.SharePenalty(ph.in.Netlist, shared)
 	if covLoss < ph.opts.CovThFrac && patInc < ph.opts.PatThCount {
 		return true, true
@@ -714,15 +666,7 @@ func (ph *phaseRunner) partition(stats *PhaseStats) error {
 		}
 		a, b := g.Node(n1), g.Node(n2)
 		if ph.mergeFits(a, b) {
-			// The accumulated load carries the additive parts (stage
-			// delays, pin caps); the bbox wire term is recomputed at
-			// every check from the merged geometry, so it is charged to
-			// the control-side cap accumulation only.
-			mergedLoad := a.Load + b.Load
-			if ph.inbound {
-				mergedLoad += ph.wireTerm(a, b)
-			}
-			if _, err := g.Merge(n1, n2, mergedLoad); err != nil {
+			if _, err := g.Merge(n1, n2, a.Load+b.Load); err != nil {
 				return err
 			}
 			stats.Merges++
@@ -734,33 +678,17 @@ func (ph *phaseRunner) partition(stats *PhaseStats) error {
 }
 
 // mergeFits applies the merge test of Algorithm 2 ("cap + 1 < cap_th") in
-// both cost dimensions: wire-aware load against the timing budget, and
-// post-bond drive capacity against the library bound. Under the
-// capacitance-only model the wire-aware dimension is inert (its loads
-// carry no wire terms and its budgets are the same cap_th).
-//
-// The wire term is charged conservatively from the merged clique's
-// bounding box: on the observe side the box diameter bounds the route any
-// member's signal needs to reach the shared capture cell; on the control
-// side each member's run is repeater-bounded, so the cost is per-merge
-// capacitance.
+// both cost dimensions: the accumulated load against its budget, and
+// post-bond drive capacity against the library bound. Merging adds no
+// wire term to the load: test routing is buffered on both sides, so the
+// shared wrapper's load does not grow with clique span (control) and the
+// fold chain is a relaxed-clock test path (observe). Span is policed by
+// d_th in edgeAllowed, drive by the capacity dimension.
 func (ph *phaseRunner) mergeFits(a, b *wcmgraph.Node) bool {
-	if a.Load+b.Load+ph.wireTerm(a, b) >= minF(a.Budget, b.Budget) {
+	if a.Load+b.Load >= minF(a.Budget, b.Budget) {
 		return false
 	}
 	return a.Load2+b.Load2 < minF(a.Budget2, b.Budget2)
-}
-
-// wireTerm is the dimension-1 wire cost of merging a and b.
-func (ph *phaseRunner) wireTerm(a, b *wcmgraph.Node) float64 {
-	if ph.opts.Timing != TimingCapWire || ph.in.Placement == nil {
-		return 0
-	}
-	// Buffered test routing on both sides: the shared wrapper's load
-	// does not grow with clique span (control), and the fold chain is a
-	// relaxed-clock test path (observe). Span is policed by d_th, drive
-	// by the capacity dimension.
-	return 0
 }
 
 // emitGroup appends one clique to the plan.
@@ -782,20 +710,6 @@ func (ph *phaseRunner) emitGroup(asn *scan.Assignment, ff netlist.SignalID, memb
 
 func minF(a, b float64) float64 {
 	if a < b {
-		return a
-	}
-	return b
-}
-
-func minI32(a, b int32) int32 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxI32(a, b int32) int32 {
-	if a > b {
 		return a
 	}
 	return b

@@ -140,3 +140,24 @@ func TestTableIIPlansPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestSparseKernelMatchesFullWidth is the differential gate of the sparse
+// cone kernel: on every pair the edge sweep visits, in both phases of
+// every covered Table II die, the sparse intersection count of the masked
+// cones equals the full-width masked scans it replaced.
+func TestSparseKernelMatchesFullWidth(t *testing.T) {
+	for _, p := range tableIIProfiles() {
+		d, err := experiments.PrepareDie(p, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name(), err)
+		}
+		pairs, err := wcm.SweepKernelCheck(d.Input(), ourTightOptions(d))
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name(), err)
+		}
+		if pairs == 0 {
+			t.Fatalf("%s: the sweep visited no pairs", p.Name())
+		}
+		t.Logf("%s: %d pairs", p.Name(), pairs)
+	}
+}

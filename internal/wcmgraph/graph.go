@@ -77,8 +77,8 @@ type Graph struct {
 	// the four views consistent.
 	degIdx [2][2]degIndex
 	// pick caches min-degree-neighbor candidates between merges (see
-	// pickCache). Off by default so the plain flow stays on the simple
-	// reference path; sessions opt in via EnablePickCache.
+	// pickCache); minDegreePlaneScan is the uncached reference the tests
+	// pin every pick against.
 	pick pickCache
 }
 
@@ -173,18 +173,18 @@ func (x *degIndex) min() (int, bool) {
 // (or any other structural mutation) invalidates it. Tiers that found no
 // eligible neighbor are remembered too (negN1): edge deletions can never
 // create eligibility, so a failing (tier, n1) keeps failing until a merge
-// or edge insertion. Every pop re-checks adjacency and degree, so a
-// violated assumption degrades to a rescan, never a wrong pick.
+// or edge insertion. A repeated pick with no deletion in between returns
+// the same pair. Every pop re-checks adjacency and degree, so a violated
+// assumption degrades to a rescan, never a wrong pick.
 type pickCache struct {
-	enabled bool
-	valid   bool
-	tier    uint8
-	n1      int32
-	lastN2  int32
-	next    int
-	cands   []pickCand
-	negN1   [4]int32 // per tier: n1 known to have no eligible neighbor
-	negSet  [4]bool
+	valid  bool
+	tier   uint8
+	n1     int32
+	lastN2 int32
+	next   int
+	cands  []pickCand
+	negN1  [4]int32 // per tier: n1 known to have no eligible neighbor
+	negSet [4]bool
 }
 
 type pickCand struct {
@@ -195,12 +195,6 @@ type pickCand struct {
 // pickCacheCap bounds the candidates kept per scan. Exhausting the list
 // just forces the next pick back onto a full scan.
 const pickCacheCap = 48
-
-// EnablePickCache turns on candidate caching for min-degree selection.
-// Picks are bit-identical with or without it (the equivalence tests pin
-// both modes against the linear-scan oracle); the cache only changes how
-// much work repeated picks between merges cost.
-func (g *Graph) EnablePickCache() { g.pick.enabled = true }
 
 func (g *Graph) invalidatePicks() {
 	g.pick.valid = false
@@ -368,6 +362,7 @@ func (g *Graph) BulkRows(id int) (adj, clean []uint64) {
 // rows are order-independent sets and the bucket indexes hold the same
 // membership either way.
 func (g *Graph) FinishBulkEdges() (edges, cleanEdges int) {
+	g.invalidatePicks()
 	totDeg, totClean := 0, 0
 	for id := range g.nodes {
 		n := &g.nodes[id]
@@ -456,8 +451,9 @@ func (g *Graph) MinDegreePair() (n1, n2 int, ok bool) {
 // minDegreePlane picks one tier's pair: n1 from the degree-bucket index
 // (lowest id among the minimal positive degree in the plane, FF-filtered
 // when noFF), then n1's minimum-degree eligible neighbor (lowest id on
-// ties). Selection is identical to the O(n)-scan reference
-// minDegreePlaneScan, which the test suite pins it against.
+// ties), served from the pick cache between merges. Selection is
+// identical to the O(n)-scan reference minDegreePlaneScan, which the test
+// suite pins it against.
 func (g *Graph) minDegreePlane(cleanOnly, noFF bool) (n1, n2 int, ok bool) {
 	plane := planeAll
 	if cleanOnly {
@@ -479,82 +475,71 @@ func (g *Graph) minDegreePlane(cleanOnly, noFF bool) (n1, n2 int, ok bool) {
 	}
 	key := tierKey(cleanOnly, noFF)
 	pc := &g.pick
-	if pc.enabled {
-		if pc.negSet[key] && pc.negN1[key] == int32(n1) {
-			return 0, 0, false
+	if pc.negSet[key] && pc.negN1[key] == int32(n1) {
+		return 0, 0, false
+	}
+	if pc.valid && pc.tier == key && pc.n1 == int32(n1) {
+		row := g.adj[n1]
+		if cleanOnly {
+			row = g.clean[n1]
 		}
-		if pc.valid && pc.tier == key && pc.n1 == int32(n1) {
-			for pc.next < len(pc.cands) {
-				c := pc.cands[pc.next]
-				pc.next++
-				// Exactness guard: the candidate must still be adjacent in
-				// this plane with the degree recorded at scan time.
-				// Violations (an untracked mutation) fall back to a scan.
-				row := g.adj[n1]
-				if cleanOnly {
-					row = g.clean[n1]
-				}
-				if row[c.id>>6]&(1<<(uint(c.id)&63)) != 0 && deg(int(c.id)) == c.deg {
-					pc.lastN2 = c.id
-					return n1, int(c.id), true
-				}
-				pc.valid = false
-				break
+		// While the cache is valid the only mutation since the last pick
+		// can be the deletion of that pair: if its edge is still there,
+		// nothing changed and the last pick is still the answer.
+		if row[pc.lastN2>>6]&(1<<(uint(pc.lastN2)&63)) != 0 {
+			return n1, int(pc.lastN2), true
+		}
+		for pc.next < len(pc.cands) {
+			c := pc.cands[pc.next]
+			pc.next++
+			// Exactness guard: the candidate must still be adjacent in
+			// this plane with the degree recorded at scan time.
+			// Violations (an untracked mutation) fall back to a scan.
+			if row[c.id>>6]&(1<<(uint(c.id)&63)) != 0 && deg(int(c.id)) == c.deg {
+				pc.lastN2 = c.id
+				return n1, int(c.id), true
 			}
+			pc.valid = false
+			break
 		}
 	}
-	if pc.enabled {
-		// Full scan, keeping the pickCacheCap best (degree, id) candidates
-		// in sorted order. Ascending-id iteration inserts equal-degree
-		// candidates after earlier ids, matching lowest-id tie-breaking.
-		pc.valid = false
-		pc.cands = pc.cands[:0]
-		g.neighborsPlane(n1, cleanOnly, func(nb int) {
-			if noFF && g.nodes[nb].HasFF {
-				return
-			}
-			d := deg(nb)
-			n := len(pc.cands)
-			if n == pickCacheCap && d >= pc.cands[n-1].deg {
-				return
-			}
-			pos := n
-			for pos > 0 && pc.cands[pos-1].deg > d {
-				pos--
-			}
-			if n < pickCacheCap {
-				pc.cands = append(pc.cands, pickCand{})
-			} else {
-				n--
-			}
-			copy(pc.cands[pos+1:], pc.cands[pos:n])
-			pc.cands[pos] = pickCand{deg: d, id: int32(nb)}
-		})
-		if len(pc.cands) == 0 {
-			pc.negN1[key] = int32(n1)
-			pc.negSet[key] = true
-			return 0, 0, false
-		}
-		pc.valid = true
-		pc.tier = key
-		pc.n1 = int32(n1)
-		pc.next = 1
-		pc.lastN2 = pc.cands[0].id
-		return n1, int(pc.cands[0].id), true
-	}
-	n2 = -1
+	// Full scan, keeping the pickCacheCap best (degree, id) candidates in
+	// sorted order. Ascending-id iteration inserts equal-degree candidates
+	// after earlier ids, matching lowest-id tie-breaking.
+	pc.valid = false
+	pc.cands = pc.cands[:0]
 	g.neighborsPlane(n1, cleanOnly, func(nb int) {
 		if noFF && g.nodes[nb].HasFF {
 			return
 		}
-		if n2 < 0 || deg(nb) < deg(n2) {
-			n2 = nb
+		d := deg(nb)
+		n := len(pc.cands)
+		if n == pickCacheCap && d >= pc.cands[n-1].deg {
+			return
 		}
+		pos := n
+		for pos > 0 && pc.cands[pos-1].deg > d {
+			pos--
+		}
+		if n < pickCacheCap {
+			pc.cands = append(pc.cands, pickCand{})
+		} else {
+			n--
+		}
+		copy(pc.cands[pos+1:], pc.cands[pos:n])
+		pc.cands[pos] = pickCand{deg: d, id: int32(nb)}
 	})
-	if n2 < 0 {
+	if len(pc.cands) == 0 {
+		pc.negN1[key] = int32(n1)
+		pc.negSet[key] = true
 		return 0, 0, false
 	}
-	return n1, n2, true
+	pc.valid = true
+	pc.tier = key
+	pc.n1 = int32(n1)
+	pc.next = 1
+	pc.lastN2 = pc.cands[0].id
+	return n1, int(pc.cands[0].id), true
 }
 
 // minDegreePlaneScan is the pre-index reference implementation: a linear

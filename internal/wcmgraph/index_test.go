@@ -38,35 +38,29 @@ func randomGraph(rng *rand.Rand, n int, density float64) *Graph {
 // partition runs, asserting at every single iteration that the
 // degree-bucket index picks exactly the pair the linear-scan reference
 // picks — same tier order, same lowest-id tie-breaking — while merges and
-// edge deletions mutate the graph underneath. Both index modes are pinned:
-// the plain one and the candidate-caching one sessions enable.
+// edge deletions mutate the graph underneath.
 func TestMinDegreePairMatchesScan(t *testing.T) {
-	for _, cached := range []bool{false, true} {
-		for seed := int64(0); seed < 20; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			g := randomGraph(rng, 40+rng.Intn(80), 0.02+rng.Float64()*0.15)
-			if cached {
-				g.EnablePickCache()
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := randomGraph(rng, 40+rng.Intn(80), 0.02+rng.Float64()*0.15)
+		for step := 0; ; step++ {
+			i1, i2, iok := g.MinDegreePair()
+			s1, s2, sok := g.minDegreePairScan()
+			if iok != sok || i1 != s1 || i2 != s2 {
+				t.Fatalf("seed %d step %d: index picked (%d,%d,%v), scan picked (%d,%d,%v)",
+					seed, step, i1, i2, iok, s1, s2, sok)
 			}
-			for step := 0; ; step++ {
-				i1, i2, iok := g.MinDegreePair()
-				s1, s2, sok := g.minDegreePairScan()
-				if iok != sok || i1 != s1 || i2 != s2 {
-					t.Fatalf("cached=%v seed %d step %d: index picked (%d,%d,%v), scan picked (%d,%d,%v)",
-						cached, seed, step, i1, i2, iok, s1, s2, sok)
+			if !iok {
+				break
+			}
+			// Alternate merge and delete like the partitioner does when
+			// mergeFits flips, so both mutation paths exercise the index.
+			if rng.Intn(3) != 0 {
+				if _, err := g.Merge(i1, i2, 0); err != nil {
+					t.Fatalf("seed %d step %d: %v", seed, step, err)
 				}
-				if !iok {
-					break
-				}
-				// Alternate merge and delete like the partitioner does when
-				// mergeFits flips, so both mutation paths exercise the index.
-				if rng.Intn(3) != 0 {
-					if _, err := g.Merge(i1, i2, 0); err != nil {
-						t.Fatalf("seed %d step %d: %v", seed, step, err)
-					}
-				} else {
-					g.DeleteEdge(i1, i2)
-				}
+			} else {
+				g.DeleteEdge(i1, i2)
 			}
 		}
 	}
@@ -80,7 +74,6 @@ func TestPickCacheLongDeleteRuns(t *testing.T) {
 	for seed := int64(300); seed < 310; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomGraph(rng, 120, 0.6) // dense: degrees far above pickCacheCap
-		g.EnablePickCache()
 		for step := 0; ; step++ {
 			i1, i2, iok := g.MinDegreePair()
 			s1, s2, sok := g.minDegreePairScan()
@@ -186,6 +179,73 @@ func TestDegreeIndexConsistency(t *testing.T) {
 			}
 			if idx.size != want {
 				t.Errorf("plane %d filter %d: size %d, want %d", plane, filter, idx.size, want)
+			}
+		}
+	}
+}
+
+// TestBulkLoadMatchesAddEdge pins the bulk constructor the WCM edge sweep
+// uses (BulkRows + FinishBulkEdges) to the edge-by-edge one: loading the
+// same edge set must give the same rows, degrees and edge counts, and the
+// two graphs must then pick the same MinDegreePair sequence — checked
+// against the scan oracle too — through a full partition of merges and
+// edge deletions.
+func TestBulkLoadMatchesAddEdge(t *testing.T) {
+	for seed := int64(200); seed < 215; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 40 + rng.Intn(120)
+		ref := randomGraph(rng, n, 0.02+rng.Float64()*0.3)
+		bulk := New(n)
+		for i := 0; i < n; i++ {
+			if _, err := bulk.AddNode(*ref.Node(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for a := 0; a < n; a++ {
+			adj, clean := bulk.BulkRows(a)
+			copy(adj, ref.adj[a])
+			copy(clean, ref.clean[a])
+		}
+		edges, cleanEdges := bulk.FinishBulkEdges()
+		refClean := 0
+		for i := 0; i < n; i++ {
+			ra, ba := ref.Node(i), bulk.Node(i)
+			if ra.deg != ba.deg || ra.cleanDeg != ba.cleanDeg {
+				t.Fatalf("seed %d node %d: bulk degrees (%d,%d), edge-by-edge (%d,%d)",
+					seed, i, ba.deg, ba.cleanDeg, ra.deg, ra.cleanDeg)
+			}
+			refClean += int(ra.cleanDeg)
+			for w := range ref.adj[i] {
+				if ref.adj[i][w] != bulk.adj[i][w] || ref.clean[i][w] != bulk.clean[i][w] {
+					t.Fatalf("seed %d node %d: rows differ at word %d", seed, i, w)
+				}
+			}
+		}
+		if edges != ref.NumEdges() || bulk.NumEdges() != ref.NumEdges() || cleanEdges != refClean/2 {
+			t.Fatalf("seed %d: bulk edges (%d, clean %d), edge-by-edge (%d, clean %d)",
+				seed, edges, cleanEdges, ref.NumEdges(), refClean/2)
+		}
+		for step := 0; ; step++ {
+			r1, r2, rok := ref.MinDegreePair()
+			b1, b2, bok := bulk.MinDegreePair()
+			s1, s2, sok := bulk.minDegreePairScan()
+			if rok != bok || r1 != b1 || r2 != b2 || bok != sok || b1 != s1 || b2 != s2 {
+				t.Fatalf("seed %d step %d: bulk (%d,%d,%v), edge-by-edge (%d,%d,%v), scan (%d,%d,%v)",
+					seed, step, b1, b2, bok, r1, r2, rok, s1, s2, sok)
+			}
+			if !rok {
+				break
+			}
+			if rng.Intn(3) != 0 {
+				if _, err := ref.Merge(r1, r2, 0); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := bulk.Merge(b1, b2, 0); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				ref.DeleteEdge(r1, r2)
+				bulk.DeleteEdge(b1, b2)
 			}
 		}
 	}
