@@ -355,6 +355,7 @@ func BenchmarkRunLargestDie(b *testing.B) {
 		workers int
 	}{{"serial", 1}, {"parallel", 0}} {
 		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
 			var res *wcm.Result
 			for i := 0; i < b.N; i++ {
 				opts := experiments.OurOptions(d, experiments.Scenario{Tight: true})

@@ -78,10 +78,10 @@ func (b *BitSet) IntersectCountExcluding(o, excl *BitSet) int {
 
 // SparseSet is a read-only bit set stored as its nonzero words only, in
 // ascending word order. The WCM edge sweep keeps every source-masked cone
-// this way: on the Table II dies such a cone holds 5-15 nonzero words, yet
-// those words lie spread over 75-90% of the netlist's width, so a pair
-// test that merges two short word lists costs what the cones hold instead
-// of what the die spans.
+// this way: on the large Table II dies such a cone holds about nine
+// nonzero words, yet they lie spread over ~86% of the netlist's width, so
+// a pair test that merges two short word lists costs what the cones hold
+// instead of what the die spans.
 type SparseSet struct {
 	words []sparseWord
 }

@@ -42,10 +42,16 @@ func SweepKernelCheck(in Input, opts Options) (pairs int, err error) {
 			for b := a + 1; b < nNodes; b++ {
 				cb := tw.coneOf(b)
 				got := tw.nodeMasked[a].IntersectCount(tw.nodeMasked[b])
-				want := ca.IntersectCountExcluding(cb, tw.sourceMask)
-				if got != want || (got > 0) != ca.IntersectsExcluding(cb, tw.sourceMask) {
-					return pairs, fmt.Errorf("inbound=%v pair (%d,%d): sparse count %d, full-width %d",
-						inbound, a, b, got, want)
+				// A full-width miss means a full-width count of zero, so
+				// the count scan only runs when either side intersects.
+				want := 0
+				hit := ca.IntersectsExcluding(cb, tw.sourceMask)
+				if hit || got > 0 {
+					want = ca.IntersectCountExcluding(cb, tw.sourceMask)
+				}
+				if got != want || (got > 0) != hit {
+					return pairs, fmt.Errorf("inbound=%v pair (%d,%d): sparse count %d, full-width %d (intersects %v)",
+						inbound, a, b, got, want, hit)
 				}
 				pairs++
 			}
