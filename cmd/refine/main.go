@@ -1,9 +1,9 @@
 // Command refine runs the anytime solver portfolio over a greedy
 // minimization result: deterministic local search, seeded simulated
-// annealing, bounded branch-and-bound, and large-neighborhood
-// destroy/repair race under one wall budget, and the best plan that passes
-// the independent verifier wins. The output is the before/after cell count
-// plus each solver's search statistics.
+// annealing and large-neighborhood destroy/repair race under one wall
+// budget, and the best plan that passes the independent verifier wins.
+// The output is the before/after cell count plus each solver's search
+// statistics.
 //
 // Usage:
 //
@@ -45,7 +45,7 @@ func main() {
 		seed       = flag.Int64("seed", 1, "generation / placement seed; also drives the annealer RNG")
 		budget     = flag.Duration("budget", 0, "wall budget for the portfolio (0 = default)")
 		steps      = flag.Int("steps", 0, "per-strategy step budget (0 = per-strategy default; fixed steps make runs reproducible)")
-		strategies = flag.String("strategies", "", `comma-separated subset of "local,anneal,bnb,lns" (empty = all; duplicates collapse)`)
+		strategies = flag.String("strategies", "", `comma-separated subset of "local,anneal,lns" (empty = all; duplicates collapse)`)
 		workers    = flag.Int("workers", 0, "solver parallelism (0 = GOMAXPROCS)")
 		candidates = flag.Int("candidates", 0, "merge-partner candidate list size per block (0 = default)")
 		restarts   = flag.Int("restarts", 0, "restart rounds for local search / reheat segments for anneal (0 = per-strategy default)")

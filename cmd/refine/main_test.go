@@ -29,7 +29,7 @@ func TestRunTextOutput(t *testing.T) {
 	if !strings.Contains(out, "refined:") {
 		t.Fatalf("missing refined line:\n%s", out)
 	}
-	for _, s := range []string{"local", "anneal", "bnb", "lns"} {
+	for _, s := range []string{"local", "anneal", "lns"} {
 		if !strings.Contains(out, s) {
 			t.Fatalf("missing %s statistics line:\n%s", s, out)
 		}

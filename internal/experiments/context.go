@@ -349,13 +349,6 @@ func OurOptions(d *Die, sc Scenario) wcm.Options {
 	return opts
 }
 
-// tightCapThFF bounds a control point's load so the extra RC stays within
-// the die margin: margin >= Rdrive_dff × C_extra.
-func tightCapThFF(d *Die) float64 {
-	r := d.Lib.Of(netlist.GateDFF).DriveResKOhm
-	return d.MarginPS / r
-}
-
 // tightDistUM bounds sharing distance so the wire capacitance alone cannot
 // consume the margin.
 func tightDistUM(d *Die) float64 {

@@ -165,11 +165,6 @@ func (e *Engine) Detects(f faults.Fault, good *Block) uint64 {
 	return det & good.mask
 }
 
-// DetectsAny reports whether any pattern in the block detects the fault.
-func (e *Engine) DetectsAny(f faults.Fault, good *Block) bool {
-	return e.Detects(f, good) != 0
-}
-
 // Campaign fault-simulates a pattern set against a fault list with fault
 // dropping and returns per-fault detection plus, for each pattern, whether
 // it was the first detector of at least one fault (useful for pattern-set

@@ -446,20 +446,6 @@ func spliceDanglers(n *netlist.Netlist, rng *rand.Rand, clusterOf []int) error {
 	return nil
 }
 
-// GenerateSuite generates all 24 Table II dies with one base seed.
-func GenerateSuite(seed int64) ([]*netlist.Netlist, error) {
-	profiles := ITC99Profiles()
-	out := make([]*netlist.Netlist, 0, len(profiles))
-	for _, p := range profiles {
-		n, err := Generate(p, seed)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
 // RandomOptions sizes a random test circuit with no profile constraints.
 type RandomOptions struct {
 	Gates, FFs, PIs, POs, InboundTSVs, OutboundTSVs int

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"sort"
 )
 
 // Netlist is a single die's gate-level circuit. Build one either with the
@@ -340,8 +339,8 @@ func (n *Netlist) buildFanouts() {
 	}
 	n.faninOff[nGates] = int32(edges)
 	// Flat edge arrays and the view slices are handed out to callers
-	// (Fanouts, FaninSpan, TopoOrder), so a rebuild must never write into
-	// storage an earlier caller may still hold — always fresh. Only the
+	// (Fanouts, TopoOrder), so a rebuild must never write into storage
+	// an earlier caller may still hold — always fresh. Only the
 	// unexposed offset/type arrays reuse their backing storage.
 	n.faninFlat = make([]SignalID, edges)
 	pos := 0
@@ -386,14 +385,6 @@ func resize[T GateType | SignalID | int32](s []T, n int) []T {
 		return s[:n]
 	}
 	return make([]T, n)
-}
-
-// FaninSpan returns the fanin list of a signal as a view into the flat
-// derived layout — same contents as Gate(id).Fanin without touching the
-// Gate struct. The view is valid until the next mutation; do not mutate.
-func (n *Netlist) FaninSpan(id SignalID) []SignalID {
-	n.ensureDerived()
-	return n.faninFlat[n.faninOff[id]:n.faninOff[id+1]:n.faninOff[id+1]]
 }
 
 // levelize computes a topological order over the combinational graph.
@@ -555,15 +546,4 @@ func CollectStats(n *Netlist) Stats {
 		POs:          len(n.PrimaryOutputs()),
 		MaxLevel:     n.MaxLevel(),
 	}
-}
-
-// SortedNames returns all signal names in lexical order; handy for
-// deterministic debug output and golden tests.
-func (n *Netlist) SortedNames() []string {
-	names := make([]string, 0, len(n.Gates))
-	for i := range n.Gates {
-		names = append(names, n.Gates[i].Name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -16,7 +16,7 @@ import (
 func improvingSolution(t *testing.T) (*Problem, *Solution, *Solution) {
 	t.Helper()
 	// Known-gap corpus dies; not every gap is closable by local search
-	// alone (some need bnb), so probe until one improves.
+	// alone, so probe until one improves.
 	for _, seed := range []int64{24, 25, 20, 23, 26, 27, 29} {
 		p, start := evalProblem(t, seed)
 		var improved *Solution
@@ -155,12 +155,13 @@ func TestStrategiesFor(t *testing.T) {
 		want    []string
 		wantErr string
 	}{
-		{"nil runs all in order", nil, []string{"local", "anneal", "bnb", "lns"}, ""},
-		{"empty runs all in order", []string{}, []string{"local", "anneal", "bnb", "lns"}, ""},
+		{"nil runs all in order", nil, []string{"local", "anneal", "lns"}, ""},
+		{"empty runs all in order", []string{}, []string{"local", "anneal", "lns"}, ""},
 		{"explicit subset", []string{"lns", "local"}, []string{"lns", "local"}, ""},
 		{"duplicates collapse", []string{"local", "local", "anneal", "local"}, []string{"local", "anneal"}, ""},
 		{"unknown name", []string{"local", "bogus"}, nil, `unknown strategy "bogus"`},
-		{"known set in error", []string{"tabu"}, nil, "anneal, bnb, lns, local"},
+		{"known set in error", []string{"tabu"}, nil, "anneal, lns, local"},
+		{"bnb is not a strategy", []string{"bnb"}, nil, `unknown strategy "bnb"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

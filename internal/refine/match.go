@@ -4,10 +4,9 @@ package refine
 // phases) on the left, the global flip-flop table on the right, an edge
 // where the flip-flop's phase-local adjacency covers the whole block. Kuhn's
 // augmenting paths — the same algorithm the exhaustive oracle uses for its
-// leaf scoring — computes it; the solvers call augmentAll after every
-// structural move, which makes "FF reassignment via augmenting paths" a
-// built-in part of the move set: stealing a flip-flop from a block that can
-// recover elsewhere is exactly an augmenting path.
+// leaf scoring — compute it from scratch here. The solvers never call it:
+// they repair the matching incrementally (eval.go), and augmentAll is the
+// from-scratch reference that referenceCells prices against.
 
 // matcher holds the owner index (global flip-flop → block) rebuilt per
 // augmentation round.

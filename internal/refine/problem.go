@@ -196,19 +196,6 @@ func (s *Solution) cells(p *Problem) int {
 	return n
 }
 
-// matched counts blocks covered by a reused flip-flop.
-func (s *Solution) matched() int {
-	m := 0
-	for pi := range s.blocks {
-		for bi := range s.blocks[pi] {
-			if s.blocks[pi][bi].ff >= 0 {
-				m++
-			}
-		}
-	}
-	return m
-}
-
 // canJoin reports whether item i may enter block b of phase ph: the block
 // has room and i is adjacent to every member. Small blocks are checked
 // member-by-member — a word scan over the mask cannot early-exit on the

@@ -7,7 +7,7 @@
 // package exists to close those gaps on real dies, where the oracle cannot
 // run.
 //
-// Four strategies implement one Refiner interface and race concurrently:
+// Three strategies implement one Refiner interface and race concurrently:
 //
 //   - local:  deterministic first-improvement descent — candidate-list
 //     block merges, single-item relocations, and split-and-remerge kicks,
@@ -15,13 +15,10 @@
 //   - anneal: simulated annealing over the same move set, driven by a
 //     seeded RNG (bit-reproducible for a fixed seed and step budget),
 //     reheated from its own best in restart segments.
-//   - bnb:    bounded branch-and-bound — per-phase exhaustive
-//     re-partitioning with the greedy cost as incumbent, for phases small
-//     enough to enumerate.
 //   - lns:    large-neighborhood destroy/repair — evict a cluster of
 //     blocks, greedily repack, keep strict improvements.
 //
-// All but bnb score moves with the incremental evaluator (eval.go): moves
+// All three score moves with the incremental evaluator (eval.go): moves
 // apply in place, targeted augmenting paths repair the flip-flop matching,
 // and a journal reverts rejected trials — no per-trial clone or full
 // rematch, which is what lets sweeps finish on b20-class dies inside the
@@ -71,10 +68,10 @@ type Options struct {
 	// per-strategy defaults. With a generous Budget, fixed MaxSteps make
 	// every strategy's outcome deterministic.
 	MaxSteps int
-	// Strategies selects which solvers race ("local", "anneal", "bnb",
-	// "lns"); nil or empty runs all of them. Duplicate names collapse to
-	// the first occurrence — two copies of a strategy would replay the
-	// same deterministic trajectory on the same RNG stream.
+	// Strategies selects which solvers race ("local", "anneal", "lns");
+	// nil or empty runs all of them. Duplicate names collapse to the
+	// first occurrence — two copies of a strategy would replay the same
+	// deterministic trajectory on the same RNG stream.
 	Strategies []string
 	// Workers bounds the portfolio's concurrency; 0 means one worker per
 	// strategy (capped by GOMAXPROCS via internal/par).
@@ -168,13 +165,12 @@ type Result struct {
 var strategyRegistry = map[string]Refiner{
 	"local":  localSearch{},
 	"anneal": annealer{},
-	"bnb":    branchBound{},
 	"lns":    lns{},
 }
 
 // defaultStrategyOrder fixes the portfolio's deterministic launch order
 // when Options.Strategies is empty.
-var defaultStrategyOrder = []string{"local", "anneal", "bnb", "lns"}
+var defaultStrategyOrder = []string{"local", "anneal", "lns"}
 
 // strategiesFor resolves the configured strategy names. Unknown names are
 // an error naming the known set; duplicates collapse to the first
@@ -364,8 +360,7 @@ func Run(ctx context.Context, in wcm.Input, opts wcm.Options, greedy *wcm.Result
 			case "anneal":
 				cfg.MaxSteps = defaultAnnealSteps
 			default:
-				// local and lns terminate through their fruitless
-				// cutoffs; bnb through its enumeration bound.
+				// local and lns terminate through their fruitless cutoffs.
 				cfg.MaxSteps = 1 << 30
 			}
 		}

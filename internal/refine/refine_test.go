@@ -30,7 +30,7 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		seeds = seeds[:1]
 	}
-	for _, strategy := range []string{"local", "anneal", "bnb", "lns"} {
+	for _, strategy := range []string{"local", "anneal", "lns"} {
 		for _, seed := range seeds {
 			in := tinyDie(t, seed)
 			opts := wcm.DefaultOptions()

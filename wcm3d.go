@@ -293,8 +293,7 @@ const DefaultRefineBudget = refine.DefaultBudget
 type RefineResult = refine.Result
 
 // Refine races the solver portfolio — deterministic local search, seeded
-// simulated annealing, bounded branch-and-bound, large-neighborhood
-// destroy/repair — over a greedy
+// simulated annealing, large-neighborhood destroy/repair — over a greedy
 // minimization result and returns the best plan that passes the
 // independent verifier before the deadline. The result is never worse than
 // the input plan: an expired context or a fruitless search hands the
