@@ -52,7 +52,6 @@ func main() {
 		maxFinished = flag.Int("max-finished", 1024, "finished jobs retained beyond the TTL sweep")
 		gcInterval  = flag.Duration("gc-interval", time.Minute, "retention sweep period")
 		maxTimeout  = flag.Duration("max-timeout", 10*time.Minute, "server-side cap on per-job/per-schedule timeout_ms")
-		schedConc   = flag.Int("schedule-concurrency", 0, "concurrent schedule runs before 429 (0 = workers)")
 
 		walDir = flag.String("wal-dir", "", "write-ahead job log directory; empty disables durability")
 
@@ -68,14 +67,13 @@ func main() {
 	)
 	flag.Parse()
 	cfg := service.Config{
-		Workers:             *workers,
-		QueueDepth:          *queue,
-		CacheCapacity:       *cache,
-		RetentionTTL:        *retention,
-		MaxFinished:         *maxFinished,
-		GCInterval:          *gcInterval,
-		MaxTimeout:          *maxTimeout,
-		ScheduleConcurrency: *schedConc,
+		Workers:       *workers,
+		QueueDepth:    *queue,
+		CacheCapacity: *cache,
+		RetentionTTL:  *retention,
+		MaxFinished:   *maxFinished,
+		GCInterval:    *gcInterval,
+		MaxTimeout:    *maxTimeout,
 	}
 	if err := runNode(nodeOptions{
 		addr:      *addr,
@@ -101,8 +99,8 @@ func main() {
 // progress. Go's zero-value http.Server waits forever on all three, so a
 // handful of slow-header connections could pin the daemon's file
 // descriptors indefinitely (slowloris); these defaults cap that. No write
-// timeout: schedule reports are computed synchronously and a fixed write
-// deadline would kill legitimately long responses.
+// timeout: a schedule's response waits for its whole run, and a fixed
+// write deadline would kill legitimately long responses.
 type timeouts struct {
 	readHeader time.Duration
 	read       time.Duration

@@ -1,95 +1,70 @@
 package service
 
-// Tests for multi-die jobs and their POST /v1/batches view: lifecycle over
-// HTTP, admission control shared with single-die jobs, cancellation,
-// journal events, crash recovery via Recover, per-die failure isolation,
-// and their exclusion from work-stealing.
+// Tests for multi-die jobs, submitted to POST /v1/jobs with a die
+// selector: lifecycle over HTTP, validation, admission control shared with
+// single-die jobs, cancellation, per-die failure isolation, journal
+// events, crash recovery via Recover, and their exclusion from
+// work-stealing.
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 )
 
-func postBatch(t *testing.T, ts *httptest.Server, body string) (int, BatchStatus, string) {
-	t.Helper()
-	resp, err := http.Post(ts.URL+"/v1/batches", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(resp.Body)
-	var st BatchStatus
-	_ = json.Unmarshal(raw, &st)
-	return resp.StatusCode, st, string(raw)
-}
-
-// waitBatch polls until the batch reaches a terminal state.
-func waitBatch(t *testing.T, ts *httptest.Server, id string) BatchStatus {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Minute)
-	for time.Now().Before(deadline) {
-		var st BatchStatus
-		if code := getJSON(t, ts, "/v1/batches/"+id, &st); code != http.StatusOK {
-			t.Fatalf("poll %s: status %d", id, code)
+// diesDone counts a multi-die job's finished dies.
+func diesDone(st JobStatus) int {
+	n := 0
+	for _, d := range st.Dies {
+		if d.State == BatchDieDone {
+			n++
 		}
-		switch st.State {
-		case StateDone, StateFailed, StateCanceled:
-			return st
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("batch %s did not finish", id)
-	return BatchStatus{}
+	return n
 }
 
 func TestBatchHTTPLifecycle(t *testing.T) {
 	svc, ts := newTestServer(t, hookConfig(t, 2, 8, nil))
-	code, st, raw := postBatch(t, ts, `{"circuit":"b11","max_in_flight":3}`)
+	code, st, raw := postJob(t, ts, `{"circuit":"b11"}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: status %d: %s", code, raw)
 	}
-	if !strings.HasPrefix(st.ID, "b-") || st.Total != 4 || len(st.Dies) != 4 {
+	if !strings.HasPrefix(st.ID, "b-") || len(st.Dies) != 4 {
 		t.Fatalf("submit status = %+v", st)
 	}
-	fin := waitBatch(t, ts, st.ID)
+	fin := waitJob(t, ts, st.ID)
 	if fin.State != StateDone {
-		t.Fatalf("batch ended %s (%s)", fin.State, fin.Error)
+		t.Fatalf("job ended %s (%s)", fin.State, fin.Error)
 	}
-	if fin.Completed != 4 || fin.Failed != 0 {
-		t.Fatalf("progress = %d done / %d failed, want 4/0", fin.Completed, fin.Failed)
+	if diesDone(fin) != 4 || fin.Result != nil {
+		t.Fatalf("progress = %d of 4 dies done, result %v", diesDone(fin), fin.Result)
 	}
 	for _, d := range fin.Dies {
-		if d.State != BatchDieDone {
-			t.Fatalf("die %s state %s: %s", d.Die, d.State, d.Error)
-		}
 		if d.ReusedFFs == 0 && d.AdditionalCells == 0 {
 			t.Fatalf("die %s has no plan numbers", d.Die)
 		}
 	}
 
-	// A single-die job is not a batch: the batch list holds only the
-	// multi-die job, and the batch routes do not know the job's id.
+	// A single-die job carries a result and no per-die rows; the listing
+	// holds both jobs.
 	_, one, _ := postJob(t, ts, `{"profile":"b11/0"}`)
-	waitJob(t, ts, one.ID)
+	if got := waitJob(t, ts, one.ID); got.Dies != nil || got.Result == nil {
+		t.Fatalf("single-die job = %+v", got)
+	}
 	var list struct {
-		Batches []BatchStatus `json:"batches"`
+		Jobs []JobStatus `json:"jobs"`
 	}
-	if code := getJSON(t, ts, "/v1/batches", &list); code != http.StatusOK || len(list.Batches) != 1 {
-		t.Fatalf("list: code %d, %d batches", code, len(list.Batches))
-	}
-	if code := getJSON(t, ts, "/v1/batches/"+one.ID, nil); code != http.StatusNotFound {
-		t.Fatalf("single-die job via the batch route: status %d, want 404", code)
+	if code := getJSON(t, ts, "/v1/jobs", &list); code != http.StatusOK || len(list.Jobs) != 2 {
+		t.Fatalf("list: code %d, %d jobs", code, len(list.Jobs))
 	}
 
-	// The batch counts as one job: one done, one total observation each.
+	// The multi-die job counts as one job: one done, one total observation
+	// each.
 	m := svc.Snapshot()
 	if m.Jobs.Done != 2 || m.Jobs.Queued != 2 {
 		t.Errorf("job counters = %+v, want 2 queued / 2 done", m.Jobs)
@@ -115,23 +90,18 @@ func TestBatchValidation(t *testing.T) {
 		`{"profiles":["b11/9"]}`,
 		`{"all":true,"method":"nope"}`,
 		`{"all":true,"timing":"sideways"}`,
-		`{"all":true,"max_in_flight":9}`,
-		`{"all":true,"max_in_flight":-1}`,
+		`{"all":true,"max_in_flight":2}`, // an unknown field on /v1/jobs
 		`{"all":true,"timeout_ms":-1}`,
-		`{"profile":"b11/0"}`,
 	} {
-		if code, _, raw := postBatch(t, ts, body); code != http.StatusBadRequest {
+		if code, _, raw := postJob(t, ts, body); code != http.StatusBadRequest {
 			t.Errorf("body %s: status %d (%s), want 400", body, code, raw)
 		}
 	}
-	if code := getJSON(t, ts, "/v1/batches/b-999999", nil); code != http.StatusNotFound {
-		t.Errorf("unknown batch: status %d, want 404", code)
-	}
 }
 
-// TestJobDieSelectors: POST /v1/jobs takes the die selectors too. The job
-// gets a "b-" id, reports per-die progress, and isolates die failures:
-// the failing die is marked failed, the rest still run, and the job fails
+// TestJobDieSelectors: POST /v1/jobs takes the die selectors. The job gets
+// a "b-" id, reports per-die progress, and isolates die failures: the
+// failing die is marked failed, the rest still run, and the job fails
 // with a count.
 func TestJobDieSelectors(t *testing.T) {
 	_, ts := newTestServer(t, hookConfig(t, 1, 4, func(ctx context.Context, spec DieSpec) error {
@@ -160,8 +130,8 @@ func TestJobDieSelectors(t *testing.T) {
 	if !strings.Contains(fin.Dies[2].Error, "injected prepare failure") {
 		t.Fatalf("failed die error = %q", fin.Dies[2].Error)
 	}
-	if b := waitBatch(t, ts, st.ID); b.Completed != 3 || b.Failed != 1 {
-		t.Fatalf("batch view = %d done / %d failed, want 3/1", b.Completed, b.Failed)
+	if diesDone(fin) != 3 {
+		t.Fatalf("%d dies done, want 3", diesDone(fin))
 	}
 
 	many := make([]string, maxJobDies+1)
@@ -182,6 +152,74 @@ func TestJobDieSelectors(t *testing.T) {
 	}
 	if code, raw := postRaw(t, ts, "/v1/jobs?refine=true", `{"circuit":"b11"}`); code != http.StatusBadRequest {
 		t.Errorf("refine query on a multi-die job: status %d (%s), want 400", code, raw)
+	}
+}
+
+// TestBatchQueueBackpressure: multi-die jobs share the job queue's
+// admission control, so a saturated queue bounces them with 429.
+func TestBatchQueueBackpressure(t *testing.T) {
+	release := make(chan struct{})
+	svc, ts := newTestServer(t, hookConfig(t, 1, 1, func(ctx context.Context, spec DieSpec) error {
+		select {
+		case <-release:
+		case <-ctx.Done():
+		}
+		return nil
+	}))
+	defer close(release)
+
+	// One job occupies the single worker, one fills the single queue slot.
+	if code, _, raw := postJob(t, ts, `{"profile":"b11/0"}`); code != http.StatusAccepted {
+		t.Fatalf("job 1: %d %s", code, raw)
+	}
+	if code, _, raw := postJob(t, ts, `{"profile":"b11/1"}`); code != http.StatusAccepted {
+		t.Fatalf("job 2: %d %s", code, raw)
+	}
+	code, _, _ := postJob(t, ts, `{"circuit":"b11"}`)
+	if code != http.StatusTooManyRequests {
+		t.Fatalf("multi-die job under backpressure: status %d, want 429", code)
+	}
+	if got := svc.Metrics().JobsRejected.Load(); got != 1 {
+		t.Errorf("JobsRejected = %d, want 1", got)
+	}
+}
+
+func TestBatchCancelQueued(t *testing.T) {
+	release := make(chan struct{})
+	_, ts := newTestServer(t, hookConfig(t, 1, 8, func(ctx context.Context, spec DieSpec) error {
+		select {
+		case <-release:
+		case <-ctx.Done():
+		}
+		return nil
+	}))
+	defer close(release)
+
+	// Occupy the single worker so the multi-die job stays queued.
+	if code, _, raw := postJob(t, ts, `{"profile":"b11/0"}`); code != http.StatusAccepted {
+		t.Fatalf("blocker job: %d %s", code, raw)
+	}
+	code, st, raw := postJob(t, ts, `{"circuit":"b11"}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("multi-die job: %d %s", code, raw)
+	}
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+st.ID, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got JobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if got.State != StateCanceled || len(got.Dies) != 4 {
+		t.Fatalf("canceled job = %+v", got)
+	}
+	for _, d := range got.Dies {
+		if d.State != BatchDiePending {
+			t.Fatalf("die %s state = %s, want pending (never ran)", d.Die, d.State)
+		}
 	}
 }
 
@@ -236,11 +274,11 @@ func TestJobsListingInterleavesMultiDieJobs(t *testing.T) {
 // die gets as a single-die job, on the real pipeline.
 func TestBatchPlansMatchJobPlans(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 8})
-	code, st, raw := postBatch(t, ts, `{"circuit":"b11"}`)
+	code, st, raw := postJob(t, ts, `{"circuit":"b11"}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("batch: %d %s", code, raw)
 	}
-	fin := waitBatch(t, ts, st.ID)
+	fin := waitJob(t, ts, st.ID)
 	if fin.State != StateDone || len(fin.Dies) != 4 {
 		t.Fatalf("batch ended %s (%s) with %d dies", fin.State, fin.Error, len(fin.Dies))
 	}
@@ -260,74 +298,6 @@ func TestBatchPlansMatchJobPlans(t *testing.T) {
 	}
 }
 
-// TestBatchQueueBackpressure: batches share the job queue's admission
-// control, so a saturated queue bounces them with 429.
-func TestBatchQueueBackpressure(t *testing.T) {
-	release := make(chan struct{})
-	svc, ts := newTestServer(t, hookConfig(t, 1, 1, func(ctx context.Context, spec DieSpec) error {
-		select {
-		case <-release:
-		case <-ctx.Done():
-		}
-		return nil
-	}))
-	defer close(release)
-
-	// One job occupies the single worker, one fills the single queue slot.
-	if code, _, raw := postJob(t, ts, `{"profile":"b11/0"}`); code != http.StatusAccepted {
-		t.Fatalf("job 1: %d %s", code, raw)
-	}
-	if code, _, raw := postJob(t, ts, `{"profile":"b11/1"}`); code != http.StatusAccepted {
-		t.Fatalf("job 2: %d %s", code, raw)
-	}
-	code, _, _ := postBatch(t, ts, `{"circuit":"b11"}`)
-	if code != http.StatusTooManyRequests {
-		t.Fatalf("batch under backpressure: status %d, want 429", code)
-	}
-	if got := svc.Metrics().JobsRejected.Load(); got != 1 {
-		t.Errorf("JobsRejected = %d, want 1", got)
-	}
-}
-
-func TestBatchCancelQueued(t *testing.T) {
-	release := make(chan struct{})
-	_, ts := newTestServer(t, hookConfig(t, 1, 8, func(ctx context.Context, spec DieSpec) error {
-		select {
-		case <-release:
-		case <-ctx.Done():
-		}
-		return nil
-	}))
-	defer close(release)
-
-	// Occupy the single worker so the batch stays queued.
-	if code, _, raw := postJob(t, ts, `{"profile":"b11/0"}`); code != http.StatusAccepted {
-		t.Fatalf("blocker job: %d %s", code, raw)
-	}
-	code, st, raw := postBatch(t, ts, `{"circuit":"b11"}`)
-	if code != http.StatusAccepted {
-		t.Fatalf("batch: %d %s", code, raw)
-	}
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/batches/"+st.ID, nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got BatchStatus
-	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if got.State != StateCanceled {
-		t.Fatalf("canceled batch state = %s", got.State)
-	}
-	for _, d := range got.Dies {
-		if d.State != BatchDiePending {
-			t.Fatalf("die %s state = %s, want pending (never ran)", d.Die, d.State)
-		}
-	}
-}
-
 // TestBatchJournalEvents pins the durable write order on the batch path:
 // submit journaled before the 202, finish journaled after the run, both
 // in the job record family.
@@ -336,14 +306,14 @@ func TestBatchJournalEvents(t *testing.T) {
 	cfg := hookConfig(t, 2, 8, nil)
 	cfg.Journal = jl
 	_, ts := newTestServer(t, cfg)
-	code, st, raw := postBatch(t, ts, `{"circuit":"b11"}`)
+	code, st, raw := postJob(t, ts, `{"circuit":"b11"}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", code, raw)
 	}
 	if !jl.has("submit " + st.ID) {
 		t.Fatal("submit was accepted before the journal recorded it")
 	}
-	fin := waitBatch(t, ts, st.ID)
+	fin := waitJob(t, ts, st.ID)
 	if fin.State != StateDone {
 		t.Fatalf("batch ended %s", fin.State)
 	}
@@ -357,7 +327,7 @@ func TestBatchJournalEvents(t *testing.T) {
 // past everything the log had seen.
 func TestBatchRecovery(t *testing.T) {
 	svc, ts := newTestServer(t, hookConfig(t, 2, 8, nil))
-	b11 := BatchRequest{Circuit: "b11"}.JobRequest()
+	b11 := JobRequest{Circuit: "b11"}
 	requeued, restored, err := svc.Recover(Recovery{
 		Jobs: []RecoveredJob{
 			{ID: "b-000002", Req: b11, State: StateDone},
@@ -367,25 +337,20 @@ func TestBatchRecovery(t *testing.T) {
 	if err != nil || requeued != 1 || restored != 1 {
 		t.Fatalf("Recover = (%d, %d, %v), want (1, 1, nil)", requeued, restored, err)
 	}
-	var st0 BatchStatus
-	if code := getJSON(t, ts, "/v1/batches/b-000002", &st0); code != http.StatusOK || st0.State != StateDone {
+	var st0 JobStatus
+	if code := getJSON(t, ts, "/v1/jobs/b-000002", &st0); code != http.StatusOK || st0.State != StateDone {
 		t.Fatalf("restored batch = %d %+v", code, st0)
 	}
 	// Per-die results are not journaled, but a restored done batch must
 	// still read as fully completed, not "done, 0 of 4".
-	if st0.Completed != st0.Total || st0.Total != 4 {
-		t.Fatalf("restored batch progress = %d/%d, want 4/4", st0.Completed, st0.Total)
+	if diesDone(st0) != len(st0.Dies) || len(st0.Dies) != 4 {
+		t.Fatalf("restored batch progress = %d/%d, want 4/4", diesDone(st0), len(st0.Dies))
 	}
-	for _, d := range st0.Dies {
-		if d.State != BatchDieDone {
-			t.Fatalf("restored die %s state = %s", d.Die, d.State)
-		}
-	}
-	if fin := waitBatch(t, ts, "b-000005"); fin.State != StateDone || fin.Completed != 4 {
-		t.Fatalf("replayed batch ended %s with %d dies done", fin.State, fin.Completed)
+	if fin := waitJob(t, ts, "b-000005"); fin.State != StateDone || diesDone(fin) != 4 {
+		t.Fatalf("replayed batch ended %s with %d dies done", fin.State, diesDone(fin))
 	}
 	// New ids must not collide with recovered ones.
-	code, st, raw := postBatch(t, ts, `{"circuit":"b11"}`)
+	code, st, raw := postJob(t, ts, `{"circuit":"b11"}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("post-recovery submit: %d %s", code, raw)
 	}

@@ -97,7 +97,7 @@ func (s *Service) StealQueued(max int, thief string) []StolenJob {
 			queued = append(queued, j)
 		}
 	}
-	sort.Slice(queued, func(a, b int) bool { return queued[a].id < queued[b].id })
+	sort.Slice(queued, func(a, b int) bool { return idLess(queued[a].id, queued[b].id) })
 	if len(queued) > max {
 		queued = queued[:max]
 	}
@@ -170,7 +170,7 @@ func (s *Service) ReclaimStolen(thief string) int {
 	if len(feed) == 0 {
 		return 0
 	}
-	sort.Slice(feed, func(a, b int) bool { return feed[a].id < feed[b].id })
+	sort.Slice(feed, func(a, b int) bool { return idLess(feed[a].id, feed[b].id) })
 	s.logf("wcmd: cluster: reclaimed %d job(s) from dead peer %s", len(feed), thief)
 	go s.feedRecovered(feed)
 	return len(feed)

@@ -1,9 +1,10 @@
-// Package service implements wcmd, the WCM-as-a-service daemon: a bounded
-// job queue and worker pool over the wcm3d library, an LRU cache of
+// Package service implements wcmd, the WCM-as-a-service daemon: one
+// bounded queue and worker pool over the wcm3d library that admits
+// single- and multi-die jobs and stack schedules alike, an LRU cache of
 // prepared dies with single-flight deduplication, an HTTP/JSON API
-// (POST /v1/jobs, GET /v1/jobs/{id}, GET /v1/dies, GET /healthz,
-// GET /metrics), and the machine-readable result schema shared with the
-// CLIs (cmd/wcmflow -json).
+// (/v1/jobs, /v1/schedules, /v1/dies, /healthz, /metrics; see Handler),
+// and the machine-readable result schemas shared with the CLIs
+// (cmd/wcmflow -json, cmd/schedule -json).
 package service
 
 import (

@@ -13,19 +13,16 @@ import (
 
 // Handler returns the daemon's HTTP API:
 //
-//	POST   /v1/jobs      submit a minimize job over one die or several (202, 307, 400,
-//	                     413, 429, 500, 503); ?verify=true requests independent plan
-//	                     verification
+//	POST   /v1/jobs      submit a minimize job over one die (profile, netlist) or several
+//	                     (all, circuit, profiles) (202, 307, 400, 413, 429, 500, 503);
+//	                     ?verify=true requests independent plan verification
 //	GET    /v1/jobs      list retained jobs (?state=<state>&limit=<n>&cursor=<tok>)
 //	GET    /v1/jobs/{id} poll one job
 //	DELETE /v1/jobs/{id} cancel one job
 //	POST   /v1/jobs/{id}/replan apply a TSV-fault delta and replan incrementally
 //	                     (200, 400, 404, 409, 410, 413; see docs/REPLAN.md)
-//	POST   /v1/schedules wrapper/TAM co-optimize a stack (200, 400, 413, 429, 503)
-//	POST   /v1/batches   submit a multi-die job in the batch shape (202, 400, 429, 500, 503)
-//	GET    /v1/batches   list retained multi-die jobs as batches
-//	GET    /v1/batches/{id} poll one multi-die job's per-die progress
-//	DELETE /v1/batches/{id} cancel one multi-die job
+//	POST   /v1/schedules wrapper/TAM co-optimize a stack; queued on the job pool,
+//	                     answered when the run ends (200, 400, 413, 429, 503)
 //	GET    /v1/dies      list cached prepared dies
 //	GET    /healthz      liveness (503 once shutdown begins); cluster-aware
 //	GET    /metrics      expvar-style counters and latency histograms
@@ -47,10 +44,6 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
 	mux.HandleFunc("POST /v1/jobs/{id}/replan", s.handleReplan)
-	mux.HandleFunc("POST /v1/batches", s.handleBatchSubmit)
-	mux.HandleFunc("GET /v1/batches", s.handleBatches)
-	mux.HandleFunc("GET /v1/batches/{id}", s.handleBatch)
-	mux.HandleFunc("DELETE /v1/batches/{id}", s.handleBatchCancel)
 	mux.HandleFunc("GET /v1/dies", s.handleDies)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -64,6 +57,36 @@ func (s *Service) Handler() http.Handler {
 
 type errorBody struct {
 	Error string `json:"error"`
+}
+
+// errStatus maps the service's sentinel errors onto HTTP statuses.
+var errStatus = map[error]int{
+	ErrQueueFull:         http.StatusTooManyRequests,
+	ErrShuttingDown:      http.StatusServiceUnavailable,
+	ErrJournal:           http.StatusInternalServerError,
+	ErrNoSuchJob:         http.StatusNotFound,
+	ErrDieEvicted:        http.StatusGone,
+	ErrDeltaTooLarge:     http.StatusRequestEntityTooLarge,
+	ErrReplanJobNotDone:  http.StatusConflict,
+	wcm3d.ErrNoSpares:    http.StatusConflict,
+	ErrReplanUnsupported: http.StatusBadRequest,
+	wcm3d.ErrBadTSVFault: http.StatusBadRequest,
+	wcm3d.ErrUnknownTSV:  http.StatusBadRequest,
+}
+
+// writeError answers err with the status errStatus maps it to, or with
+// fallback when it wraps none of them. A 429 carries Retry-After.
+func writeError(w http.ResponseWriter, err error, fallback int) {
+	code := fallback
+	for target, c := range errStatus {
+		if errors.Is(err, target) {
+			code = c
+		}
+	}
+	if code == http.StatusTooManyRequests {
+		w.Header().Set("Retry-After", "1")
+	}
+	writeJSON(w, code, errorBody{Error: err.Error()})
 }
 
 // maxBodyBytes bounds request bodies on the POST endpoints; an inline
@@ -112,15 +135,15 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case "1", "true":
 		req.Refine = true
 	}
+	j, err := s.resolve(req)
+	if err != nil {
+		writeError(w, err, http.StatusBadRequest)
+		return
+	}
 	if s.cluster != nil && !req.selectsDies() {
 		// Route the submission to the node owning its die key, so each
 		// die is prepared on exactly one node fleet-wide. 307 preserves
 		// the method and body; Go's http.Client follows it transparently.
-		j, err := s.resolve(req)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-			return
-		}
 		if ownerURL, self := s.cluster.Route(j.specs[0].Name, j.specs[0].Seed); !self {
 			w.Header().Set("Location", ownerURL+r.URL.RequestURI())
 			writeJSON(w, http.StatusTemporaryRedirect,
@@ -128,52 +151,29 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	st, err := s.Submit(req)
-	writeSubmitted(w, err, "/v1/jobs/"+st.ID, st)
-}
-
-// writeSubmitted answers a submission: 202 with the accepted job's
-// Location and body, or the status its error maps to.
-func writeSubmitted(w http.ResponseWriter, err error, location string, body any) {
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests, errorBody{Error: err.Error()})
-	case errors.Is(err, ErrShuttingDown):
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
-	case errors.Is(err, ErrJournal):
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
-	case err != nil:
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-	default:
-		w.Header().Set("Location", location)
-		writeJSON(w, http.StatusAccepted, body)
+	st, err := s.enqueue(j)
+	if err != nil {
+		writeError(w, err, http.StatusBadRequest)
+		return
 	}
+	w.Header().Set("Location", "/v1/jobs/"+st.ID)
+	writeJSON(w, http.StatusAccepted, st)
 }
 
-// handleSchedule runs a stack scheduling request synchronously: unlike
-// minimize jobs it returns the finished report in the response (200), with
-// the request's context carrying client-disconnect cancellation into the
-// pipeline. Admission is bounded — a run beyond the schedule semaphore is
-// bounced with 429 and Retry-After instead of being executed unbounded on
-// the HTTP goroutine.
+// handleSchedule answers a stack scheduling request with the finished
+// report (200). The run queues on the job pool like a job; the request's
+// context carries client-disconnect cancellation into it.
 func (s *Service) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	var req ScheduleRequest
 	if !decodeBody(w, r, &req) {
 		return
 	}
 	rep, err := s.ScheduleStack(r.Context(), req)
-	switch {
-	case errors.Is(err, ErrScheduleBusy):
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests, errorBody{Error: err.Error()})
-	case errors.Is(err, ErrShuttingDown):
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
-	case err != nil:
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-	default:
-		writeJSON(w, http.StatusOK, rep)
+	if err != nil {
+		writeError(w, err, http.StatusBadRequest)
+		return
 	}
+	writeJSON(w, http.StatusOK, rep)
 }
 
 // cursorStart is the documented bootstrap cursor: "scan from the oldest
@@ -187,9 +187,10 @@ func encodeCursor(id string) string {
 	return base64.RawURLEncoding.EncodeToString([]byte("v1:" + id))
 }
 
-// decodeCursor reverses encodeCursor; cursorStart maps to the beginning.
+// decodeCursor reverses encodeCursor; cursorStart and the absent cursor
+// map to the beginning.
 func decodeCursor(tok string) (after string, err error) {
-	if tok == cursorStart {
+	if tok == "" || tok == cursorStart {
 		return "", nil
 	}
 	raw, err := base64.RawURLEncoding.DecodeString(tok)
@@ -223,31 +224,26 @@ func (s *Service) handleJobs(w http.ResponseWriter, r *http.Request) {
 		// the last returned job; echo it back as ?cursor= to continue.
 		Next string `json:"next,omitempty"`
 	}
-	var env envelope
-	if tok := q.Get("cursor"); tok != "" {
-		// Cursor mode: a forward scan, oldest first, truncated to the
-		// FIRST limit entries past the cursor. An empty page re-echoes
-		// the request cursor so pollers can keep tailing for new jobs.
-		after, err := decodeCursor(tok)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: "malformed cursor"})
-			return
-		}
-		jobs, last := s.JobsPage(state, limit, after)
-		env.Jobs = jobs
-		if last != "" {
-			env.Next = encodeCursor(last)
+	tok := q.Get("cursor")
+	after, err := decodeCursor(tok)
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: "malformed cursor"})
+		return
+	}
+	env := envelope{Jobs: s.jobsAfter(state, after), Next: tok}
+	if n := len(env.Jobs); limit > 0 && n > limit {
+		// Cursor mode pages forward: the FIRST limit jobs past the cursor.
+		// Without a cursor, limit keeps the most recent jobs.
+		if tok != "" {
+			env.Jobs = env.Jobs[:limit]
 		} else {
-			env.Next = tok
+			env.Jobs = env.Jobs[n-limit:]
 		}
-	} else {
-		// Legacy mode: limit keeps the most recent entries (still oldest
-		// first). Next still points past the last listed job, so a
-		// client can switch to cursor mode to follow new arrivals.
-		env.Jobs = s.JobsFiltered(state, limit)
-		if n := len(env.Jobs); n > 0 {
-			env.Next = encodeCursor(env.Jobs[n-1].ID)
-		}
+	}
+	// Next resumes after the last listed job; an empty cursor page
+	// re-echoes the request cursor so pollers can keep tailing.
+	if n := len(env.Jobs); n > 0 {
+		env.Next = encodeCursor(env.Jobs[n-1].ID)
 	}
 	writeJSON(w, http.StatusOK, env)
 }
@@ -270,34 +266,19 @@ func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
-// handleReplan maps the replan path's structured failures onto statuses:
-// 404 unknown job, 409 for a job that cannot be replanned right now (not
-// done, or spares exhausted), 410 when the prepared die left the cache,
-// 413 for an oversized delta, 400 for malformed or unresolvable faults.
+// handleReplan answers 200 with the replan, or the status errStatus maps
+// its failure to: 404, 409, 410, 413 or 400; anything unmapped is a 500.
 func (s *Service) handleReplan(w http.ResponseWriter, r *http.Request) {
 	var req ReplanRequest
 	if !decodeBody(w, r, &req) {
 		return
 	}
 	st, err := s.Replan(r.PathValue("id"), req)
-	switch {
-	case errors.Is(err, ErrNoSuchJob):
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "no such job"})
-	case errors.Is(err, ErrDieEvicted):
-		writeJSON(w, http.StatusGone, errorBody{Error: err.Error()})
-	case errors.Is(err, ErrDeltaTooLarge):
-		writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: err.Error()})
-	case errors.Is(err, ErrReplanJobNotDone), errors.Is(err, wcm3d.ErrNoSpares):
-		writeJSON(w, http.StatusConflict, errorBody{Error: err.Error()})
-	case errors.Is(err, ErrReplanUnsupported),
-		errors.Is(err, wcm3d.ErrBadTSVFault),
-		errors.Is(err, wcm3d.ErrUnknownTSV):
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-	case err != nil:
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
-	default:
-		writeJSON(w, http.StatusOK, st)
+	if err != nil {
+		writeError(w, err, http.StatusInternalServerError)
+		return
 	}
+	writeJSON(w, http.StatusOK, st)
 }
 
 func (s *Service) handleDies(w http.ResponseWriter, r *http.Request) {

@@ -110,6 +110,15 @@ func idLess(a, b string) bool {
 // returns how many jobs were re-queued and how many terminal jobs were
 // restored. Call it once, after New and before serving traffic.
 func (s *Service) Recover(rec Recovery) (requeued, restored int, err error) {
+	resolved := make([]*job, len(rec.Jobs))
+	for i, r := range rec.Jobs {
+		j, rerr := s.resolve(r.Req)
+		if rerr != nil {
+			s.logf("wcmd: recovery: job %s request no longer valid, dropping: %v", r.ID, rerr)
+			continue
+		}
+		resolved[i] = j
+	}
 	var feed []*job
 	s.mu.Lock()
 	if s.closed {
@@ -119,20 +128,15 @@ func (s *Service) Recover(rec Recovery) (requeued, restored int, err error) {
 	if rec.MaxSeq > s.seq {
 		s.seq = rec.MaxSeq
 	}
-	for _, r := range rec.Jobs {
+	for i, r := range rec.Jobs {
 		if _, dup := s.jobs[r.ID]; dup || r.ID == "" {
 			continue
 		}
 		if n := jobSeq(r.ID); n > s.seq {
 			s.seq = n
 		}
-		j, rerr := func() (*job, error) {
-			s.mu.Unlock()
-			defer s.mu.Lock()
-			return s.resolve(r.Req)
-		}()
-		if rerr != nil {
-			s.logf("wcmd: recovery: job %s request no longer valid, dropping: %v", r.ID, rerr)
+		j := resolved[i]
+		if j == nil {
 			continue
 		}
 		j.id = r.ID

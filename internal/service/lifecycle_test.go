@@ -263,13 +263,13 @@ func postRawSchedule(ts string, body string) (int, string, error) {
 	return resp.StatusCode, string(raw), nil
 }
 
-// TestScheduleBackpressure is the acceptance check for schedule admission:
-// runs beyond the semaphore observably return 429 with Retry-After instead
-// of piling onto the HTTP goroutines.
+// TestScheduleBackpressure: schedules queue on the job pool, so with one
+// worker and one queue slot a third concurrent schedule is bounced with
+// 429 and Retry-After and counted as a rejected job.
 func TestScheduleBackpressure(t *testing.T) {
 	entered := make(chan struct{}, 4)
 	release := make(chan struct{})
-	cfg := hookConfig(t, 2, 8, func(ctx context.Context, spec DieSpec) error {
+	cfg := hookConfig(t, 1, 1, func(ctx context.Context, spec DieSpec) error {
 		entered <- struct{}{}
 		select {
 		case <-release:
@@ -278,7 +278,6 @@ func TestScheduleBackpressure(t *testing.T) {
 			return ctx.Err()
 		}
 	})
-	cfg.ScheduleConcurrency = 1
 	svc, ts := newTestServer(t, cfg)
 
 	type result struct {
@@ -286,38 +285,45 @@ func TestScheduleBackpressure(t *testing.T) {
 		raw  string
 		err  error
 	}
-	first := make(chan result, 1)
-	go func() {
-		code, raw, err := postRawSchedule(ts.URL, `{"profiles":["b11/0"],"width":4,"budget":"reduced"}`)
-		first <- result{code, raw, err}
-	}()
-	<-entered // schedule 1 holds its slot, blocked in preparation
+	admitted := make(chan result, 2)
+	post := func(profile string) {
+		go func() {
+			code, raw, err := postRawSchedule(ts.URL, `{"profiles":["`+profile+`"],"width":4,"budget":"reduced"}`)
+			admitted <- result{code, raw, err}
+		}()
+	}
+	post("b11/0")
+	<-entered // schedule 1 holds the worker, blocked in preparation
+	post("b11/1")
+	waitQueued(t, svc, 1) // schedule 2 holds the queue slot
 
 	resp, err := http.Post(ts.URL+"/v1/schedules", "application/json",
-		strings.NewReader(`{"profiles":["b11/0"],"width":4,"budget":"reduced"}`))
+		strings.NewReader(`{"profiles":["b11/2"],"width":4,"budget":"reduced"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	raw, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("second schedule = %d (%s), want 429", resp.StatusCode, raw)
+		t.Fatalf("third schedule = %d (%s), want 429", resp.StatusCode, raw)
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("429 must carry Retry-After")
 	}
 
 	close(release)
-	r := <-first
-	if r.err != nil {
-		t.Fatal(r.err)
-	}
-	if r.code != http.StatusOK {
-		t.Fatalf("admitted schedule = %d (%s), want 200", r.code, r.raw)
+	for i := 0; i < 2; i++ {
+		r := <-admitted
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		if r.code != http.StatusOK {
+			t.Fatalf("admitted schedule = %d (%s), want 200", r.code, r.raw)
+		}
 	}
 	m := svc.Snapshot()
-	if m.Schedules.Rejected != 1 || m.Schedules.Done != 1 {
-		t.Errorf("schedule counters = %+v, want 1 rejected / 1 done", m.Schedules)
+	if h := m.LatencyMS["schedule"]; m.Jobs.Rejected != 1 || h.Count != 2 || h.OK != 2 {
+		t.Errorf("jobs.rejected = %d, schedule latency = %+v; want 1 rejected / 2 ok", m.Jobs.Rejected, h)
 	}
 }
 
@@ -384,14 +390,13 @@ func TestStageOutcomeMetrics(t *testing.T) {
 func TestChaosLifecycle(t *testing.T) {
 	die := sharedDie(t)
 	cfg := Config{
-		Workers:             4,
-		QueueDepth:          32,
-		CacheCapacity:       4,
-		RetentionTTL:        40 * time.Millisecond,
-		MaxFinished:         16,
-		GCInterval:          5 * time.Millisecond,
-		MaxTimeout:          2 * time.Second,
-		ScheduleConcurrency: 2,
+		Workers:       4,
+		QueueDepth:    32,
+		CacheCapacity: 4,
+		RetentionTTL:  40 * time.Millisecond,
+		MaxFinished:   16,
+		GCInterval:    5 * time.Millisecond,
+		MaxTimeout:    2 * time.Second,
 		Prepare: func(ctx context.Context, spec DieSpec) (*wcm3d.Die, error) {
 			switch spec.Seed % 4 {
 			case 1: // slow
@@ -441,7 +446,7 @@ func TestChaosLifecycle(t *testing.T) {
 				case 2:
 					svc.Snapshot()
 				case 3:
-					svc.JobsFiltered(StateDone, 5)
+					svc.jobsAfter(StateDone, "")
 				}
 				time.Sleep(time.Duration(rng.Intn(300)) * time.Microsecond)
 			}

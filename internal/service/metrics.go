@@ -10,7 +10,8 @@ import (
 // JSON document served at GET /metrics.
 type Metrics struct {
 	// Monotonic job counters. Queued counts every accepted submission;
-	// Rejected counts submissions bounced by backpressure (HTTP 429).
+	// Rejected counts job and schedule submissions bounced by
+	// backpressure (HTTP 429).
 	JobsQueued   atomic.Int64
 	JobsDone     atomic.Int64
 	JobsFailed   atomic.Int64
@@ -32,12 +33,6 @@ type Metrics struct {
 	// WALErrors counts non-fatal journal write failures (start/finish
 	// records); submission-path journal failures refuse the job instead.
 	WALErrors atomic.Int64
-
-	// Schedule counters: synchronous POST /v1/schedules outcomes. Rejected
-	// counts runs bounced by the admission semaphore (HTTP 429).
-	SchedulesDone     atomic.Int64
-	SchedulesFailed   atomic.Int64
-	SchedulesRejected atomic.Int64
 
 	// Replan counters: POST /v1/jobs/{id}/replan outcomes. Done counts
 	// applied deltas, Failed counts rejected or failed ones (bad faults,
@@ -128,11 +123,6 @@ func (s Stage) String() string {
 	default:
 		return "unknown"
 	}
-}
-
-// Observe records a successful stage latency.
-func (m *Metrics) Observe(s Stage, d time.Duration) {
-	m.ObserveOutcome(s, d, nil)
 }
 
 // ObserveOutcome records a stage latency together with how the stage
@@ -252,11 +242,6 @@ type MetricsSnapshot struct {
 		Capacity int `json:"capacity"`
 		Workers  int `json:"workers"`
 	} `json:"queue"`
-	Schedules struct {
-		Done     int64 `json:"done"`
-		Failed   int64 `json:"failed"`
-		Rejected int64 `json:"rejected"`
-	} `json:"schedules"`
 	Replan struct {
 		Done      int64 `json:"done"`
 		Failed    int64 `json:"failed"`
@@ -286,9 +271,6 @@ func (m *Metrics) snapshot() MetricsSnapshot {
 	s.Jobs.Stolen = m.JobsStolen.Load()
 	s.Jobs.Reclaimed = m.JobsReclaimed.Load()
 	s.WAL.Errors = m.WALErrors.Load()
-	s.Schedules.Done = m.SchedulesDone.Load()
-	s.Schedules.Failed = m.SchedulesFailed.Load()
-	s.Schedules.Rejected = m.SchedulesRejected.Load()
 	s.Replan.Done = m.ReplansDone.Load()
 	s.Replan.Failed = m.ReplansFailed.Load()
 	s.Replan.Recovered = m.ReplansRecovered.Load()

@@ -11,22 +11,18 @@ var (
 	// ErrQueueFull reports backpressure: the bounded queue has no room.
 	// The HTTP layer maps it to 429 Too Many Requests.
 	ErrQueueFull = errors.New("service: job queue is full")
-	// ErrShuttingDown reports a submission after Shutdown began. The HTTP
-	// layer maps it to 503 Service Unavailable.
+	// ErrShuttingDown reports a submission after Shutdown began, or a
+	// schedule the drain deadline cut short. The HTTP layer maps it to
+	// 503 Service Unavailable.
 	ErrShuttingDown = errors.New("service: shutting down")
-	// ErrScheduleBusy reports schedule-admission backpressure: every
-	// schedule slot is occupied. The HTTP layer maps it to 429 Too Many
-	// Requests with Retry-After.
-	ErrScheduleBusy = errors.New("service: all schedule slots are busy")
 )
 
-// pool is a bounded job queue drained by a fixed set of workers — the
-// long-lived generalization of the ad-hoc fan-out in
-// internal/experiments/parallel.go. Submission is non-blocking: when the
-// queue is full the caller gets ErrQueueFull immediately (backpressure)
-// instead of waiting. Every task receives a context derived from the
-// pool's base context, which is cancelled when a shutdown deadline
-// expires, so in-flight work can bail between stages.
+// pool is a bounded task queue drained by a fixed set of workers; jobs and
+// schedules are its tasks. Submission is non-blocking: when the queue is
+// full the caller gets ErrQueueFull immediately (backpressure) instead of
+// waiting. Every task receives the pool's base context, which is cancelled
+// when a shutdown deadline expires, so in-flight work can bail between
+// stages.
 type pool struct {
 	mu     sync.Mutex
 	closed bool

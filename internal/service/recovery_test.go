@@ -354,6 +354,50 @@ func TestStealCompleteReclaim(t *testing.T) {
 	}
 }
 
+// TestStealOrderPastSixDigits: a steal hands out the oldest queued jobs by
+// sequence number, also once ids gain a seventh digit ("j-1000000" is
+// younger than "j-999999").
+func TestStealOrderPastSixDigits(t *testing.T) {
+	block := make(chan struct{})
+	svc, _ := newTestServer(t, hookConfig(t, 1, 8, func(ctx context.Context, spec DieSpec) error {
+		select {
+		case <-block:
+			return nil
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}))
+	defer close(block)
+
+	// The recovered job wedges the worker; new ids continue past MaxSeq.
+	blocker := RecoveredJob{ID: "j-000001", Req: JobRequest{Profile: "b11/0"}}
+	if _, _, err := svc.Recover(Recovery{MaxSeq: 999_998, Jobs: []RecoveredJob{blocker}}); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for st, _ := svc.Job(blocker.ID); st.State != StateRunning; st, _ = svc.Job(blocker.ID) {
+		if time.Now().After(deadline) {
+			t.Fatalf("blocker stuck in %q", st.State)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	var ids []string
+	for i := 0; i < 3; i++ {
+		st, err := svc.Submit(JobRequest{Profile: "b11/1"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, st.ID)
+	}
+	if ids[0] != "j-999999" || ids[1] != "j-1000000" {
+		t.Fatalf("ids = %v, want j-999999 then j-1000000", ids)
+	}
+	stolen := svc.StealQueued(2, "thief")
+	if len(stolen) != 2 || stolen[0].ID != ids[0] || stolen[1].ID != ids[1] {
+		t.Fatalf("stole %+v, want the two oldest queued (%s, %s)", stolen, ids[0], ids[1])
+	}
+}
+
 func TestRunStolenSkipsJournalAndNotifies(t *testing.T) {
 	jn := &memJournal{}
 	cfg := hookConfig(t, 2, 8, nil)

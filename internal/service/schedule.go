@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -28,9 +27,9 @@ type ScheduleRequest struct {
 	Timing string `json:"timing,omitempty"`
 	// Budget is the ATPG effort: full | reduced (default full).
 	Budget string `json:"budget,omitempty"`
-	// TimeoutMS bounds the whole scheduling run, in milliseconds. It is
-	// clamped to the server's MaxTimeout cap; 0 means the cap applies
-	// directly.
+	// TimeoutMS bounds the whole scheduling run once a worker picks it
+	// up, in milliseconds. It is clamped to the server's MaxTimeout cap;
+	// 0 means the cap applies directly.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
@@ -54,69 +53,6 @@ type ScheduleReport struct {
 	Utilization float64             `json:"utilization"`
 }
 
-// resolveSchedule validates a request and resolves its die profiles.
-func resolveSchedule(req ScheduleRequest) (stack string, profiles []wcm3d.Profile, m wcm3d.Method, mode wcm3d.TimingMode, budget wcm3d.ATPGBudget, seed int64, err error) {
-	switch {
-	case req.Circuit != "" && len(req.Profiles) > 0:
-		err = errors.New("pass circuit or profiles, not both")
-		return
-	case req.Circuit != "":
-		profiles = wcm3d.CircuitProfiles(req.Circuit)
-		if profiles == nil {
-			err = fmt.Errorf("unknown circuit %q", req.Circuit)
-			return
-		}
-		stack = req.Circuit
-	case len(req.Profiles) > 0:
-		for _, name := range req.Profiles {
-			var p wcm3d.Profile
-			if p, err = wcm3d.ProfileByName(name); err != nil {
-				return
-			}
-			profiles = append(profiles, p)
-		}
-		stack = "custom"
-	default:
-		err = errors.New("pass circuit or profiles")
-		return
-	}
-	if req.Width < 1 {
-		err = fmt.Errorf("width must be >= 1, got %d", req.Width)
-		return
-	}
-	seed = req.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	ms := req.Method
-	if ms == "" {
-		ms = "ours"
-	}
-	if m, err = wcm3d.ParseMethod(ms); err != nil {
-		return
-	}
-	ts := req.Timing
-	if ts == "" {
-		ts = "tight"
-	}
-	if mode, err = wcm3d.ParseTimingMode(ts); err != nil {
-		return
-	}
-	switch req.Budget {
-	case "", "full":
-		budget = wcm3d.DefaultBudget(seed)
-	case "reduced":
-		budget = wcm3d.ReducedBudget(seed)
-	default:
-		err = fmt.Errorf("unknown budget %q", req.Budget)
-		return
-	}
-	if req.TimeoutMS < 0 {
-		err = fmt.Errorf("timeout_ms must be >= 0, got %d", req.TimeoutMS)
-	}
-	return
-}
-
 // ScheduleStack runs wrapper/TAM co-optimization for a stack request: each
 // die is prepared through the shared die cache (so repeat schedules and
 // minimize jobs amortize the expensive preparation), wrapped with the
@@ -124,58 +60,68 @@ func resolveSchedule(req ScheduleRequest) (stack string, profiles []wcm3d.Profil
 // packed into the TAM plane. The whole run is timed under the "schedule"
 // latency histogram.
 //
-// Admission is governed by a semaphore sized off ScheduleConcurrency: a
-// run beyond it is rejected with ErrScheduleBusy instead of piling an
-// unbounded pipeline onto the caller's goroutine. Each admitted run is
-// bounded by the request's timeout_ms clamped to the MaxTimeout cap.
+// The request resolves like a multi-die job and runs as a task on the job
+// pool, so a full queue rejects it with ErrQueueFull, its timeout_ms
+// starts when a worker picks it up, and a shutdown drain deadline ends it
+// with ErrShuttingDown. ScheduleStack waits for the run; if ctx ends first
+// it returns ctx's error, and a run still queued is skipped.
 func (s *Service) ScheduleStack(ctx context.Context, req ScheduleRequest) (*ScheduleReport, error) {
-	stackName, profiles, method, mode, budget, seed, err := resolveSchedule(req)
+	j, err := s.resolve(JobRequest{
+		Circuit: req.Circuit, Profiles: req.Profiles, Seed: req.Seed, Method: req.Method,
+		Timing: req.Timing, Budget: req.Budget, TimeoutMS: req.TimeoutMS,
+	})
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
-		return nil, ErrShuttingDown
+	if req.Width < 1 {
+		return nil, fmt.Errorf("width must be >= 1, got %d", req.Width)
+	}
+	type outcome struct {
+		rep *ScheduleReport
+		err error
+	}
+	done := make(chan outcome, 1)
+	err = s.admit(func(poolCtx context.Context) {
+		if ctx.Err() != nil {
+			return // the caller left while the run was queued
+		}
+		runCtx, cancel := context.WithTimeout(poolCtx, s.effectiveTimeout(req.TimeoutMS))
+		defer cancel()
+		defer context.AfterFunc(ctx, cancel)()
+		start := time.Now()
+		rep, err := s.buildSchedule(runCtx, j, req.Width)
+		s.metrics.ObserveOutcome(StageSchedule, time.Since(start), err)
+		if err != nil && poolCtx.Err() != nil {
+			err = fmt.Errorf("%w: %v", ErrShuttingDown, err)
+		}
+		done <- outcome{rep, err}
+	})
+	if err != nil {
+		return nil, err
 	}
 	select {
-	case s.schedSem <- struct{}{}:
-		defer func() { <-s.schedSem }()
-	default:
-		s.metrics.SchedulesRejected.Add(1)
-		return nil, ErrScheduleBusy
+	case o := <-done:
+		return o.rep, o.err
+	case <-ctx.Done():
+		return nil, ctx.Err()
 	}
-	ctx, cancel := context.WithTimeout(ctx, s.effectiveTimeout(req.TimeoutMS))
-	defer cancel()
-
-	start := time.Now()
-	rep, err := s.buildSchedule(ctx, stackName, profiles, method, mode, budget, seed, req.Width)
-	s.metrics.ObserveOutcome(StageSchedule, time.Since(start), err)
-	if err != nil {
-		s.metrics.SchedulesFailed.Add(1)
-		return nil, err
-	}
-	s.metrics.SchedulesDone.Add(1)
-	return rep, nil
 }
 
-func (s *Service) buildSchedule(ctx context.Context, stackName string, profiles []wcm3d.Profile, method wcm3d.Method, mode wcm3d.TimingMode, budget wcm3d.ATPGBudget, seed int64, width int) (*ScheduleReport, error) {
-	stack := make([]wcm3d.StackDie, 0, len(profiles))
-	for _, p := range profiles {
-		spec := DieSpec{Profile: p, Name: p.Name(), Seed: seed}
-		die, err := s.dies.get(ctx, DieKey{Name: spec.Name, Seed: seed}, s.preparer(spec))
+func (s *Service) buildSchedule(ctx context.Context, j *job, width int) (*ScheduleReport, error) {
+	stack := make([]wcm3d.StackDie, 0, len(j.specs))
+	for _, spec := range j.specs {
+		die, err := s.dies.get(ctx, DieKey{Name: spec.Name, Seed: spec.Seed}, s.preparer(spec))
 		if err != nil {
 			return nil, fmt.Errorf("prepare %s: %w", spec.Name, err)
 		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		res, err := wcm3d.Minimize(die, method, mode)
+		res, err := wcm3d.Minimize(die, j.method, j.mode)
 		if err != nil {
 			return nil, fmt.Errorf("minimize %s: %w", spec.Name, err)
 		}
-		tb, err := wcm3d.EvaluateStuckAt(die, res.Assignment, budget)
+		tb, err := wcm3d.EvaluateStuckAt(die, res.Assignment, j.budget)
 		if err != nil {
 			return nil, fmt.Errorf("atpg %s: %w", spec.Name, err)
 		}
@@ -189,7 +135,11 @@ func (s *Service) buildSchedule(ctx context.Context, stackName string, profiles 
 			return nil, err
 		}
 	}
-	return EncodeSchedule(stackName, method, mode, seed, stack, width)
+	stackName := j.req.Circuit
+	if stackName == "" {
+		stackName = "custom"
+	}
+	return EncodeSchedule(stackName, j.method, j.mode, j.req.Seed, stack, width)
 }
 
 // EncodeSchedule enumerates each stacked die's Pareto wrapper designs,

@@ -39,10 +39,6 @@ type Config struct {
 	// deadlines; a request's timeout_ms is clamped to it, and a request
 	// without one gets it outright (default: 10m).
 	MaxTimeout time.Duration
-	// ScheduleConcurrency bounds how many POST /v1/schedules runs may
-	// execute at once; excess requests get ErrScheduleBusy (default:
-	// Workers).
-	ScheduleConcurrency int
 	// Prepare builds a die from a spec. Nil uses DefaultPrepare; tests
 	// substitute counting, blocking or failing fault-injection hooks here.
 	Prepare func(ctx context.Context, spec DieSpec) (*wcm3d.Die, error)
@@ -100,7 +96,7 @@ func DefaultPrepare(ctx context.Context, spec DieSpec) (*wcm3d.Die, error) {
 
 // JobRequest is the body of POST /v1/jobs. A job is a list of dies run in
 // order: one for Profile or Netlist, several for the die selectors All,
-// Circuit and Profiles (POST /v1/batches submits such jobs).
+// Circuit and Profiles. POST /v1/schedules resolves its stack as one too.
 type JobRequest struct {
 	// Profile names a Table II die ("b12/1"); Netlist carries an inline
 	// .bench source instead. Exactly one of these two and the die
@@ -148,7 +144,7 @@ type JobRequest struct {
 
 // selectsDies reports whether the request names its dies through a die
 // selector rather than Profile or Netlist: the job is then a multi-die
-// job, viewable as a batch, with a "b-" id.
+// job with a "b-" id.
 func (r JobRequest) selectsDies() bool {
 	return r.All || r.Circuit != "" || len(r.Profiles) > 0
 }
@@ -179,6 +175,32 @@ type JobStatus struct {
 	// Dies is the per-die progress of a multi-die job, in run order; its
 	// Result stays empty.
 	Dies []BatchDie `json:"dies,omitempty"`
+}
+
+// maxJobDies caps how many dies one job may select; the full Table II
+// sweep is 24, so the cap leaves room for multi-seed sweeps without
+// letting a single request monopolize a worker for hours.
+const maxJobDies = 64
+
+// Per-die states inside a multi-die job (the job reuses the service-wide
+// states).
+const (
+	BatchDiePending = "pending"
+	BatchDieDone    = "done"
+	BatchDieFailed  = "failed"
+)
+
+// BatchDie is one die's progress inside a multi-die job.
+type BatchDie struct {
+	Die   string `json:"die"`
+	Seed  int64  `json:"seed"`
+	State string `json:"state"`
+	// Plan headline numbers, set once the die is done.
+	ReusedFFs       int    `json:"reused_ffs,omitempty"`
+	AdditionalCells int    `json:"additional_cells,omitempty"`
+	Error           string `json:"error,omitempty"`
+	PrepareMS       int64  `json:"prepare_ms,omitempty"`
+	SolveMS         int64  `json:"solve_ms,omitempty"`
 }
 
 type job struct {
@@ -235,17 +257,16 @@ type DrainReport struct {
 	Abandoned []string `json:"abandoned,omitempty"`
 }
 
-// Service is the WCM daemon core: it validates and queues minimization
-// requests, runs them on a bounded worker pool against an LRU die cache,
-// and exposes status, health and metrics. Create with New, serve with
-// Handler, stop with Shutdown.
+// Service is the WCM daemon core: it validates every request through
+// resolve, runs jobs and schedules on one bounded worker pool against an
+// LRU die cache, and exposes status, health and metrics. Create with New,
+// serve with Handler, stop with Shutdown.
 type Service struct {
-	cfg      Config
-	metrics  *Metrics
-	dies     *dieCache
-	pool     *pool
-	schedSem chan struct{} // schedule-admission semaphore
-	gcStop   chan struct{} // closed by Shutdown; ends the retention sweeper
+	cfg     Config
+	metrics *Metrics
+	dies    *dieCache
+	pool    *pool
+	gcStop  chan struct{} // closed by Shutdown; ends the retention sweeper
 	// cluster is the optional cluster view (AttachCluster); set once
 	// before Handler, read without locking afterwards.
 	cluster ClusterView
@@ -279,21 +300,17 @@ func New(cfg Config) *Service {
 	if cfg.MaxTimeout <= 0 {
 		cfg.MaxTimeout = 10 * time.Minute
 	}
-	if cfg.ScheduleConcurrency <= 0 {
-		cfg.ScheduleConcurrency = cfg.Workers
-	}
 	if cfg.Prepare == nil {
 		cfg.Prepare = DefaultPrepare
 	}
 	m := &Metrics{}
 	s := &Service{
-		cfg:      cfg,
-		metrics:  m,
-		dies:     newDieCache(cfg.CacheCapacity, m),
-		pool:     newPool(cfg.Workers, cfg.QueueDepth),
-		schedSem: make(chan struct{}, cfg.ScheduleConcurrency),
-		gcStop:   make(chan struct{}),
-		jobs:     make(map[string]*job),
+		cfg:     cfg,
+		metrics: m,
+		dies:    newDieCache(cfg.CacheCapacity, m),
+		pool:    newPool(cfg.Workers, cfg.QueueDepth),
+		gcStop:  make(chan struct{}),
+		jobs:    make(map[string]*job),
 	}
 	go s.gcLoop()
 	return s
@@ -465,13 +482,10 @@ func (s *Service) enqueue(j *job) (JobStatus, error) {
 			return JobStatus{}, fmt.Errorf("%w: %v", ErrJournal, err)
 		}
 	}
-	if err := s.pool.trySubmit(func(ctx context.Context) { s.runJob(ctx, j) }); err != nil {
+	if err := s.admit(func(ctx context.Context) { s.runJob(ctx, j) }); err != nil {
 		s.mu.Lock()
 		delete(s.jobs, j.id)
 		s.mu.Unlock()
-		if errors.Is(err, ErrQueueFull) {
-			s.metrics.JobsRejected.Add(1)
-		}
 		if s.cfg.Journal != nil && !j.remoteOrigin {
 			// Neutralize the submit record: the client was refused, so the
 			// job must not rise from the log on the next boot.
@@ -486,6 +500,15 @@ func (s *Service) enqueue(j *job) (JobStatus, error) {
 	return s.status(j), nil
 }
 
+// admit hands a task to the pool, counting a full queue as a rejection.
+func (s *Service) admit(task func(context.Context)) error {
+	err := s.pool.trySubmit(task)
+	if errors.Is(err, ErrQueueFull) {
+		s.metrics.JobsRejected.Add(1)
+	}
+	return err
+}
+
 // Job returns the status of one job.
 func (s *Service) Job(id string) (JobStatus, bool) {
 	s.mu.Lock()
@@ -498,38 +521,11 @@ func (s *Service) Job(id string) (JobStatus, bool) {
 }
 
 // Jobs lists every retained job, oldest first.
-func (s *Service) Jobs() []JobStatus { return s.JobsFiltered("", 0) }
+func (s *Service) Jobs() []JobStatus { return s.jobsAfter("", "") }
 
-// JobsFiltered lists retained jobs oldest first, optionally restricted to
-// one state and truncated to the most recent limit entries (0 = no limit).
-func (s *Service) JobsFiltered(state string, limit int) []JobStatus {
-	s.mu.Lock()
-	js := make([]*job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		js = append(js, j)
-	}
-	s.mu.Unlock()
-	sort.Slice(js, func(a, b int) bool { return idLess(js[a].id, js[b].id) })
-	out := make([]JobStatus, 0, len(js))
-	for _, j := range js {
-		st := s.status(j)
-		if state != "" && st.State != state {
-			continue
-		}
-		out = append(out, st)
-	}
-	if limit > 0 && len(out) > limit {
-		out = out[len(out)-limit:]
-	}
-	return out
-}
-
-// JobsPage lists retained jobs oldest first starting strictly after the
-// job id `after` ("" = from the beginning), optionally restricted to one
-// state and truncated to the FIRST limit entries (0 = no limit). It
-// returns the page and the id of the last returned job — the resume point
-// the HTTP layer hands back as the opaque `next` cursor.
-func (s *Service) JobsPage(state string, limit int, after string) ([]JobStatus, string) {
+// jobsAfter lists the retained jobs whose ids follow after ("" = every
+// job), oldest first, keeping only those in state when it is set.
+func (s *Service) jobsAfter(state, after string) []JobStatus {
 	s.mu.Lock()
 	js := make([]*job, 0, len(s.jobs))
 	for _, j := range s.jobs {
@@ -540,19 +536,12 @@ func (s *Service) JobsPage(state string, limit int, after string) ([]JobStatus, 
 	s.mu.Unlock()
 	sort.Slice(js, func(a, b int) bool { return idLess(js[a].id, js[b].id) })
 	out := make([]JobStatus, 0, len(js))
-	last := ""
 	for _, j := range js {
-		st := s.status(j)
-		if state != "" && st.State != state {
-			continue
-		}
-		out = append(out, st)
-		last = st.ID
-		if limit > 0 && len(out) == limit {
-			break
+		if st := s.status(j); state == "" || st.State == state {
+			out = append(out, st)
 		}
 	}
-	return out, last
+	return out
 }
 
 // Cancel cancels a job: a queued job is marked canceled before it starts;

@@ -11,7 +11,7 @@ import (
 // appendBatch writes a bsubmit record and, when state is set, a bfinish
 // record, the way the log once journaled batch sweeps. The log no longer
 // writes them, so the tests forge them through the internal append.
-func appendBatch(t *testing.T, l *Log, id string, req service.BatchRequest, state string, at int64) {
+func appendBatch(t *testing.T, l *Log, id string, req batchRequest, state string, at int64) {
 	t.Helper()
 	if err := l.append(record{T: typeBatchSubmit, ID: id, At: at, BReq: &req}); err != nil {
 		t.Fatal(err)
@@ -30,8 +30,8 @@ func TestBatchRoundTripRecovery(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openTest(t, dir, Options{})
 	now := time.Now().UnixNano()
-	appendBatch(t, l, "b-000003", service.BatchRequest{Circuit: "b11", Seed: 1, MaxInFlight: 4}, service.StateDone, now)
-	appendBatch(t, l, "b-000007", service.BatchRequest{All: true, Seed: 2}, "", now)
+	appendBatch(t, l, "b-000003", batchRequest{Circuit: "b11", Seed: 1, MaxInFlight: 4}, service.StateDone, now)
+	appendBatch(t, l, "b-000007", batchRequest{All: true, Seed: 2}, "", now)
 	// A job in the same log proves the two spellings fold into one family.
 	if err := l.Submit("j-000004", reqFor("b11/0")); err != nil {
 		t.Fatal(err)
@@ -69,8 +69,8 @@ func TestBatchCompactionRetention(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openTest(t, dir, Options{Retention: time.Hour})
 	old := time.Now().Add(-2 * time.Hour).UnixNano()
-	appendBatch(t, l, "b-000001", service.BatchRequest{Circuit: "b11"}, service.StateDone, old)
-	appendBatch(t, l, "b-000002", service.BatchRequest{Circuit: "b12"}, "", old)
+	appendBatch(t, l, "b-000001", batchRequest{Circuit: "b11"}, service.StateDone, old)
+	appendBatch(t, l, "b-000002", batchRequest{Circuit: "b12"}, "", old)
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}

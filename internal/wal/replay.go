@@ -28,6 +28,22 @@ type jobState struct {
 	replans  []service.ReplanRequest
 }
 
+// batchRequest is the body of a decode-only bsubmit record: a multi-die
+// job in the spelling of the retired batch route, with every field such
+// records carry. MaxInFlight never changed how a batch ran, so replay
+// drops it.
+type batchRequest struct {
+	All         bool     `json:"all,omitempty"`
+	Circuit     string   `json:"circuit,omitempty"`
+	Profiles    []string `json:"profiles,omitempty"`
+	Seed        int64    `json:"seed,omitempty"`
+	Method      string   `json:"method,omitempty"`
+	Timing      string   `json:"timing,omitempty"`
+	Verify      bool     `json:"verify,omitempty"`
+	MaxInFlight int      `json:"max_in_flight,omitempty"`
+	TimeoutMS   int64    `json:"timeout_ms,omitempty"`
+}
+
 // fold applies one record to the per-job state map. Replay is idempotent
 // and order-tolerant per job: a terminal record wins over everything, a
 // duplicate submit (possible after an interrupted compaction left both the
@@ -36,11 +52,14 @@ func fold(jobs map[string]*jobState, r record, maxSeq *int) {
 	switch r.T {
 	case typeBatchSubmit:
 		// A batch journaled before batches became multi-die jobs replays
-		// as the job the batch route submits today.
+		// as the same multi-die job submitted through POST /v1/jobs.
 		r.T = typeSubmit
-		if r.BReq != nil {
-			req := r.BReq.JobRequest()
-			r.Req = &req
+		if b := r.BReq; b != nil {
+			r.Req = &service.JobRequest{
+				All: b.All, Circuit: b.Circuit, Profiles: b.Profiles,
+				Seed: b.Seed, Method: b.Method, Timing: b.Timing,
+				Verify: b.Verify, TimeoutMS: b.TimeoutMS,
+			}
 		}
 	case typeBatchFinish:
 		r.T = typeFinish

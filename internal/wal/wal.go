@@ -56,7 +56,7 @@ type record struct {
 	ID    string                 `json:"id,omitempty"`
 	At    int64                  `json:"at,omitempty"` // unix nanoseconds
 	Req   *service.JobRequest    `json:"req,omitempty"`
-	BReq  *service.BatchRequest  `json:"breq,omitempty"` // bsubmit records only
+	BReq  *batchRequest          `json:"breq,omitempty"` // bsubmit records only
 	State string                 `json:"state,omitempty"`
 	Err   string                 `json:"err,omitempty"`
 	Res   *service.Report        `json:"res,omitempty"`
