@@ -11,7 +11,7 @@
 //	tables -table 4 -budget reduced  # faster, lower-effort ATPG
 //	tables -tam -widths 16,32,64     # stack test time vs total TAM wires
 //	tables -refine -refine-budget 5s # greedy vs solver portfolio, all 24 dies
-//	tables -batch                    # 24-die sweep through the batch engine
+//	tables -batch                    # 24-die prepare+minimize sweep, one die per core
 //	tables -replan                   # TSV-failure replan vs rerun, all 24 dies
 //	tables -table 2 -json            # machine-readable rows
 //
@@ -38,9 +38,9 @@ import (
 	"time"
 
 	"wcm3d"
-	"wcm3d/internal/batch"
 	"wcm3d/internal/experiments"
 	"wcm3d/internal/netgen"
+	"wcm3d/internal/par"
 	"wcm3d/internal/service"
 	"wcm3d/internal/tsvrepair"
 )
@@ -53,7 +53,7 @@ func main() {
 		all          = flag.Bool("all", false, "regenerate every table, figure, and the TAM sweep")
 		refineGap    = flag.Bool("refine", false, "regenerate the refinement gap table (greedy vs solver portfolio; not part of -all)")
 		refineBudget = flag.Duration("refine-budget", 2*time.Second, "per-die wall budget for -refine")
-		batchSweep   = flag.Bool("batch", false, "run the Table II die set through the streaming batch engine (internal/batch; not part of -all)")
+		batchSweep   = flag.Bool("batch", false, "prepare and solve the Table II die set one die per core, with per-die stage timings (not part of -all)")
 		replanSweep  = flag.Bool("replan", false, "time a single-TSV-failure incremental replan against a from-scratch rerun on the Table II die set (internal/tsvrepair; not part of -all)")
 		circuits     = flag.String("circuits", "", "comma-separated circuit families (default: the paper's set for each experiment)")
 		widths       = flag.String("widths", "16,32,64", `comma-separated total TAM wire budgets for -tam`)
@@ -409,45 +409,53 @@ type batchSweepRow struct {
 	AdditionalCells int
 	PrepareMS       float64
 	SolveMS         float64
+
+	// plan is the die's full plan, kept for the serial-equivalence test;
+	// it is small next to the die and stays out of the JSON rows.
+	plan *wcm3d.MinimizeResult
 }
 
-// batchSweepRows runs the profiles through the streaming batch engine
-// (internal/batch) with its default pipeline sizing. The plans are
-// bit-identical to serial wcm3d.Minimize calls; what the engine buys is
-// bounded memory and overlap of prepare and solve stages.
+// batchSweepRows prepares and solves the profiles one die per core
+// (par.ForEachIndex), as the experiment suites do. Preparation skips the
+// fault lists, which a minimize-only sweep never reads, and each die is
+// dropped once its row is filled, so at most GOMAXPROCS dies are resident.
+// The plans are bit-identical to serial wcm3d.Minimize calls; the
+// returned duration is the wall clock of the whole loop.
 func batchSweepRows(profiles []netgen.Profile, seed int64) ([]batchSweepRow, time.Duration, error) {
-	specs := make([]batch.Spec, len(profiles))
-	for i, p := range profiles {
-		specs[i] = batch.Spec{Profile: p, Seed: seed}
-	}
-	res, err := batch.Run(context.Background(), specs, batch.Config{
-		Method: wcm3d.MethodOurs,
-		Mode:   wcm3d.TightTiming,
+	rows := make([]batchSweepRow, len(profiles))
+	start := time.Now()
+	err := par.ForEachIndex(context.Background(), len(profiles), func(_ context.Context, i int) error {
+		t0 := time.Now()
+		d, err := experiments.PrepareDieOpts(profiles[i], seed, experiments.PrepareOptions{SkipFaultLists: true})
+		if err != nil {
+			return fmt.Errorf("die %s: preparing: %w", profiles[i].Name(), err)
+		}
+		t1 := time.Now()
+		res, err := wcm3d.Minimize(d, wcm3d.MethodOurs, wcm3d.TightTiming)
+		if err != nil {
+			return fmt.Errorf("die %s: solving: %w", profiles[i].Name(), err)
+		}
+		rows[i] = batchSweepRow{
+			Die:             profiles[i].Name(),
+			ReusedFFs:       res.ReusedFFs,
+			AdditionalCells: res.AdditionalCells,
+			PrepareMS:       float64(t1.Sub(t0)) / float64(time.Millisecond),
+			SolveMS:         float64(time.Since(t1)) / float64(time.Millisecond),
+			plan:            res,
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, 0, err
 	}
-	rows := make([]batchSweepRow, len(res.Dies))
-	for i, d := range res.Dies {
-		if d.Err != nil {
-			return nil, 0, fmt.Errorf("die %s: %w", profiles[i].Name(), d.Err)
-		}
-		rows[i] = batchSweepRow{
-			Die:             profiles[i].Name(),
-			ReusedFFs:       d.Result.ReusedFFs,
-			AdditionalCells: d.Result.AdditionalCells,
-			PrepareMS:       float64(d.PrepareDur) / float64(time.Millisecond),
-			SolveMS:         float64(d.SolveDur) / float64(time.Millisecond),
-		}
-	}
-	return rows, res.Elapsed, nil
+	return rows, time.Since(start), nil
 }
 
 // renderBatchSweep prints the per-die plan numbers and stage timings, with
-// totals and the pipeline wall clock (smaller than the stage-time sum when
-// prepare of die k+1 overlapped solve of die k).
+// totals and the loop's wall clock (smaller than the stage-time sum when
+// dies ran on several cores).
 func renderBatchSweep(w io.Writer, rows []batchSweepRow, elapsed time.Duration) {
-	fmt.Fprintln(w, "Batch sweep — streaming engine, paper method, tight timing")
+	fmt.Fprintln(w, "Batch sweep — one die per core, paper method, tight timing")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "die\treused FFs\tadded cells\tprepare ms\tsolve ms")
 	var reused, cells int

@@ -141,9 +141,9 @@ func PrepareDie(p netgen.Profile, seed int64) (*Die, error) {
 type PrepareOptions struct {
 	// SkipFaultLists leaves Die.StuckAt and Die.Transition nil. The fault
 	// universes are only consumed by the ATPG evaluators; a minimize-only
-	// sweep (the batch engine's default pipeline) never reads them, and
-	// enumerating ~100k collapsed faults per large die costs real time
-	// and heap.
+	// sweep (cmd/tables -batch) or a TSV-repair replan never reads them,
+	// and enumerating ~100k collapsed faults per large die costs real
+	// time and heap.
 	SkipFaultLists bool
 }
 
@@ -246,17 +246,10 @@ func PrepareNetlistOpts(n *netlist.Netlist, seed int64, po PrepareOptions) (*Die
 }
 
 // PrepareSuite prepares dies for all given profiles, in parallel (each die
-// is independent).
+// is independent). A failed die aborts the remaining queued preparations.
 func PrepareSuite(profiles []netgen.Profile, seed int64) ([]*Die, error) {
-	return PrepareSuiteContext(context.Background(), profiles, seed)
-}
-
-// PrepareSuiteContext is PrepareSuite under a caller-owned context: a
-// failed or cancelled die aborts the remaining queued preparations instead
-// of running the suite to completion.
-func PrepareSuiteContext(ctx context.Context, profiles []netgen.Profile, seed int64) ([]*Die, error) {
 	dies := make([]*Die, len(profiles))
-	err := par.ForEachIndex(ctx, len(profiles), func(ctx context.Context, i int) error {
+	err := par.ForEachIndex(context.Background(), len(profiles), func(ctx context.Context, i int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}

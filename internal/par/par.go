@@ -101,11 +101,8 @@ func ForEachIndex(ctx context.Context, n int, fn func(ctx context.Context, i int
 		}()
 		return fn(inner, i)
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
+	workers := Workers(0, n)
+	if workers == 1 {
 		for i := 0; i < n; i++ {
 			if err := inner.Err(); err != nil {
 				return err

@@ -26,34 +26,27 @@ type Evaluator interface {
 // exact evaluator in the test suite — aliasing kills a small fraction of
 // the faults in the overlap region, and recovering coverage costs roughly
 // one extra targeted pattern per handful of overlapped gates.
-type StructuralEstimator struct {
-	// CovPerOverlapGate scales coverage loss per shared gate, as a
-	// fraction of the fault universe. Zero means the default 0.5 faults
-	// per shared gate.
-	CovPerOverlapGate float64
-	// GatesPerPattern is the number of shared gates that cost one extra
-	// pattern. Zero means the default 12.
-	GatesPerPattern int
-}
+type StructuralEstimator struct{}
+
+// The structural estimator's scale factors: each shared gate costs 2.0
+// collapsed faults of coverage (taken as a fraction of the fault
+// universe), and every 4 shared gates cost one extra pattern on top of the
+// one any overlap costs.
+const (
+	covPerOverlapGate = 2.0
+	gatesPerPattern   = 4
+)
 
 var _ Evaluator = StructuralEstimator{}
 
 // SharePenalty implements Evaluator.
-func (e StructuralEstimator) SharePenalty(n *netlist.Netlist, overlap int) (float64, int) {
+func (StructuralEstimator) SharePenalty(n *netlist.Netlist, overlap int) (float64, int) {
 	if overlap <= 0 {
 		return 0, 0
 	}
-	perGate := e.CovPerOverlapGate
-	if perGate == 0 {
-		perGate = 2.0
-	}
-	gpp := e.GatesPerPattern
-	if gpp == 0 {
-		gpp = 4
-	}
 	// The fault universe is roughly two collapsed faults per gate.
 	universe := float64(2 * n.NumGates())
-	covLoss := perGate * float64(overlap) / universe
-	patInc := 1 + overlap/gpp
+	covLoss := covPerOverlapGate * float64(overlap) / universe
+	patInc := 1 + overlap/gatesPerPattern
 	return covLoss, patInc
 }
