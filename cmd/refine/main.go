@@ -1,7 +1,8 @@
 // Command refine runs the anytime solver portfolio over a greedy
-// minimization result: deterministic local search, seeded simulated
-// annealing and large-neighborhood destroy/repair race under one wall
-// budget, and the best plan that passes the independent verifier wins.
+// minimization result: large-neighborhood destroy/repair, deterministic
+// local search and seeded simulated annealing run one after another, each
+// on a share of one wall budget, and the best plan that passes the
+// independent verifier wins.
 // The output is the before/after cell count plus each solver's search
 // statistics.
 //
@@ -11,7 +12,6 @@
 //	refine -netlist die.bench                    # your own die
 //	refine -profile b12/1 -budget 10s -seed 7    # deeper, reproducible
 //	refine -profile b12/1 -strategies local,lns  # subset of the portfolio
-//	refine -profile b20/1 -candidates 32         # wider merge candidate lists
 //	refine -profile b12/1 -crosscheck            # audit the incremental evaluator
 //	refine -profile b12/1 -json                  # machine-readable report
 //
@@ -45,10 +45,7 @@ func main() {
 		seed       = flag.Int64("seed", 1, "generation / placement seed; also drives the annealer RNG")
 		budget     = flag.Duration("budget", 0, "wall budget for the portfolio (0 = default)")
 		steps      = flag.Int("steps", 0, "per-strategy step budget (0 = per-strategy default; fixed steps make runs reproducible)")
-		strategies = flag.String("strategies", "", `comma-separated subset of "local,anneal,lns" (empty = all; duplicates collapse)`)
-		workers    = flag.Int("workers", 0, "solver parallelism (0 = GOMAXPROCS)")
-		candidates = flag.Int("candidates", 0, "merge-partner candidate list size per block (0 = default)")
-		restarts   = flag.Int("restarts", 0, "restart rounds for local search / reheat segments for anneal (0 = per-strategy default)")
+		strategies = flag.String("strategies", "", `comma-separated strategies in run order, from "lns,local,anneal" (empty = all; duplicates collapse)`)
 		crosscheck = flag.Bool("crosscheck", false, "audit every incremental move against a full rematch (slow; debug)")
 		asJSON     = flag.Bool("json", false, "emit the machine-readable report (service schema)")
 	)
@@ -57,9 +54,6 @@ func main() {
 		Budget:     *budget,
 		Seed:       *seed,
 		MaxSteps:   *steps,
-		Workers:    *workers,
-		CandidateK: *candidates,
-		Restarts:   *restarts,
 		CrossCheck: *crosscheck,
 	}
 	if err := run(os.Stdout, *profile, *netPath, *method, *timing, ro, *strategies, *asJSON); err != nil {
@@ -116,9 +110,6 @@ func run(w io.Writer, profile, netPath, methodName, timingName string, ro wcm3d.
 	for _, so := range rr.Strategies {
 		line := fmt.Sprintf("  %-6s %d steps, %d proposed, %d admitted, %d rejected",
 			so.Name, so.Steps, so.Proposed, so.Admitted, so.Rejected)
-		if so.Stale > 0 {
-			line += fmt.Sprintf(", %d stale", so.Stale)
-		}
 		if so.Deadline {
 			line += " (deadline)"
 		}

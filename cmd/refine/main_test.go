@@ -14,7 +14,7 @@ import (
 
 // TestRunTextOutput exercises the full CLI path on a small paper die and
 // holds the text report to its contract: a greedy baseline line, a refined
-// line, and one statistics line per racing solver.
+// line, and one statistics line per solver.
 func TestRunTextOutput(t *testing.T) {
 	var buf bytes.Buffer
 	ro := wcm3d.RefineOptions{Seed: 1, Budget: 2 * time.Second}

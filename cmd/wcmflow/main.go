@@ -140,6 +140,8 @@ func renderText(w io.Writer, die *wcm3d.Die, info service.DieInfo, reports []*se
 
 func loadDie(profile, netPath string, seed int64) (*wcm3d.Die, string, error) {
 	switch {
+	case profile != "" && netPath != "":
+		return nil, "", fmt.Errorf("pass -profile or -netlist, not both")
 	case profile != "":
 		p, err := wcm3d.ProfileByName(profile)
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"wcm3d/internal/service"
@@ -38,6 +39,16 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run(io.Discard, "b11/0", "", "ours", "tight", 1, false, false, "maximal", false); err == nil {
 		t.Error("unknown budget must error")
+	}
+}
+
+// TestRunRejectsProfileAndNetlist pins the flag contract shared with
+// refine, replan and verify: naming both die sources is an error, not a
+// silent preference for -profile.
+func TestRunRejectsProfileAndNetlist(t *testing.T) {
+	err := run(io.Discard, "b11/0", "die.bench", "ours", "tight", 1, false, false, "reduced", false)
+	if err == nil || !strings.Contains(err.Error(), "not both") {
+		t.Fatalf("err = %v, want a not-both error", err)
 	}
 }
 

@@ -27,13 +27,13 @@ type RefineGapRow struct {
 	Steps        int
 }
 
-// RefineGap runs the paper's method on every die and then races the solver
+// RefineGap runs the paper's method on every die and then runs the solver
 // portfolio over each greedy plan for the given wall budget per die. Dies
-// run sequentially — the portfolio saturates the machine on its own, and a
-// per-die budget only means something when the solvers are not competing
-// with twenty-three siblings for cores. The refined count is never worse
-// than greedy: every candidate had to pass the independent verifier, and a
-// fruitless search hands greedy back unchanged.
+// run sequentially — a per-die budget only means something when the
+// solvers are not competing with twenty-three siblings for cores. The
+// refined count is never worse than greedy: every candidate had to pass
+// the independent verifier, and a fruitless search hands greedy back
+// unchanged.
 func RefineGap(dies []*Die, budget time.Duration, seed int64) ([]RefineGapRow, error) {
 	tight := Scenario{Name: "performance-optimized", Tight: true}
 	rows := make([]RefineGapRow, 0, len(dies))

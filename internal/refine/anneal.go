@@ -25,38 +25,39 @@ func (annealer) Name() string { return "anneal" }
 const (
 	annealTStart = 1.0
 	annealTEnd   = 0.02
-	// annealSegments is the default reheat count when Options.Restarts
-	// is zero.
+	// annealSegments is the reheat count of the restart schedule.
 	annealSegments = 4
+	// defaultAnnealSteps is the step budget the cooling schedule spans
+	// when Options.MaxSteps is zero — sized so tiny and mid-size dies
+	// finish the schedule well inside DefaultBudget.
+	defaultAnnealSteps = 60000
 )
 
-func (annealer) Refine(ctx context.Context, p *Problem, start *Solution, cfg Config, emit func(*Solution) bool) (int, error) {
-	segments := cfg.Restarts
-	if segments <= 0 {
-		segments = annealSegments
-	}
-	segSteps := cfg.MaxSteps / segments
+func (annealer) Refine(ctx context.Context, p *Problem, start *Solution, o Options, emit func(*Solution) bool) (int, error) {
+	maxSteps := o.maxSteps(defaultAnnealSteps)
+	segments := annealSegments
+	segSteps := maxSteps / segments
 	if segSteps < 1 {
-		segSteps = cfg.MaxSteps
+		segSteps = maxSteps
 		segments = 1
 	}
 	best := start.cells(p)
 	bestSnap := start
 	steps := 0
-	for seg := 0; seg < segments && steps < cfg.MaxSteps && ctx.Err() == nil; seg++ {
+	for seg := 0; seg < segments && steps < maxSteps && ctx.Err() == nil; seg++ {
 		e := newEvaluator(p, bestSnap.clone())
-		e.crossCheck = cfg.CrossCheck
+		e.crossCheck = o.CrossCheck
 		if e.cells() < best {
 			// Maximizing the matching alone already beat the snapshot.
 			best = e.cells()
 			bestSnap = e.s.clone()
 			emit(e.s)
 		}
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(seg)*restartSeedStride))
+		rng := rand.New(rand.NewSource(o.Seed + int64(seg)*restartSeedStride))
 		cur := e.cells()
 		alpha := math.Exp(math.Log(annealTEnd/annealTStart) / float64(segSteps))
 		temp := annealTStart
-		for t := 0; t < segSteps && steps < cfg.MaxSteps; t, steps = t+1, steps+1 {
+		for t := 0; t < segSteps && steps < maxSteps; t, steps = t+1, steps+1 {
 			if steps%128 == 0 && ctx.Err() != nil {
 				break
 			}

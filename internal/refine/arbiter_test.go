@@ -2,6 +2,7 @@ package refine
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -21,7 +22,7 @@ func improvingSolution(t *testing.T) (*Problem, *Solution, *Solution) {
 		p, start := evalProblem(t, seed)
 		var improved *Solution
 		_, err := localSearch{}.Refine(context.Background(), p, start,
-			Config{Seed: seed, MaxSteps: 50000},
+			Options{Seed: seed, MaxSteps: 50000},
 			func(s *Solution) bool {
 				improved = s.clone()
 				return false
@@ -35,34 +36,6 @@ func improvingSolution(t *testing.T) (*Problem, *Solution, *Solution) {
 	}
 	t.Fatal("local search found no improvement on any known-gap die")
 	return nil, nil, nil
-}
-
-// TestArbiterStaleRace pins the double-count fix: a candidate that verifies
-// but finds an equal-cost plan already admitted when it re-takes the lock
-// must come back offerStale — dropped, not admitted — and must not displace
-// the rival's lead. Before the verdict split, both racers counted as
-// Admitted and refine.improved could tick twice for one improvement.
-func TestArbiterStaleRace(t *testing.T) {
-	p, start, improved := improvingSolution(t)
-	greedyCells := start.cells(p)
-	improvedCells := improved.cells(p)
-
-	arb := &arbiter{p: p, bestCells: greedyCells}
-	arb.certifyFn = func(*scan.Assignment) bool {
-		// While "verification" runs (outside the arbiter lock), a rival
-		// strategy certifies an equal-cost plan and takes the lead.
-		arb.mu.Lock()
-		arb.bestCells = improvedCells
-		arb.strategy = "rival"
-		arb.mu.Unlock()
-		return true
-	}
-	if v := arb.offer("local", improved); v != offerStale {
-		t.Fatalf("equal-cost race verdict = %d, want offerStale", v)
-	}
-	if arb.strategy != "rival" {
-		t.Fatalf("stale candidate displaced the rival's lead (strategy=%q)", arb.strategy)
-	}
 }
 
 // TestArbiterSequentialEqualCost pins the cheap path of the same contract:
@@ -95,8 +68,8 @@ type hangAfterSearch struct{}
 
 func (hangAfterSearch) Name() string { return "hang" }
 
-func (hangAfterSearch) Refine(ctx context.Context, p *Problem, start *Solution, cfg Config, emit func(*Solution) bool) (int, error) {
-	steps, _ := localSearch{}.Refine(ctx, p, start, cfg, emit)
+func (hangAfterSearch) Refine(ctx context.Context, p *Problem, start *Solution, o Options, emit func(*Solution) bool) (int, error) {
+	steps, _ := localSearch{}.Refine(ctx, p, start, o, emit)
 	<-ctx.Done()
 	return steps, ctx.Err()
 }
@@ -138,6 +111,39 @@ func TestDeadlineMidSweepKeepsBestAdmitted(t *testing.T) {
 	}
 }
 
+// TestBudgetSharesReachLaterStrategies pins the budget split: a strategy
+// that runs to its deadline is cut at its share, so the strategy after it
+// still searches — on one core as on many.
+func TestBudgetSharesReachLaterStrategies(t *testing.T) {
+	strategyRegistry["hang"] = hangAfterSearch{}
+	defer delete(strategyRegistry, "hang")
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+
+	in := tinyDie(t, 24)
+	opts := wcm.DefaultOptions()
+	greedy, err := wcm.Run(in, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(context.Background(), in, opts, greedy, Options{
+		Seed:       24,
+		Budget:     500 * time.Millisecond,
+		Strategies: []string{"hang", "lns"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Strategies) != 2 {
+		t.Fatalf("want two strategy outcomes, got %+v", res.Strategies)
+	}
+	if hang := res.Strategies[0]; !hang.Deadline {
+		t.Fatalf("hang strategy was not cut by its share: %+v", hang)
+	}
+	if l := res.Strategies[1]; l.Steps == 0 {
+		t.Fatalf("lns ran no steps: the first strategy ate the whole budget: %+v", l)
+	}
+}
+
 // TestStrategiesFor pins name resolution: default order when empty,
 // duplicates collapse to the first occurrence, unknown names error and
 // name the known set.
@@ -155,8 +161,8 @@ func TestStrategiesFor(t *testing.T) {
 		want    []string
 		wantErr string
 	}{
-		{"nil runs all in order", nil, []string{"local", "anneal", "lns"}, ""},
-		{"empty runs all in order", []string{}, []string{"local", "anneal", "lns"}, ""},
+		{"nil runs all in order", nil, []string{"lns", "local", "anneal"}, ""},
+		{"empty runs all in order", []string{}, []string{"lns", "local", "anneal"}, ""},
 		{"explicit subset", []string{"lns", "local"}, []string{"lns", "local"}, ""},
 		{"duplicates collapse", []string{"local", "local", "anneal", "local"}, []string{"local", "anneal"}, ""},
 		{"unknown name", []string{"local", "bogus"}, nil, `unknown strategy "bogus"`},

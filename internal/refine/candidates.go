@@ -5,24 +5,20 @@ import (
 	"sort"
 )
 
-// defaultCandidateK bounds each block's merge-partner candidate list when
-// Options.CandidateK is zero.
-const defaultCandidateK = 16
+// candidateK bounds each block's merge-partner candidate list.
+const candidateK = 16
 
-// mergeCandidates ranks, for every block of phase pi, up to k partner
-// blocks by shared flip-flop cover overlap — the number of phase-local
-// flip-flops whose adjacency covers both blocks. A flip-flop can serve a
-// merged block only if it covers both halves, so high overlap marks the
-// pairs most likely to stay covered after fusing; zero-overlap pairs still
-// rank (merging two exposed blocks saves a cell with no flip-flop at all),
-// just last. Pairs whose combined member count already exceeds the load
-// bound are dropped outright. The order is deterministic: overlap
-// descending, partner index ascending. A sweep over the lists is O(n·k)
-// trials instead of the all-pairs O(n²).
-func mergeCandidates(p *Problem, s *Solution, pi, k int) [][]int32 {
-	if k <= 0 {
-		k = defaultCandidateK
-	}
+// mergeCandidates ranks, for every block of phase pi, up to candidateK
+// partner blocks by shared flip-flop cover overlap — the number of
+// phase-local flip-flops whose adjacency covers both blocks. A flip-flop
+// can serve a merged block only if it covers both halves, so high overlap
+// marks the pairs most likely to stay covered after fusing; zero-overlap
+// pairs still rank (merging two exposed blocks saves a cell with no
+// flip-flop at all), just last. Pairs whose combined member count already
+// exceeds the load bound are dropped outright. The order is deterministic:
+// overlap descending, partner index ascending. A sweep over the lists is
+// O(n·candidateK) trials instead of the all-pairs O(n²).
+func mergeCandidates(p *Problem, s *Solution, pi int) [][]int32 {
 	ph := p.phases[pi]
 	blocks := s.blocks[pi]
 	nb := len(blocks)
@@ -65,7 +61,7 @@ func mergeCandidates(p *Problem, s *Solution, pi, k int) [][]int32 {
 			}
 			return cand[i].bj < cand[j].bj
 		})
-		n := k
+		n := candidateK
 		if n > len(cand) {
 			n = len(cand)
 		}

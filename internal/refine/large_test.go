@@ -53,8 +53,8 @@ func TestLargeDieThroughput(t *testing.T) {
 		steps := 0
 		for _, so := range rr.Strategies {
 			steps += so.Steps
-			t.Logf("%s %-6s %d steps, %d proposed, %d admitted, %d rejected, %d stale (deadline=%v)",
-				name, so.Name, so.Steps, so.Proposed, so.Admitted, so.Rejected, so.Stale, so.Deadline)
+			t.Logf("%s %-6s %d steps, %d proposed, %d admitted, %d rejected (deadline=%v)",
+				name, so.Name, so.Steps, so.Proposed, so.Admitted, so.Rejected, so.Deadline)
 		}
 		rate := float64(steps) / elapsed.Seconds()
 		t.Logf("%s: greedy %d -> refined %d cells (saved %d) — %d steps in %v (%.0f steps/s)",

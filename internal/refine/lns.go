@@ -29,18 +29,19 @@ const (
 	lnsFruitlessCutoff = 400
 )
 
-func (lns) Refine(ctx context.Context, p *Problem, start *Solution, cfg Config, emit func(*Solution) bool) (int, error) {
+func (lns) Refine(ctx context.Context, p *Problem, start *Solution, o Options, emit func(*Solution) bool) (int, error) {
 	e := newEvaluator(p, start.clone())
-	e.crossCheck = cfg.CrossCheck
+	e.crossCheck = o.CrossCheck
 	incumbent := start.cells(p)
 	if e.cells() < incumbent {
 		incumbent = e.cells()
 		emit(e.s)
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(o.Seed))
 	cur := e.cells()
+	maxSteps := o.maxSteps(unboundedSteps)
 	steps, fail := 0, 0
-	for steps < cfg.MaxSteps && fail < lnsFruitlessCutoff {
+	for steps < maxSteps && fail < lnsFruitlessCutoff {
 		if steps%32 == 0 && ctx.Err() != nil {
 			break
 		}

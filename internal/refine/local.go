@@ -28,10 +28,10 @@ const localFruitlessRounds = 2
 // annealer's reheat segments): round r draws from Seed + r·stride.
 const restartSeedStride = 1000003
 
-func (localSearch) Refine(ctx context.Context, p *Problem, start *Solution, cfg Config, emit func(*Solution) bool) (int, error) {
+func (localSearch) Refine(ctx context.Context, p *Problem, start *Solution, o Options, emit func(*Solution) bool) (int, error) {
 	e := newEvaluator(p, start.clone())
-	e.crossCheck = cfg.CrossCheck
-	d := &descender{ctx: ctx, p: p, e: e, cfg: cfg, incumbent: start.cells(p), emit: emit}
+	e.crossCheck = o.CrossCheck
+	d := &descender{ctx: ctx, p: p, e: e, maxSteps: o.maxSteps(unboundedSteps), incumbent: start.cells(p), emit: emit}
 	if e.cells() < d.incumbent {
 		// The greedy plan's flip-flop assignment was not a maximum
 		// matching: augmenting paths alone already saved cells.
@@ -40,15 +40,12 @@ func (localSearch) Refine(ctx context.Context, p *Problem, start *Solution, cfg 
 	}
 	fruitless := 0
 	for round := 0; fruitless < localFruitlessRounds && !d.done(); round++ {
-		if cfg.Restarts > 0 && round >= cfg.Restarts {
-			break
-		}
 		d.cur = e.cells()
 		d.roundBest = d.cur
 		d.committed = false
 		m := e.mark()
 		if round > 0 {
-			d.perturb(rand.New(rand.NewSource(cfg.Seed+int64(round)*restartSeedStride)), 3+round%4)
+			d.perturb(rand.New(rand.NewSource(o.Seed+int64(round)*restartSeedStride)), 3+round%4)
 		}
 		d.descend()
 		if d.committed {
@@ -69,10 +66,10 @@ func (localSearch) Refine(ctx context.Context, p *Problem, start *Solution, cfg 
 // cost this round must beat before any state is committed, incumbent the
 // best cost this strategy ever emitted.
 type descender struct {
-	ctx context.Context
-	p   *Problem
-	e   *evaluator
-	cfg Config
+	ctx      context.Context
+	p        *Problem
+	e        *evaluator
+	maxSteps int
 
 	steps      int
 	cur        int
@@ -84,7 +81,7 @@ type descender struct {
 }
 
 func (d *descender) done() bool {
-	if d.steps >= d.cfg.MaxSteps {
+	if d.steps >= d.maxSteps {
 		return true
 	}
 	return d.steps%64 == 0 && d.ctx.Err() != nil
@@ -196,7 +193,7 @@ func (d *descender) mergeSweep(pi int) bool {
 		pass = false
 		var cands [][]int32
 		if len(*blocks) > smallPhaseFullSweep {
-			cands = mergeCandidates(d.p, d.e.s, pi, d.cfg.CandidateK)
+			cands = mergeCandidates(d.p, d.e.s, pi)
 		}
 		for bi := 0; bi < len(*blocks) && !d.done(); bi++ {
 			partners := d.allPartners(len(*blocks))

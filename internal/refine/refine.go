@@ -7,7 +7,8 @@
 // package exists to close those gaps on real dies, where the oracle cannot
 // run.
 //
-// Three strategies implement one Refiner interface and race concurrently:
+// Three strategies implement one Refiner interface and run one after
+// another on the caller's goroutine, each on a share of the wall budget:
 //
 //   - local:  deterministic first-improvement descent — candidate-list
 //     block merges, single-item relocations, and split-and-remerge kicks,
@@ -37,10 +38,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
-	"wcm3d/internal/par"
 	"wcm3d/internal/scan"
 	"wcm3d/internal/sta"
 	"wcm3d/internal/verify"
@@ -50,60 +49,43 @@ import (
 // DefaultBudget is the wall-clock deadline when Options.Budget is zero.
 const DefaultBudget = 2 * time.Second
 
-// defaultAnnealSteps is the annealer's step budget when Options.MaxSteps
-// is zero — sized so tiny and mid-size dies finish the schedule well inside
-// DefaultBudget.
-const defaultAnnealSteps = 60000
-
 // Options configures a refinement run.
 type Options struct {
 	// Budget bounds the wall time; zero means DefaultBudget. The
 	// caller's context deadline always caps it regardless.
 	Budget time.Duration
-	// Seed drives the annealer's RNG. Plans are bit-reproducible for a
+	// Seed drives the strategies' RNGs. Plans are bit-reproducible for a
 	// fixed (seed, step budget, strategy); the wall deadline can only
 	// truncate a trajectory, never reorder it.
 	Seed int64
-	// MaxSteps bounds each strategy's search steps; zero picks
-	// per-strategy defaults. With a generous Budget, fixed MaxSteps make
-	// every strategy's outcome deterministic.
+	// MaxSteps bounds each strategy's search steps; zero leaves each
+	// strategy its own default (the annealer's cooling schedule spans
+	// defaultAnnealSteps; local and lns stop at their fruitless cutoffs).
+	// With a generous Budget, fixed MaxSteps make every strategy's
+	// outcome deterministic.
 	MaxSteps int
-	// Strategies selects which solvers race ("local", "anneal", "lns");
-	// nil or empty runs all of them. Duplicate names collapse to the
-	// first occurrence — two copies of a strategy would replay the same
-	// deterministic trajectory on the same RNG stream.
+	// Strategies selects which solvers run, in order ("lns", "local",
+	// "anneal"); nil or empty runs all of them in defaultStrategyOrder.
+	// Duplicate names collapse to the first occurrence — two copies of a
+	// strategy would replay the same deterministic trajectory on the
+	// same RNG stream.
 	Strategies []string
-	// Workers bounds the portfolio's concurrency; 0 means one worker per
-	// strategy (capped by GOMAXPROCS via internal/par).
-	Workers int
-	// CandidateK bounds each block's merge-partner candidate list in the
-	// scalable sweeps (local search, LNS cluster picking); 0 means
-	// defaultCandidateK. Larger k explores more pairs per round, smaller
-	// k finishes rounds faster on big dies.
-	CandidateK int
-	// Restarts caps the restart schedule: perturb-and-descend rounds for
-	// local search, reheat segments for the annealer. 0 picks
-	// per-strategy defaults (local restarts until two fruitless rounds,
-	// anneal splits its budget into annealSegments segments).
-	Restarts int
 	// CrossCheck re-scores every applied incremental move against a
 	// from-scratch rematch and panics on divergence — the debug mode for
 	// the incremental evaluator; orders of magnitude slower.
 	CrossCheck bool
 }
 
-// Config is the per-strategy slice of Options a Refiner receives.
-type Config struct {
-	// Seed drives any randomized decisions.
-	Seed int64
-	// MaxSteps bounds the strategy's search steps.
-	MaxSteps int
-	// CandidateK bounds merge-partner candidate lists (see Options).
-	CandidateK int
-	// Restarts caps the restart schedule (see Options).
-	Restarts int
-	// CrossCheck enables the evaluator's full-rematch debug audit.
-	CrossCheck bool
+// unboundedSteps is the step cap of strategies that stop on their own
+// fruitless cutoffs when Options.MaxSteps is zero.
+const unboundedSteps = 1 << 30
+
+// maxSteps returns the configured step budget, or def when it is zero.
+func (o Options) maxSteps(def int) int {
+	if o.MaxSteps > 0 {
+		return o.MaxSteps
+	}
+	return def
 }
 
 // Refiner is one improvement strategy. Refine searches from start and
@@ -114,7 +96,7 @@ type Config struct {
 // the context's error if the deadline cut the search short.
 type Refiner interface {
 	Name() string
-	Refine(ctx context.Context, p *Problem, start *Solution, cfg Config, emit func(*Solution) bool) (steps int, err error)
+	Refine(ctx context.Context, p *Problem, start *Solution, o Options, emit func(*Solution) bool) (steps int, err error)
 }
 
 // StrategyOutcome reports one strategy's run.
@@ -125,15 +107,12 @@ type StrategyOutcome struct {
 	Steps int `json:"steps"`
 	// Proposed counts candidates the strategy emitted; Admitted counts
 	// those that passed verification and improved the global best;
-	// Rejected counts candidates the referee refused; Stale counts
-	// candidates that verified but lost the admission race to an
-	// equal-or-better plan another strategy certified first (they are
-	// deliberately not Admitted, so an improvement is counted once).
+	// Rejected counts candidates the referee refused.
 	Proposed int `json:"proposed"`
 	Admitted int `json:"admitted"`
 	Rejected int `json:"rejected"`
-	Stale    int `json:"stale,omitempty"`
-	// Deadline reports whether the wall clock cut the strategy short.
+	// Deadline reports whether the strategy's share of the wall clock
+	// cut it short.
 	Deadline bool `json:"deadline,omitempty"`
 	// Err carries a strategy failure (the portfolio survives it).
 	Err string `json:"err,omitempty"`
@@ -168,15 +147,17 @@ var strategyRegistry = map[string]Refiner{
 	"lns":    lns{},
 }
 
-// defaultStrategyOrder fixes the portfolio's deterministic launch order
-// when Options.Strategies is empty.
-var defaultStrategyOrder = []string{"local", "anneal", "lns"}
+// defaultStrategyOrder fixes the portfolio's run order when
+// Options.Strategies is empty. lns goes first: it stops at its fruitless
+// cutoff and hands the unused share on, and its end-of-run certifications
+// on large dies then land early instead of past the deadline.
+var defaultStrategyOrder = []string{"lns", "local", "anneal"}
 
 // strategiesFor resolves the configured strategy names. Unknown names are
 // an error naming the known set; duplicates collapse to the first
-// occurrence — two copies of the same strategy would race identical
+// occurrence — two copies of the same strategy would replay identical
 // deterministic trajectories over the same RNG seed stream and burn a
-// worker for nothing.
+// budget share for nothing.
 func strategiesFor(names []string) ([]Refiner, error) {
 	if len(names) == 0 {
 		names = defaultStrategyOrder
@@ -203,18 +184,18 @@ func strategiesFor(names []string) ([]Refiner, error) {
 	return out, nil
 }
 
-// arbiter is the shared admission point: candidates race in from every
-// strategy, and only a plan that (a) costs strictly fewer cells than the
-// current best and (b) passes the independent verifier may take the lead.
+// arbiter is the shared admission point: candidates arrive from every
+// strategy in turn, and only a plan that (a) costs strictly fewer cells
+// than the current best and (b) passes the independent verifier may take
+// the lead.
 type arbiter struct {
 	p  *Problem
 	th *wcm.Options
 
-	// certifyFn lets tests intercept certification (e.g. to force the
-	// stale race deterministically); nil means verify.Plan.
+	// certifyFn lets tests intercept certification; nil means
+	// verify.Plan.
 	certifyFn func(*scan.Assignment) bool
 
-	mu        sync.Mutex
 	bestCells int
 	best      *scan.Assignment
 	strategy  string
@@ -224,16 +205,11 @@ type arbiter struct {
 type offerVerdict int
 
 const (
-	// offerNotBetter: no better than the global best at the pre-check —
-	// not worth encoding or verifying.
+	// offerNotBetter: no better than the global best — not worth
+	// encoding or verifying.
 	offerNotBetter offerVerdict = iota
 	// offerRejected: the independent referee refused certification.
 	offerRejected
-	// offerStale: verified, but while verification ran another strategy
-	// certified an equal-or-better plan. The candidate is dropped — NOT
-	// admitted — so an equal-cost race can never count one improvement
-	// twice.
-	offerStale
 	// offerAdmitted: verified and strictly better; now the global best.
 	offerAdmitted
 )
@@ -246,24 +222,15 @@ func (a *arbiter) certify(asn *scan.Assignment) bool {
 	return err == nil && vres.OK()
 }
 
-// offer judges one candidate for one strategy. It is safe for concurrent
-// use; verification runs outside the lock.
+// offer judges one candidate for one strategy.
 func (a *arbiter) offer(strategy string, s *Solution) offerVerdict {
 	cells := s.cells(a.p)
-	a.mu.Lock()
-	lead := cells < a.bestCells
-	a.mu.Unlock()
-	if !lead {
+	if cells >= a.bestCells {
 		return offerNotBetter
 	}
 	asn := encode(a.p, s)
 	if !a.certify(asn) {
 		return offerRejected
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if cells >= a.bestCells {
-		return offerStale // someone else got there first
 	}
 	a.bestCells = cells
 	a.best = asn
@@ -271,8 +238,9 @@ func (a *arbiter) offer(strategy string, s *Solution) offerVerdict {
 	return offerAdmitted
 }
 
-// Run races the solver portfolio over the greedy plan and returns the best
-// verified plan found before the deadline — or the greedy plan unchanged.
+// Run runs the solver portfolio over the greedy plan, one strategy after
+// another, and returns the best verified plan found before the deadline —
+// or the greedy plan unchanged.
 // An already-expired context short-circuits: the greedy assignment comes
 // back immediately, untouched. Run only returns an error for malformed
 // inputs; search-side failures degrade to the greedy plan.
@@ -341,29 +309,13 @@ func Run(ctx context.Context, in wcm.Input, opts wcm.Options, greedy *wcm.Result
 	// context still caps the whole call, prep included.
 	ctx, cancel := context.WithTimeout(ctx, budget)
 	defer cancel()
+	deadline, _ := ctx.Deadline()
 
 	arb := &arbiter{p: p, th: &eff, bestCells: greedy.AdditionalCells}
-	outcomes := make([]StrategyOutcome, len(refiners))
-	par.Do(par.Workers(o.Workers, len(refiners)), len(refiners), func(_, i int) {
-		r := refiners[i]
-		out := &outcomes[i]
+	res.Strategies = make([]StrategyOutcome, len(refiners))
+	for i, r := range refiners {
+		out := &res.Strategies[i]
 		out.Name = r.Name()
-		cfg := Config{
-			Seed:       o.Seed,
-			MaxSteps:   o.MaxSteps,
-			CandidateK: o.CandidateK,
-			Restarts:   o.Restarts,
-			CrossCheck: o.CrossCheck,
-		}
-		if cfg.MaxSteps <= 0 {
-			switch r.Name() {
-			case "anneal":
-				cfg.MaxSteps = defaultAnnealSteps
-			default:
-				// local and lns terminate through their fruitless cutoffs.
-				cfg.MaxSteps = 1 << 30
-			}
-		}
 		emit := func(s *Solution) bool {
 			out.Proposed++
 			switch arb.offer(r.Name(), s) {
@@ -372,31 +324,30 @@ func Run(ctx context.Context, in wcm.Input, opts wcm.Options, greedy *wcm.Result
 				return true
 			case offerRejected:
 				out.Rejected++
-			case offerStale:
-				out.Stale++
 			}
 			return false
 		}
-		steps, err := r.Refine(ctx, p, start, cfg, emit)
+		// Strategy i of n gets an even split of the time still left, so
+		// whatever an earlier strategy leaves unused funds the later ones.
+		share := time.Until(deadline) / time.Duration(len(refiners)-i)
+		sctx, scancel := context.WithTimeout(ctx, share)
+		steps, err := r.Refine(sctx, p, start, o, emit)
+		scancel()
 		out.Steps = steps
 		if err == context.DeadlineExceeded || err == context.Canceled {
 			out.Deadline = true
 		} else if err != nil {
 			out.Err = err.Error()
 		}
-	})
-	res.Strategies = outcomes
+	}
 
-	arb.mu.Lock()
-	best, bestCells, strategy := arb.best, arb.bestCells, arb.strategy
-	arb.mu.Unlock()
-	if best != nil && bestCells < res.GreedyCells {
-		res.Assignment = best
-		res.AdditionalCells = bestCells
-		res.ReusedFFs = best.ReusedFFs()
+	if arb.best != nil && arb.bestCells < res.GreedyCells {
+		res.Assignment = arb.best
+		res.AdditionalCells = arb.bestCells
+		res.ReusedFFs = arb.best.ReusedFFs()
 		res.Improved = true
-		res.CellsSaved = res.GreedyCells - bestCells
-		res.Strategy = strategy
+		res.CellsSaved = res.GreedyCells - arb.bestCells
+		res.Strategy = arb.strategy
 	}
 	return res, nil
 }

@@ -23,8 +23,9 @@ func planFingerprint(t *testing.T, res *Result) string {
 
 // TestDeterministicAcrossWorkers pins the reproducibility contract: for a
 // fixed (seed, step budget, strategy) the refined plan is bit-identical at
-// every worker count — parallelism changes latency only. Each strategy is
-// pinned alone so portfolio racing cannot blur the comparison.
+// every greedy-engine worker count — parallelism changes latency only.
+// Each strategy is pinned alone so the portfolio's choice of winner cannot
+// blur the comparison.
 func TestDeterministicAcrossWorkers(t *testing.T) {
 	seeds := []int64{3, 21, 45} // all three flip-flop regimes
 	if testing.Short() || raceEnabled {
@@ -48,7 +49,6 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 					MaxSteps:   5000,
 					Budget:     30 * time.Second, // generous: steps terminate, not the clock
 					Strategies: []string{strategy},
-					Workers:    workers,
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -162,9 +162,9 @@ type RefineReport struct {
 	// skipped, the real search budget otherwise.
 	Skipped  bool  `json:"skipped,omitempty"`
 	FundedMS int64 `json:"funded_ms,omitempty"`
-	// Strategies reports every solver that raced: steps searched,
-	// candidates proposed/admitted/rejected, and whether the deadline
-	// cut the run short.
+	// Strategies reports every solver that ran: steps searched,
+	// candidates proposed/admitted/rejected, and whether its share of
+	// the deadline cut the run short.
 	Strategies []RefineStrategyReport `json:"strategies,omitempty"`
 }
 
@@ -175,9 +175,6 @@ type RefineStrategyReport struct {
 	Proposed int    `json:"proposed"`
 	Admitted int    `json:"admitted"`
 	Rejected int    `json:"rejected"`
-	// Stale counts candidates that verified but lost the admission race
-	// to an equal-or-better plan certified first by another strategy.
-	Stale    int    `json:"stale,omitempty"`
 	Deadline bool   `json:"deadline,omitempty"`
 	Err      string `json:"err,omitempty"`
 }
@@ -199,7 +196,6 @@ func EncodeRefine(rr *wcm3d.RefineResult) *RefineReport {
 			Proposed: so.Proposed,
 			Admitted: so.Admitted,
 			Rejected: so.Rejected,
-			Stale:    so.Stale,
 			Deadline: so.Deadline,
 			Err:      so.Err,
 		})

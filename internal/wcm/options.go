@@ -26,7 +26,6 @@ package wcm
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"wcm3d/internal/cells"
 	"wcm3d/internal/netlist"
@@ -146,24 +145,6 @@ type Options struct {
 	// serial path. The produced plan and statistics are bit-identical at
 	// every setting — parallelism changes latency only.
 	Workers int
-	// Refine asks the layers above this package (wcm3d.MinimizeWith, the
-	// wcmd service) to run the anytime solver portfolio of internal/refine
-	// on the greedy plan and keep the best independently-verified
-	// improvement. Run itself ignores it: refinement races against a
-	// deadline and re-verifies candidates through internal/verify, which
-	// sits above this package in the dependency order.
-	Refine bool
-	// RefineBudget bounds the refinement wall time when Refine is set.
-	// Zero means the portfolio's default budget; the caller's context
-	// deadline always caps it regardless.
-	RefineBudget time.Duration
-	// RefineSeed drives the portfolio's seeded strategies (annealing,
-	// restart perturbation, LNS destroy picking) when Refine is set, so
-	// a refined MinimizeWith run is reproducible end to end.
-	RefineSeed int64
-	// RefineStrategies restricts the portfolio to a subset of its
-	// solvers when Refine is set; nil or empty races all of them.
-	RefineStrategies []string
 }
 
 // MergePolicy selects how Algorithm 2 picks the next pair to merge.

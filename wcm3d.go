@@ -253,35 +253,15 @@ func Minimize(d *Die, m Method, mode TimingMode) (*MinimizeResult, error) {
 }
 
 // MinimizeWith runs the WCM engine with explicit options (see
-// wcm.Options); Minimize covers the paper's standard configurations. When
-// opts.Refine is set, the greedy plan is additionally handed to the solver
-// portfolio (see Refine) under opts.RefineBudget, and the best verified
-// plan replaces the result's assignment and counters.
+// wcm.Options); Minimize covers the paper's standard configurations. To
+// spend extra wall time on a smaller plan, hand the result to Refine.
 func MinimizeWith(d *Die, opts MinimizeOptions) (*MinimizeResult, error) {
-	res, err := wcm.Run(d.Input(), opts)
-	if err != nil || !opts.Refine {
-		return res, err
-	}
-	rr, err := Refine(context.Background(), d, opts, res, RefineOptions{
-		Budget:     opts.RefineBudget,
-		Seed:       opts.RefineSeed,
-		Strategies: opts.RefineStrategies,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if rr.Improved {
-		res.Assignment = rr.Assignment
-		res.AdditionalCells = rr.AdditionalCells
-		res.ReusedFFs = rr.ReusedFFs
-	}
-	return res, nil
+	return wcm.Run(d.Input(), opts)
 }
 
 // RefineOptions configures the anytime solver portfolio (see
-// internal/refine): wall budget, RNG seed, step budget, strategy subset,
-// candidate-list width, restart schedule, and the evaluator's cross-check
-// debug mode.
+// internal/refine): wall budget, RNG seed, step budget, strategy subset
+// and run order, and the evaluator's cross-check debug mode.
 type RefineOptions = refine.Options
 
 // DefaultRefineBudget is the portfolio's wall budget when
@@ -292,10 +272,11 @@ const DefaultRefineBudget = refine.DefaultBudget
 // plan unchanged), the cells saved, and per-strategy outcomes.
 type RefineResult = refine.Result
 
-// Refine races the solver portfolio — deterministic local search, seeded
-// simulated annealing, large-neighborhood destroy/repair — over a greedy
-// minimization result and returns the best plan that passes the
-// independent verifier before the deadline. The result is never worse than
+// Refine runs the solver portfolio — large-neighborhood destroy/repair,
+// deterministic local search, seeded simulated annealing, one after
+// another on shares of the wall budget — over a greedy minimization result
+// and returns the best plan that passes the independent verifier before
+// the deadline. The result is never worse than
 // the input plan: an expired context or a fruitless search hands the
 // greedy assignment back unchanged. opts must be the configuration the
 // plan was produced with (it prices the sharing model and is the contract
