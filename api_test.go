@@ -4,6 +4,8 @@ package wcm3d_test
 // examples and downstream users consume.
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -333,5 +335,63 @@ func TestScheduleFacade(t *testing.T) {
 	}
 	if _, err := wcm3d.Schedule([]wcm3d.StackDie{{}}, 8); err == nil {
 		t.Error("stack entry without a die must error")
+	}
+}
+
+// TestLoadDie drives the CLIs' shared die loader over every source
+// combination: the error texts are part of the CLI contract, and spare
+// sites appear exactly when a non-zero spec asks for them.
+func TestLoadDie(t *testing.T) {
+	src := `
+INPUT(a)
+TSV_IN(t0)
+q0 = DFF(n1)
+n1 = AND(a, t0)
+n2 = OR(n1, q0)
+OUTPUT(z) = n2
+TSV_OUT(u0) = n1
+`
+	path := filepath.Join(t.TempDir(), "tiny.bench")
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	spares := wcm3d.SpareSpec{Inbound: 1, Outbound: 1}
+	cases := []struct {
+		name, profile, path string
+		spares              wcm3d.SpareSpec
+		wantName, wantErr   string
+	}{
+		{name: "both", profile: "b11/0", path: path, wantErr: "pass -profile or -netlist, not both"},
+		{name: "neither", wantErr: "pass -profile or -netlist"},
+		{name: "profile", profile: "b11/0", wantName: "b11/Die0"},
+		{name: "profile+spares", profile: "b11/0", spares: spares, wantName: "b11/Die0"},
+		{name: "bench", path: path, wantName: strings.TrimSuffix(path, ".bench")},
+		{name: "bench+spares", path: path, spares: spares, wantName: strings.TrimSuffix(path, ".bench")},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d, name, err := wcm3d.LoadDie(tc.profile, tc.path, 1, tc.spares)
+			if tc.wantErr != "" {
+				if err == nil || err.Error() != tc.wantErr {
+					t.Fatalf("err = %v, want %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if name != tc.wantName {
+				t.Errorf("name = %q, want %q", name, tc.wantName)
+			}
+			_, hasIn := d.Netlist.SignalByName("spare_in0")
+			hasOut := false
+			for _, o := range d.Netlist.Outputs {
+				hasOut = hasOut || o.Name == "spare_out0"
+			}
+			want := tc.spares != (wcm3d.SpareSpec{})
+			if hasIn != want || hasOut != want {
+				t.Errorf("spare sites in=%v out=%v, want %v", hasIn, hasOut, want)
+			}
+		})
 	}
 }

@@ -64,7 +64,7 @@ func main() {
 
 func run(w io.Writer, profile, netPath, methodName, timingName string, ro wcm3d.RefineOptions, strategyList string, asJSON bool) error {
 	seed := ro.Seed
-	die, name, err := loadDie(profile, netPath, seed)
+	die, name, err := wcm3d.LoadDie(profile, netPath, seed, wcm3d.SpareSpec{})
 	if err != nil {
 		return err
 	}
@@ -132,39 +132,4 @@ func parseStrategies(list string) []string {
 		}
 	}
 	return out
-}
-
-func loadDie(profile, netPath string, seed int64) (*wcm3d.Die, string, error) {
-	switch {
-	case profile != "" && netPath != "":
-		return nil, "", fmt.Errorf("pass -profile or -netlist, not both")
-	case profile != "":
-		p, err := wcm3d.ProfileByName(profile)
-		if err != nil {
-			return nil, "", err
-		}
-		d, err := wcm3d.PrepareDie(p, seed)
-		if err != nil {
-			return nil, "", err
-		}
-		return d, p.Name(), nil
-	case netPath != "":
-		f, err := os.Open(netPath)
-		if err != nil {
-			return nil, "", err
-		}
-		defer f.Close()
-		name := strings.TrimSuffix(netPath, ".bench")
-		n, err := wcm3d.ParseNetlist(name, f)
-		if err != nil {
-			return nil, "", err
-		}
-		d, err := wcm3d.PrepareParsed(n, seed)
-		if err != nil {
-			return nil, "", err
-		}
-		return d, name, nil
-	default:
-		return nil, "", fmt.Errorf("pass -profile or -netlist")
-	}
 }

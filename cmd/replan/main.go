@@ -100,7 +100,7 @@ func run(w io.Writer, profile, netPath, timingName string, seed int64,
 	if len(faults) == 0 {
 		return false, fmt.Errorf("pass at least one -fault")
 	}
-	die, name, err := loadDie(profile, netPath, seed, spec)
+	die, name, err := wcm3d.LoadDie(profile, netPath, seed, spec)
 	if err != nil {
 		return false, err
 	}
@@ -188,42 +188,4 @@ func printStep(w io.Writer, s stepReport) {
 	}
 	fmt.Fprintf(w, "%s: reuses %d FFs, adds %d cells — %s (replan %.1f ms, rerun %.1f ms)\n",
 		s.Fault, s.ReusedFFs, s.AdditionalCells, status, s.ReplanMS, s.RerunMS)
-}
-
-func loadDie(profile, netPath string, seed int64, spec wcm3d.SpareSpec) (*wcm3d.Die, string, error) {
-	switch {
-	case profile != "" && netPath != "":
-		return nil, "", fmt.Errorf("pass -profile or -netlist, not both")
-	case profile != "":
-		p, err := wcm3d.ProfileByName(profile)
-		if err != nil {
-			return nil, "", err
-		}
-		d, err := wcm3d.PrepareDieWithSpares(p, seed, spec)
-		if err != nil {
-			return nil, "", err
-		}
-		return d, p.Name(), nil
-	case netPath != "":
-		f, err := os.Open(netPath)
-		if err != nil {
-			return nil, "", err
-		}
-		defer f.Close()
-		name := strings.TrimSuffix(netPath, ".bench")
-		n, err := wcm3d.ParseNetlist(name, f)
-		if err != nil {
-			return nil, "", err
-		}
-		if err := wcm3d.AddSpareTSVs(n, spec); err != nil {
-			return nil, "", err
-		}
-		d, err := wcm3d.PrepareParsed(n, seed)
-		if err != nil {
-			return nil, "", err
-		}
-		return d, name, nil
-	default:
-		return nil, "", fmt.Errorf("pass -profile or -netlist")
-	}
 }

@@ -79,9 +79,9 @@ func TestRunRefineGap(t *testing.T) {
 	}
 }
 
-// TestRunBatchSweep pushes one family through the streaming batch engine
-// and pins the envelope plus the per-row invariants: every die solved,
-// plan numbers present, stage timings recorded.
+// TestRunBatchSweep pushes one family through the batch sweep and pins
+// the envelope plus the per-row invariants: every die solved, plan
+// numbers present, stage timings recorded.
 func TestRunBatchSweep(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run(&buf, 0, 0, false, false, false, 0, true, false, "b11", "16", 1, "reduced", false, true); err != nil {

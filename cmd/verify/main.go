@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"wcm3d"
 	"wcm3d/internal/service"
@@ -57,7 +56,7 @@ func main() {
 }
 
 func run(w io.Writer, profile, netPath, methodName, timingName string, seed int64, signoff, deep, oracle, asJSON bool) (bool, error) {
-	die, name, err := loadDie(profile, netPath, seed)
+	die, name, err := wcm3d.LoadDie(profile, netPath, seed, wcm3d.SpareSpec{})
 	if err != nil {
 		return false, err
 	}
@@ -145,40 +144,5 @@ func reportOracleDelta(w io.Writer, die *wcm3d.Die, res *wcm3d.MinimizeResult) {
 		fmt.Fprintf(w, "oracle: heuristic is optimal on this die (%d cells)\n", res.AdditionalCells)
 	default:
 		fmt.Fprintf(w, "oracle: heuristic beat the oracle by %d cells — this is a bug, please report it\n", -delta)
-	}
-}
-
-func loadDie(profile, netPath string, seed int64) (*wcm3d.Die, string, error) {
-	switch {
-	case profile != "" && netPath != "":
-		return nil, "", fmt.Errorf("pass -profile or -netlist, not both")
-	case profile != "":
-		p, err := wcm3d.ProfileByName(profile)
-		if err != nil {
-			return nil, "", err
-		}
-		d, err := wcm3d.PrepareDie(p, seed)
-		if err != nil {
-			return nil, "", err
-		}
-		return d, p.Name(), nil
-	case netPath != "":
-		f, err := os.Open(netPath)
-		if err != nil {
-			return nil, "", err
-		}
-		defer f.Close()
-		name := strings.TrimSuffix(netPath, ".bench")
-		n, err := wcm3d.ParseNetlist(name, f)
-		if err != nil {
-			return nil, "", err
-		}
-		d, err := wcm3d.PrepareParsed(n, seed)
-		if err != nil {
-			return nil, "", err
-		}
-		return d, name, nil
-	default:
-		return nil, "", fmt.Errorf("pass -profile or -netlist")
 	}
 }

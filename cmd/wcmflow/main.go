@@ -23,7 +23,6 @@ import (
 	"io"
 	"os"
 	"strconv"
-	"strings"
 	"text/tabwriter"
 
 	"wcm3d"
@@ -50,7 +49,7 @@ func main() {
 }
 
 func run(w io.Writer, profile, netPath, methodName, timingName string, seed int64, compare, runATPG bool, budgetName string, asJSON bool) error {
-	die, name, err := loadDie(profile, netPath, seed)
+	die, name, err := wcm3d.LoadDie(profile, netPath, seed, wcm3d.SpareSpec{})
 	if err != nil {
 		return err
 	}
@@ -136,43 +135,6 @@ func renderText(w io.Writer, die *wcm3d.Die, info service.DieInfo, reports []*se
 			timingMark, rep.WNSPS, cov, pats, cycles)
 	}
 	return tw.Flush()
-}
-
-func loadDie(profile, netPath string, seed int64) (*wcm3d.Die, string, error) {
-	switch {
-	case profile != "" && netPath != "":
-		return nil, "", fmt.Errorf("pass -profile or -netlist, not both")
-	case profile != "":
-		p, err := wcm3d.ProfileByName(profile)
-		if err != nil {
-			return nil, "", err
-		}
-		d, err := wcm3d.PrepareDie(p, seed)
-		if err != nil {
-			return nil, "", err
-		}
-		return d, p.Name(), nil
-	case netPath != "":
-		f, err := os.Open(netPath)
-		if err != nil {
-			return nil, "", err
-		}
-		defer f.Close()
-		name := strings.TrimSuffix(netPath, ".bench")
-		n, err := wcm3d.ParseNetlist(name, f)
-		if err != nil {
-			return nil, "", err
-		}
-		// Wrap the parsed die in a synthetic profile so the standard
-		// preparation (placement, clocking, fault universes) applies.
-		d, err := wcm3d.PrepareParsed(n, seed)
-		if err != nil {
-			return nil, "", err
-		}
-		return d, name, nil
-	default:
-		return nil, "", fmt.Errorf("pass -profile or -netlist")
-	}
 }
 
 func dieStats(d *wcm3d.Die) string {

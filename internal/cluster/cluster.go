@@ -75,9 +75,6 @@ type Options struct {
 	StealInterval time.Duration
 	// StealBatch bounds how many jobs one steal request pulls (default 2).
 	StealBatch int
-	// VNodes is the virtual-token count per node on the hash ring
-	// (default 64).
-	VNodes int
 	// HTTPTimeout bounds every peer call (default 5s).
 	HTTPTimeout time.Duration
 }
@@ -122,9 +119,6 @@ func New(opts Options) (*Cluster, error) {
 	if opts.StealBatch <= 0 {
 		opts.StealBatch = 2
 	}
-	if opts.VNodes <= 0 {
-		opts.VNodes = 64
-	}
 	if opts.HTTPTimeout <= 0 {
 		opts.HTTPTimeout = 5 * time.Second
 	}
@@ -142,7 +136,7 @@ func New(opts Options) (*Cluster, error) {
 	if _, ok := c.peers[opts.Self]; !ok {
 		return nil, fmt.Errorf("cluster: self id %q not in peer list", opts.Self)
 	}
-	c.ring = newRing(ids, opts.VNodes)
+	c.ring = newRing(ids, ringVNodes)
 	if len(ids) > 1 {
 		c.wg.Add(1)
 		go c.probeLoop()

@@ -43,13 +43,14 @@ func hash64(s string) uint64 {
 	return x
 }
 
+// ringVNodes is the virtual-token count per node. Every node must use the
+// same count to agree on die ownership, so it is fixed, not configurable.
+const ringVNodes = 64
+
 // newRing builds the ring for a fixed node set. Membership is static for
 // the life of the process (the -peers flag), so the token table never
 // changes after construction and lookups need no locking.
 func newRing(nodes []string, vnodes int) *ring {
-	if vnodes <= 0 {
-		vnodes = 64
-	}
 	r := &ring{vnodes: vnodes}
 	for _, n := range nodes {
 		for i := 0; i < vnodes; i++ {

@@ -160,18 +160,17 @@ func (b *BitSet) Clone() *BitSet {
 // stopping at (and including) sources and flip-flop outputs.
 func (n *Netlist) FaninCone(id SignalID) *BitSet {
 	n.ensureDerived()
-	cone, _ := n.faninCone(id, nil, nil)
+	cone, _ := n.faninCone(id, nil)
 	return cone
 }
 
-// faninCone is FaninCone with a caller-owned DFS stack and an optional
-// arena: the traversal appends into the stack and hands it back so batch
-// builders (NewConeSet workers) amortize one stack allocation across many
-// cones, and the cone bitset draws from the arena's recycled storage when
-// one is supplied. The caller must have run ensureDerived already — the
-// walk reads the flat struct-of-arrays layout, not the Gate structs.
-func (n *Netlist) faninCone(id SignalID, stack []SignalID, a *Arena) (*BitSet, []SignalID) {
-	cone := a.NewBitSet(len(n.Gates))
+// faninCone is FaninCone with a caller-owned DFS stack: the traversal
+// appends into the stack and hands it back so batch builders (NewConeSet
+// workers) amortize one stack allocation across many cones. The caller
+// must have run ensureDerived already — the walk reads the flat
+// struct-of-arrays layout, not the Gate structs.
+func (n *Netlist) faninCone(id SignalID, stack []SignalID) (*BitSet, []SignalID) {
+	cone := NewBitSet(len(n.Gates))
 	stack = append(stack[:0], id)
 	cone.Set(id)
 	for len(stack) > 0 {
@@ -197,14 +196,14 @@ func (n *Netlist) faninCone(id SignalID, stack []SignalID, a *Arena) (*BitSet, [
 // included as the stopping point; its own fanout is not traversed.
 func (n *Netlist) FanoutCone(id SignalID) *BitSet {
 	n.ensureDerived()
-	cone, _ := n.fanoutCone(id, nil, nil)
+	cone, _ := n.fanoutCone(id, nil)
 	return cone
 }
 
-// fanoutCone is FanoutCone with a caller-owned DFS stack and an optional
-// arena (see faninCone). The caller must have run ensureDerived already.
-func (n *Netlist) fanoutCone(id SignalID, stack []SignalID, a *Arena) (*BitSet, []SignalID) {
-	cone := a.NewBitSet(len(n.Gates))
+// fanoutCone is FanoutCone with a caller-owned DFS stack (see faninCone).
+// The caller must have run ensureDerived already.
+func (n *Netlist) fanoutCone(id SignalID, stack []SignalID) (*BitSet, []SignalID) {
+	cone := NewBitSet(len(n.Gates))
 	stack = append(stack[:0], id)
 	cone.Set(id)
 	for len(stack) > 0 {
@@ -249,15 +248,6 @@ func NewConeSet(n *Netlist, signals []SignalID) *ConeSet {
 // reuses one DFS stack across all the cones it builds. The result is
 // identical for every worker count.
 func NewConeSetWorkers(n *Netlist, signals []SignalID, workers int) *ConeSet {
-	return NewConeSetArena(n, signals, workers, nil)
-}
-
-// NewConeSetArena is NewConeSetWorkers with the cone bitsets drawn from
-// an arena (nil for plain allocation). The cones live exactly as long as
-// the arena: callers that Release must not touch the ConeSet afterwards.
-// Cone contents are bit-identical to the unpooled build at every worker
-// count — the arena only changes where the words come from.
-func NewConeSetArena(n *Netlist, signals []SignalID, workers int, a *Arena) *ConeSet {
 	cs := &ConeSet{
 		netlist: n,
 		fanin:   make(map[SignalID]*BitSet, len(signals)),
@@ -270,19 +260,13 @@ func NewConeSetArena(n *Netlist, signals []SignalID, workers int, a *Arena) *Con
 	fi := make([]*BitSet, len(signals))
 	fo := make([]*BitSet, len(signals))
 	stacks := make([][]SignalID, w)
-	for i := range stacks {
-		stacks[i] = getStack()
-	}
 	par.Do(w, len(signals), func(worker, i int) {
 		s := signals[i]
 		stack := stacks[worker]
-		fi[i], stack = n.faninCone(s, stack, a)
-		fo[i], stack = n.fanoutCone(s, stack, a)
+		fi[i], stack = n.faninCone(s, stack)
+		fo[i], stack = n.fanoutCone(s, stack)
 		stacks[worker] = stack
 	})
-	for i := range stacks {
-		putStack(stacks[i])
-	}
 	for i, s := range signals {
 		cs.fanin[s] = fi[i]
 		cs.fanout[s] = fo[i]

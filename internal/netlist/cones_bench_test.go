@@ -28,10 +28,8 @@ func BenchmarkConeSet(b *testing.B) {
 	}{{"serial", 1}, {"parallel", 0}} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
-			arena := netlist.NewArena()
 			for i := 0; i < b.N; i++ {
-				netlist.NewConeSetArena(n, signals, bc.workers, arena)
-				arena.Release()
+				netlist.NewConeSetWorkers(n, signals, bc.workers)
 			}
 		})
 	}

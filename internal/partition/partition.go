@@ -24,11 +24,6 @@ type Options struct {
 	// Dies is the number of dies to produce; must be a power of two
 	// (recursive bipartition). Default 2.
 	Dies int
-	// BalanceTolerance is the allowed deviation from perfect balance as
-	// a fraction (0.1 = each side within ±10% of half). Default 0.1.
-	BalanceTolerance float64
-	// MaxPasses bounds FM improvement passes per bipartition. Default 8.
-	MaxPasses int
 	// Seed makes the initial partition deterministic.
 	Seed int64
 }
@@ -37,14 +32,16 @@ func (o Options) withDefaults() Options {
 	if o.Dies == 0 {
 		o.Dies = 2
 	}
-	if o.BalanceTolerance <= 0 {
-		o.BalanceTolerance = 0.1
-	}
-	if o.MaxPasses <= 0 {
-		o.MaxPasses = 8
-	}
 	return o
 }
+
+const (
+	// balanceTolerance is the allowed deviation from perfect balance as
+	// a fraction (0.1 = each side within ±10% of half).
+	balanceTolerance = 0.1
+	// maxPasses bounds FM improvement passes per bipartition.
+	maxPasses = 8
+)
 
 // Result is a completed partition.
 type Result struct {
@@ -141,8 +138,8 @@ func bipartition(n *netlist.Netlist, members []netlist.SignalID, opts Options, r
 	}
 
 	half := m / 2
-	lo := half - int(opts.BalanceTolerance*float64(half)) - 1
-	hi := half + int(opts.BalanceTolerance*float64(half)) + 1
+	lo := half - int(balanceTolerance*float64(half)) - 1
+	hi := half + int(balanceTolerance*float64(half)) + 1
 	count0 := 0
 	for _, s := range side {
 		if s == 0 {
@@ -189,7 +186,7 @@ func bipartition(n *netlist.Netlist, members []netlist.SignalID, opts Options, r
 	}
 
 	best := cut()
-	for pass := 0; pass < opts.MaxPasses; pass++ {
+	for pass := 0; pass < maxPasses; pass++ {
 		locked := make([]bool, m)
 		type move struct {
 			cell int

@@ -32,15 +32,9 @@ func (p Point) ManhattanTo(q Point) float64 {
 	return math.Abs(p.X-q.X) + math.Abs(p.Y-q.Y)
 }
 
-// Options configures the placer. The zero value is usable: DefaultOptions
-// values are substituted for unset fields.
+// Options configures the placer. The zero value is usable: defaults are
+// substituted for unset fields.
 type Options struct {
-	// CellAreaUM2 is the average standard-cell footprint used to size
-	// the die. Default 4.0 µm² (45 nm-class).
-	CellAreaUM2 float64
-	// Utilization is the fraction of die area occupied by cells.
-	// Default 0.65.
-	Utilization float64
 	// Sweeps is the number of force-directed refinement passes.
 	// Default 8.
 	Sweeps int
@@ -53,13 +47,15 @@ type Options struct {
 	Seed int64
 }
 
+const (
+	// cellAreaUM2 is the average standard-cell footprint used to size
+	// the die (45 nm-class).
+	cellAreaUM2 = 4.0
+	// utilization is the fraction of die area occupied by cells.
+	utilization = 0.65
+)
+
 func (o Options) withDefaults() Options {
-	if o.CellAreaUM2 <= 0 {
-		o.CellAreaUM2 = 4.0
-	}
-	if o.Utilization <= 0 || o.Utilization > 1 {
-		o.Utilization = 0.65
-	}
 	if o.Sweeps <= 0 {
 		o.Sweeps = 8
 	}
@@ -107,7 +103,7 @@ func Place(n *netlist.Netlist, opts Options) (*Placement, error) {
 	if n.NumGates() == 0 {
 		return nil, fmt.Errorf("place: netlist %q is empty", n.Name)
 	}
-	side := math.Sqrt(float64(n.NumGates()) * opts.CellAreaUM2 / opts.Utilization)
+	side := math.Sqrt(float64(n.NumGates()) * cellAreaUM2 / utilization)
 	// The die must also fit its TSV arrays at the process pitch.
 	maxTSVs := len(n.InboundTSVs())
 	if o := len(n.OutboundTSVs()); o > maxTSVs {

@@ -18,44 +18,14 @@ import (
 // coverage by whole percents against thresholds of fractions of one), the
 // findings are advisory Warnings, never certification failures.
 
-// DeepBudget bounds the ATPG effort of a deep verification pass. The zero
-// value gets the reduced budget the experiments pipeline uses for sweeps.
-type DeepBudget struct {
-	// Seed drives the ATPG random phase (default 1).
-	Seed int64
-	// MaxRandomBlocks, MaxBacktracks, MinNewDetects, MaxDeterministic map
-	// onto atpg.Options; zero values take reduced-effort defaults
-	// (48 blocks, 6 backtracks, 1 min-detect, 3000 deterministic targets).
-	MaxRandomBlocks  int
-	MaxBacktracks    int
-	MinNewDetects    int
-	MaxDeterministic int
-}
-
-func (b DeepBudget) options() atpg.Options {
-	o := atpg.Options{
-		Seed:             b.Seed,
-		MaxRandomBlocks:  b.MaxRandomBlocks,
-		MaxBacktracks:    b.MaxBacktracks,
-		MinNewDetects:    b.MinNewDetects,
-		MaxDeterministic: b.MaxDeterministic,
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	if o.MaxRandomBlocks == 0 {
-		o.MaxRandomBlocks = 48
-	}
-	if o.MaxBacktracks == 0 {
-		o.MaxBacktracks = 6
-	}
-	if o.MinNewDetects == 0 {
-		o.MinNewDetects = 1
-	}
-	if o.MaxDeterministic == 0 {
-		o.MaxDeterministic = 3000
-	}
-	return o
+// deepATPG is the deep-mode ATPG effort: the reduced budget the
+// experiments pipeline uses for sweeps.
+var deepATPG = atpg.Options{
+	Seed:             1,
+	MaxRandomBlocks:  48,
+	MaxBacktracks:    6,
+	MinNewDetects:    1,
+	MaxDeterministic: 3000,
 }
 
 // DeepStats reports what deep mode measured.
@@ -78,7 +48,7 @@ type DeepStats struct {
 // deep measures the testability cost of the plan's cone sharing. It runs
 // only when the structural pass recorded overlapping pairs; disjoint plans
 // have nothing to measure.
-func (c *checker) deep(asn *scan.Assignment, budget DeepBudget) error {
+func (c *checker) deep(asn *scan.Assignment) error {
 	stats := &DeepStats{OverlapPairs: c.overlapPairs, SharedGates: len(c.sharedGates)}
 	c.res.Deep = stats
 	if len(c.sharedGates) == 0 {
@@ -97,13 +67,12 @@ func (c *checker) deep(asn *scan.Assignment, budget DeepBudget) error {
 	if len(list) == 0 {
 		return nil
 	}
-	opts := budget.options()
 
 	planDie, err := scan.ApplyTestMode(c.n, asn)
 	if err != nil {
 		return fmt.Errorf("verify: deep: applying plan test mode: %w", err)
 	}
-	planRes, err := atpg.Run(planDie, list, opts)
+	planRes, err := atpg.Run(planDie, list, deepATPG)
 	if err != nil {
 		return fmt.Errorf("verify: deep: plan ATPG: %w", err)
 	}
@@ -111,7 +80,7 @@ func (c *checker) deep(asn *scan.Assignment, budget DeepBudget) error {
 	if err != nil {
 		return fmt.Errorf("verify: deep: applying full-wrap baseline: %w", err)
 	}
-	baseRes, err := atpg.Run(baseDie, list, opts)
+	baseRes, err := atpg.Run(baseDie, list, deepATPG)
 	if err != nil {
 		return fmt.Errorf("verify: deep: baseline ATPG: %w", err)
 	}

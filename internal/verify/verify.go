@@ -133,9 +133,6 @@ type Options struct {
 	// Warnings: ATPG outcomes on small fault subsets are noisy, so they
 	// advise rather than fail certification.
 	Deep bool
-	// DeepBudget tunes the deep-mode ATPG effort; the zero value gets a
-	// reduced budget sized for verification.
-	DeepBudget DeepBudget
 }
 
 // Result is the verifier's report.
@@ -211,7 +208,7 @@ func Plan(in wcm.Input, asn *scan.Assignment, vo Options) (*Result, error) {
 		}
 	}
 	if vo.Deep {
-		if err := c.deep(asn, vo.DeepBudget); err != nil {
+		if err := c.deep(asn); err != nil {
 			return nil, err
 		}
 	}

@@ -3,7 +3,6 @@ package wcm
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"wcm3d/internal/netlist"
 	"wcm3d/internal/par"
@@ -30,14 +29,6 @@ func run(in Input, opts Options, st *sessionState) (*Result, error) {
 		available[ff] = true
 	}
 
-	// Every cone and source mask a phase builds dies with the phase, so
-	// their word storage routes through one arena and returns to the
-	// global pools at phase end — repeated runs (the batch sweep) then
-	// recycle instead of reallocating. Nothing reachable from Result ever
-	// comes from the arena.
-	arena := netlist.NewArena()
-	defer arena.Release()
-
 	res := &Result{Assignment: &scan.Assignment{}, Options: opts}
 	first := firstInbound(n, opts.Order)
 	phases := []bool{first, !first}
@@ -51,7 +42,7 @@ func run(in Input, opts Options, st *sessionState) (*Result, error) {
 			}
 			sc = &st.stages[pi]
 		}
-		ph := &phaseRunner{in: in, opts: opts, inbound: isInbound, available: available, arena: arena, memo: memo}
+		ph := &phaseRunner{in: in, opts: opts, inbound: isInbound, available: available, memo: memo}
 		ph.collect()
 		var stats PhaseStats
 		if sc != nil && sc.replay(ph, res.Assignment) {
@@ -67,7 +58,6 @@ func run(in Input, opts Options, st *sessionState) (*Result, error) {
 			c0, o0 := len(res.Assignment.Control), len(res.Assignment.Observe)
 			var err error
 			stats, err = ph.run(res.Assignment)
-			arena.Release() // phase 2 re-draws the words phase 1 returned
 			if err != nil {
 				return nil, err
 			}
@@ -122,10 +112,6 @@ type phaseRunner struct {
 	opts      Options
 	inbound   bool
 	available map[netlist.SignalID]bool
-	// arena supplies recycled word storage for every phase-lifetime
-	// bitset (cones, source mask). May be nil (benchmarks drive
-	// phaseRunner directly): everything degrades to plain allocation.
-	arena *netlist.Arena
 	// memo, when non-nil, caches masked cones and edge verdicts across
 	// runs of a replan session (see Session).
 	memo *phaseMemo
@@ -157,11 +143,6 @@ type phaseRunner struct {
 
 func (ph *phaseRunner) run(asn *scan.Assignment) (PhaseStats, error) {
 	stats := PhaseStats{Inbound: ph.inbound}
-	defer func() {
-		if ph.graph != nil {
-			ph.graph.Release() // adjacency rows back to the word pools
-		}
-	}()
 	_, excluded, err := ph.buildGraph(&stats)
 	if err != nil {
 		return stats, err
@@ -291,8 +272,8 @@ func (ph *phaseRunner) buildGraph(stats *PhaseStats) (items, excluded []int, err
 			}
 		}
 	}
-	ph.cones = netlist.NewConeSetArena(n, coneSignals, ph.opts.Workers, ph.arena)
-	ph.sourceMask = ph.arena.NewBitSet(n.NumGates())
+	ph.cones = netlist.NewConeSetWorkers(n, coneSignals, ph.opts.Workers)
+	ph.sourceMask = netlist.NewBitSet(n.NumGates())
 	for i := range n.Gates {
 		id := netlist.SignalID(i)
 		if n.TypeOf(id).IsSource() || n.TypeOf(id) == netlist.GateDFF {
@@ -362,8 +343,7 @@ func (ph *phaseRunner) buildGraph(stats *PhaseStats) (items, excluded []int, err
 	for a := 0; a < nItems; a++ {
 		offs[a+1] = offs[a] + nNodes - 1 - a
 	}
-	verdicts := getVerdicts(offs[nItems])
-	defer putVerdicts(verdicts)
+	verdicts := make([]uint8, offs[nItems])
 	if ph.memo == nil {
 		par.Do(ph.opts.Workers, nItems, func(_, a int) {
 			k := offs[a]
@@ -544,25 +524,6 @@ const (
 	edgeClean
 	edgeOverlap
 )
-
-// verdictPool recycles the O(items × nodes) verdict buffer across phases
-// and runs — at a few MB per large die it is the single biggest transient
-// allocation outside the bitsets.
-var verdictPool sync.Pool
-
-// getVerdicts returns an uninitialized buffer: the parallel sweep writes
-// every slot before loadEdges reads any, so no zeroing pass is needed.
-func getVerdicts(n int) []uint8 {
-	if v, _ := verdictPool.Get().(*[]uint8); v != nil && cap(*v) >= n {
-		return (*v)[:n]
-	}
-	return make([]uint8, n)
-}
-
-func putVerdicts(v []uint8) {
-	v = v[:0]
-	verdictPool.Put(&v)
-}
 
 // edgeVerdict evaluates one pair for the parallel sweep.
 func (ph *phaseRunner) edgeVerdict(a, b int) uint8 {

@@ -14,8 +14,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-
-	"wcm3d/internal/wordpool"
 )
 
 // Node is one graph node: a scan flip-flop, a TSV, or a merged clique.
@@ -129,7 +127,7 @@ func (x *degIndex) add(id int, d int32) {
 	}
 	b := x.buckets[d]
 	if b == nil {
-		b = wordpool.Get(x.words)
+		b = make([]uint64, x.words)
 		x.buckets[d] = b
 	}
 	b[id>>6] |= 1 << (uint(id) & 63)
@@ -284,34 +282,9 @@ func (g *Graph) AddNode(n Node) (int, error) {
 	g.invalidatePicks()
 	id := len(g.nodes)
 	g.nodes = append(g.nodes, n)
-	g.adj = append(g.adj, wordpool.Get(g.words))
-	g.clean = append(g.clean, wordpool.Get(g.words))
+	g.adj = append(g.adj, make([]uint64, g.words))
+	g.clean = append(g.clean, make([]uint64, g.words))
 	return id, nil
-}
-
-// Release returns every adjacency row and degree bucket to the global
-// word pools. The graph must not be used afterwards; callers that keep
-// graphs alive (tests, ad-hoc tools) may simply never call it.
-func (g *Graph) Release() {
-	for _, row := range g.adj {
-		wordpool.Put(row)
-	}
-	for _, row := range g.clean {
-		wordpool.Put(row)
-	}
-	g.adj, g.clean = nil, nil
-	for p := range g.degIdx {
-		for f := range g.degIdx[p] {
-			x := &g.degIdx[p][f]
-			for i, b := range x.buckets {
-				if b != nil {
-					wordpool.Put(b)
-					x.buckets[i] = nil
-				}
-			}
-		}
-	}
-	g.nodes = nil
 }
 
 // HasEdge reports whether a and b are adjacent.

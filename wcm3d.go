@@ -32,6 +32,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"strings"
 
@@ -537,6 +538,53 @@ func AddSpareTSVs(n *Netlist, spec SpareSpec) error { return tsvrepair.AddSpares
 // spare TSV sites, ready for NewReplanPlanner.
 func PrepareDieWithSpares(p Profile, seed int64, spec SpareSpec) (*Die, error) {
 	return tsvrepair.PrepareWithSpares(p, seed, spec)
+}
+
+// LoadDie prepares the die a CLI names by exactly one of a benchmark
+// profile ("b13/2") or a .bench netlist path, and returns it with its
+// display name. A zero spares spec prepares as PrepareDie or
+// PrepareParsed do; a non-zero one adds the spare TSV sites first.
+func LoadDie(profile, netlistPath string, seed int64, spares SpareSpec) (*Die, string, error) {
+	switch {
+	case profile != "" && netlistPath != "":
+		return nil, "", fmt.Errorf("pass -profile or -netlist, not both")
+	case profile != "":
+		p, err := ProfileByName(profile)
+		if err != nil {
+			return nil, "", err
+		}
+		var d *Die
+		if spares == (SpareSpec{}) {
+			d, err = PrepareDie(p, seed)
+		} else {
+			d, err = PrepareDieWithSpares(p, seed, spares)
+		}
+		if err != nil {
+			return nil, "", err
+		}
+		return d, p.Name(), nil
+	case netlistPath != "":
+		f, err := os.Open(netlistPath)
+		if err != nil {
+			return nil, "", err
+		}
+		defer f.Close()
+		name := strings.TrimSuffix(netlistPath, ".bench")
+		n, err := ParseNetlist(name, f)
+		if err != nil {
+			return nil, "", err
+		}
+		if err := AddSpareTSVs(n, spares); err != nil {
+			return nil, "", err
+		}
+		d, err := PrepareParsed(n, seed)
+		if err != nil {
+			return nil, "", err
+		}
+		return d, name, nil
+	default:
+		return nil, "", fmt.Errorf("pass -profile or -netlist")
+	}
 }
 
 // NewReplanPlanner clones the die (the caller's stays pristine), plans
