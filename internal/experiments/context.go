@@ -69,12 +69,31 @@ func (d *Die) Input() wcm.Input {
 	}
 }
 
-// projectPartial analyzes the die with the partial plan's hardware plus
+// projectPartial times the die with the partial plan's hardware plus
 // full-wrap cells on uncovered TSVs, and projects arrivals/required times
 // back onto the original signals (as PrepareNetlist does for the full-wrap
 // reference).
 func (d *Die) projectPartial(partial *scan.Assignment) (*sta.Result, error) {
 	n := d.Netlist
+	timed, err := scan.TimeFunctionalMode(n, d.Placement, d.Lib, withFullWrap(n, partial), d.ClockPS)
+	if err != nil {
+		return nil, err
+	}
+	return &sta.Result{
+		Netlist:    n,
+		Lib:        d.Lib,
+		Config:     d.Timing.Config,
+		LoadFF:     d.Timing.LoadFF,
+		DelayPS:    d.Timing.DelayPS,
+		ArrivalPS:  timed.ArrivalPS[:n.NumGates()],
+		RequiredPS: timed.RequiredPS[:n.NumGates()],
+	}, nil
+}
+
+// withFullWrap completes a partial plan with a dedicated wrapper cell on
+// every TSV it leaves uncovered, the reference convention the clock is
+// derived from.
+func withFullWrap(n *netlist.Netlist, partial *scan.Assignment) *scan.Assignment {
 	full := scan.FullWrap(n)
 	combined := &scan.Assignment{BufferedRouting: true}
 	covered := make(map[netlist.SignalID]bool)
@@ -101,27 +120,7 @@ func (d *Die) projectPartial(partial *scan.Assignment) (*sta.Result, error) {
 			combined.Observe = append(combined.Observe, g)
 		}
 	}
-	fn, fpl, err := scan.ApplyFunctionalMode(n, d.Placement, d.Lib, combined)
-	if err != nil {
-		return nil, err
-	}
-	timed, err := sta.Analyze(fn, d.Lib, sta.Config{
-		ClockPS:   d.ClockPS,
-		Placement: fpl,
-		TieLow:    functionalCase(fn),
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &sta.Result{
-		Netlist:    n,
-		Lib:        d.Lib,
-		Config:     d.Timing.Config,
-		LoadFF:     d.Timing.LoadFF,
-		DelayPS:    d.Timing.DelayPS,
-		ArrivalPS:  timed.ArrivalPS[:n.NumGates()],
-		RequiredPS: timed.RequiredPS[:n.NumGates()],
-	}, nil
+	return combined
 }
 
 // PrepareDie generates, places and times one benchmark die.
@@ -182,14 +181,10 @@ func PrepareNetlistOpts(n *netlist.Netlist, seed int64, po PrepareOptions) (*Die
 	if err := place.InsertRepeaters(n, pl, lib); err != nil {
 		return nil, err
 	}
-	// Critical path with the full-wrap DFT overhead in place.
-	fw := scan.FullWrap(n)
-	fn, fpl, err := scan.ApplyFunctionalMode(n, pl, lib, fw)
-	if err != nil {
-		return nil, err
-	}
-	tie := functionalCase(fn)
-	probe, err := sta.Analyze(fn, lib, sta.Config{ClockPS: 1e9, Placement: fpl, TieLow: tie})
+	// Critical path with the full-wrap DFT overhead in place. Arrivals do
+	// not depend on the clock, so the probe's one arrival pass also
+	// serves the analysis at the real clock below.
+	probe, err := scan.TimeFunctionalMode(n, pl, lib, scan.FullWrap(n), 1e9)
 	if err != nil {
 		return nil, err
 	}
@@ -207,11 +202,11 @@ func PrepareNetlistOpts(n *netlist.Netlist, seed int64, po PrepareOptions) (*Die
 	// overstates slack by exactly that overhead — a path through three
 	// TSV muxes looks ~120 ps looser than it really is, and budgets
 	// derived from it produce the very violations the paper's accurate
-	// model exists to avoid. Re-analyze the full-wrap view at the real
-	// clock and project arrivals/required times back onto the original
-	// signals (the clone preserves their IDs); loads stay bare-die (the
-	// node filter wants the TSV's real downstream load).
-	fwTimed, err := sta.Analyze(fn, lib, sta.Config{ClockPS: clock, Placement: fpl, TieLow: tie})
+	// model exists to avoid. Re-time the full-wrap view at the real clock
+	// and project arrivals/required times back onto the original signals
+	// (the view keeps their IDs); loads stay bare-die (the node filter
+	// wants the TSV's real downstream load).
+	fwTimed, err := probe.AtClock(clock)
 	if err != nil {
 		return nil, err
 	}

@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"wcm3d/internal/atpg"
-	"wcm3d/internal/netlist"
 	"wcm3d/internal/scan"
-	"wcm3d/internal/sta"
 )
 
 // Testability is the ATPG outcome for one wrapped die under one fault
@@ -86,33 +84,14 @@ func EvaluateTransition(d *Die, asn *scan.Assignment, budget ATPGBudget) (Testab
 	}, nil
 }
 
-// CheckTiming applies the plan's physical test hardware in functional mode
-// and reports whether the die still meets its clock (Table III's
-// "timing violation" column), along with the worst slack.
+// CheckTiming times the plan's physical test hardware in functional mode
+// (test_en tied low) and reports whether the die still meets its clock
+// (Table III's "timing violation" column), along with the worst slack.
 func CheckTiming(d *Die, asn *scan.Assignment) (violation bool, wnsPS float64, err error) {
-	fn, fpl, err := scan.ApplyFunctionalMode(d.Netlist, d.Placement, d.Lib, asn)
-	if err != nil {
-		return false, 0, err
-	}
-	r, err := sta.Analyze(fn, d.Lib, sta.Config{
-		ClockPS:   d.ClockPS,
-		Placement: fpl,
-		TieLow:    functionalCase(fn),
-	})
+	r, err := scan.TimeFunctionalMode(d.Netlist, d.Placement, d.Lib, asn, d.ClockPS)
 	if err != nil {
 		return false, 0, err
 	}
 	wns := r.WNS()
 	return wns < 0, wns, nil
-}
-
-// functionalCase returns the case-analysis set for functional signoff:
-// test_en tied low, exactly as PrimeTime would be driven. Test-mode paths
-// (XOR fold chains behind de-selected mux pins) then contribute load but no
-// timed path.
-func functionalCase(fn *netlist.Netlist) []netlist.SignalID {
-	if id, ok := fn.SignalByName(scan.TestEnableName); ok {
-		return []netlist.SignalID{id}
-	}
-	return nil
 }

@@ -170,17 +170,18 @@ func (n *Netlist) FaninCone(id SignalID) *BitSet {
 // must have run ensureDerived already — the walk reads the flat
 // struct-of-arrays layout, not the Gate structs.
 func (n *Netlist) faninCone(id SignalID, stack []SignalID) (*BitSet, []SignalID) {
+	types, off, fanin := n.graph.Types, n.graph.FaninOff, n.graph.Fanin
 	cone := NewBitSet(len(n.Gates))
 	stack = append(stack[:0], id)
 	cone.Set(id)
 	for len(stack) > 0 {
 		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		t := n.gateType[s]
+		t := types[s]
 		if t.IsSource() || (t == GateDFF && s != id) {
 			continue // stop at sequential/primary boundaries
 		}
-		for _, f := range n.faninFlat[n.faninOff[s]:n.faninOff[s+1]] {
+		for _, f := range fanin[off[s]:off[s+1]] {
 			if !cone.Has(f) {
 				cone.Set(f)
 				stack = append(stack, f)
@@ -203,16 +204,17 @@ func (n *Netlist) FanoutCone(id SignalID) *BitSet {
 // fanoutCone is FanoutCone with a caller-owned DFS stack (see faninCone).
 // The caller must have run ensureDerived already.
 func (n *Netlist) fanoutCone(id SignalID, stack []SignalID) (*BitSet, []SignalID) {
+	types, off, fanout := n.graph.Types, n.graph.FanoutOff, n.graph.Fanout
 	cone := NewBitSet(len(n.Gates))
 	stack = append(stack[:0], id)
 	cone.Set(id)
 	for len(stack) > 0 {
 		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if n.gateType[s] == GateDFF && s != id {
+		if types[s] == GateDFF && s != id {
 			continue // captured by a flip-flop; stop
 		}
-		for _, fo := range n.fanoutFlat[n.fanoutOff[s]:n.fanoutOff[s+1]] {
+		for _, fo := range fanout[off[s]:off[s+1]] {
 			if !cone.Has(fo) {
 				cone.Set(fo)
 				stack = append(stack, fo)

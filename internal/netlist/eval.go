@@ -46,9 +46,10 @@ func (n *Netlist) EvaluateWords(vals []uint64) error {
 	if len(vals) != len(n.Gates) {
 		return fmt.Errorf("netlist: EvaluateWords got %d words for %d signals", len(vals), len(n.Gates))
 	}
-	for _, id := range n.TopoOrder() {
-		t := n.gateType[id]
-		fanin := n.faninFlat[n.faninOff[id]:n.faninOff[id+1]]
+	g := n.Graph()
+	for _, id := range g.Order {
+		t := g.Types[id]
+		fanin := g.FaninOf(id)
 		var v uint64
 		switch t {
 		case GateInput, GateTSVIn, GateDFF:

@@ -24,22 +24,14 @@ type Netlist struct {
 
 	// Derived structures; (re)built lazily and invalidated by mutation.
 	//
-	// The hot traversal state is struct-of-arrays: gate types, fanin and
-	// fanout edges live in flat parallel slices (CSR layout: off[i] ..
-	// off[i+1] indexes into flat) so the cone DFS and the simulator walk
-	// contiguous memory instead of chasing a pointer per gate, and a
-	// rebuild costs a handful of allocations instead of one per signal.
-	// fanouts is kept as subslice views into fanoutFlat to preserve the
-	// [][]SignalID accessor API.
-	fanouts    [][]SignalID
-	gateType   []GateType
-	faninOff   []int32
-	faninFlat  []SignalID
-	fanoutOff  []int32
-	fanoutFlat []SignalID
-	levelOrd   []SignalID
-	levelOf    []int32
-	derivedOK  bool
+	// The hot traversal state is the flat Graph (gate types, fanin and
+	// fanout CSR, topological order) so the cone DFS, the simulator and
+	// the timing analyzer walk contiguous memory instead of chasing a
+	// pointer per gate. fanouts is kept as subslice views into
+	// graph.Fanout to preserve the [][]SignalID accessor API.
+	graph     *Graph
+	fanouts   [][]SignalID
+	derivedOK bool
 }
 
 // New returns an empty netlist with the given name.
@@ -293,22 +285,19 @@ func (n *Netlist) FanoutCount(id SignalID) int {
 // order — a DFF is a source for ordering purposes). The returned slice is
 // shared; do not mutate.
 func (n *Netlist) TopoOrder() []SignalID {
-	n.ensureDerived()
-	return n.levelOrd
+	return n.Graph().Order
 }
 
 // Level returns the logic depth of a signal: 0 for sources and flip-flop
 // outputs, 1 + max(fanin levels) for combinational gates.
 func (n *Netlist) Level(id SignalID) int {
-	n.ensureDerived()
-	return int(n.levelOf[id])
+	return int(n.Graph().Level[id])
 }
 
 // MaxLevel returns the deepest combinational level in the circuit.
 func (n *Netlist) MaxLevel() int {
-	n.ensureDerived()
 	max := 0
-	for _, l := range n.levelOf {
+	for _, l := range n.Graph().Level {
 		if int(l) > max {
 			max = int(l)
 		}
@@ -320,110 +309,41 @@ func (n *Netlist) ensureDerived() {
 	if n.derivedOK {
 		return
 	}
-	n.buildFanouts()
-	n.levelize()
+	// A rebuild never writes into arrays an earlier caller may still hold
+	// (Graph, Fanouts, TopoOrder): every array is fresh.
+	g := &Graph{
+		Types:    make([]GateType, len(n.Gates)),
+		FaninOff: make([]int32, len(n.Gates)+1),
+	}
+	edges := 0
+	for i := range n.Gates {
+		g.Types[i] = n.Gates[i].Type
+		g.FaninOff[i] = int32(edges)
+		edges += len(n.Gates[i].Fanin)
+	}
+	g.FaninOff[len(n.Gates)] = int32(edges)
+	g.Fanin = make([]SignalID, 0, edges)
+	for i := range n.Gates {
+		g.Fanin = append(g.Fanin, n.Gates[i].Fanin...)
+	}
+	g.Derive()
+	// Full (three-index) windows, so an append by a confused caller
+	// copies out instead of corrupting a neighbor's list.
+	n.fanouts = make([][]SignalID, len(n.Gates))
+	for i := range n.fanouts {
+		lo, hi := g.FanoutOff[i], g.FanoutOff[i+1]
+		n.fanouts[i] = g.Fanout[lo:hi:hi]
+	}
+	n.graph = g
 	n.derivedOK = true
 }
 
-func (n *Netlist) buildFanouts() {
-	nGates := len(n.Gates)
-
-	// Pass 1: gate types and fanin CSR (also the total edge count).
-	n.gateType = resize(n.gateType, nGates)
-	n.faninOff = resize(n.faninOff, nGates+1)
-	edges := 0
-	for i := range n.Gates {
-		n.gateType[i] = n.Gates[i].Type
-		n.faninOff[i] = int32(edges)
-		edges += len(n.Gates[i].Fanin)
-	}
-	n.faninOff[nGates] = int32(edges)
-	// Flat edge arrays and the view slices are handed out to callers
-	// (Fanouts, TopoOrder), so a rebuild must never write into storage
-	// an earlier caller may still hold — always fresh. Only the
-	// unexposed offset/type arrays reuse their backing storage.
-	n.faninFlat = make([]SignalID, edges)
-	pos := 0
-	for i := range n.Gates {
-		pos += copy(n.faninFlat[pos:], n.Gates[i].Fanin)
-	}
-
-	// Pass 2: fanout CSR is the fanin CSR transposed. Filling by ascending
-	// gate id keeps each fanout list sorted — the order the old per-signal
-	// append construction produced.
-	n.fanoutOff = resize(n.fanoutOff, nGates+1)
-	clear(n.fanoutOff)
-	for _, f := range n.faninFlat {
-		n.fanoutOff[f+1]++
-	}
-	for i := 0; i < nGates; i++ {
-		n.fanoutOff[i+1] += n.fanoutOff[i]
-	}
-	n.fanoutFlat = make([]SignalID, edges)
-	next := make([]int32, nGates)
-	copy(next, n.fanoutOff[:nGates])
-	for i := range n.Gates {
-		for _, f := range n.Gates[i].Fanin {
-			n.fanoutFlat[next[f]] = SignalID(i)
-			next[f]++
-		}
-	}
-
-	// Keep the [][]SignalID view for existing callers: subslice windows
-	// into the flat array, full (three-index) so an append by a confused
-	// caller copies out instead of corrupting a neighbor's list.
-	n.fanouts = make([][]SignalID, nGates)
-	for i := 0; i < nGates; i++ {
-		lo, hi := n.fanoutOff[i], n.fanoutOff[i+1]
-		n.fanouts[i] = n.fanoutFlat[lo:hi:hi]
-	}
-}
-
-// resize returns s with length n, reusing the backing array when it fits.
-func resize[T GateType | SignalID | int32](s []T, n int) []T {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]T, n)
-}
-
-// levelize computes a topological order over the combinational graph.
-// Flip-flops break cycles: a DFF's Q is a source, its D pin is a sink.
-func (n *Netlist) levelize() {
-	nGates := len(n.Gates)
-	n.levelOf = make([]int32, nGates)
-	n.levelOrd = make([]SignalID, 0, nGates)
-	pending := make([]int32, nGates) // unresolved fanin count
-	queue := make([]SignalID, 0, nGates)
-	for i := range n.Gates {
-		t := n.gateType[i]
-		if t.IsSource() || t == GateDFF {
-			queue = append(queue, SignalID(i))
-			continue
-		}
-		pending[i] = n.faninOff[i+1] - n.faninOff[i]
-	}
-	for head := 0; head < len(queue); head++ {
-		id := queue[head]
-		n.levelOrd = append(n.levelOrd, id)
-		for _, fo := range n.fanoutFlat[n.fanoutOff[id]:n.fanoutOff[id+1]] {
-			ft := n.gateType[fo]
-			if ft == GateDFF || ft.IsSource() {
-				continue // D pin is a sink; sources have no fanin
-			}
-			pending[fo]--
-			if pending[fo] == 0 {
-				lvl := int32(0)
-				for _, f := range n.faninFlat[n.faninOff[fo]:n.faninOff[fo+1]] {
-					if fl := n.levelOf[f] + 1; fl > lvl {
-						lvl = fl
-					}
-				}
-				n.levelOf[fo] = lvl
-				queue = append(queue, fo)
-			}
-		}
-	}
+// Graph returns the netlist's connectivity in flat form. It is shared:
+// do not mutate it. A later edit of the netlist leaves it untouched and
+// derives a new one.
+func (n *Netlist) Graph() *Graph {
+	n.ensureDerived()
+	return n.graph
 }
 
 // Validate checks structural invariants: every combinational gate reachable
@@ -433,9 +353,8 @@ func (n *Netlist) levelize() {
 func (n *Netlist) Validate() error {
 	n.derivedOK = false
 	n.ensureDerived()
-	if len(n.levelOrd) != len(n.Gates) {
-		return fmt.Errorf("netlist %q: combinational cycle detected (%d of %d gates ordered)",
-			n.Name, len(n.levelOrd), len(n.Gates))
+	if err := n.graph.CheckAcyclic(n.Name); err != nil {
+		return err
 	}
 	// Name uniqueness: when the name index covers every gate it is itself
 	// the witness — AddGate refuses duplicate insertions and Clone copies

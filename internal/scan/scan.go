@@ -11,17 +11,25 @@
 //   - the functional-mode view (ApplyFunctionalMode): the circuit with the
 //     physical test hardware (test multiplexers, observation XORs) present
 //     on the functional paths, plus placement coordinates for the new
-//     cells. This is the netlist static timing analysis checks for
-//     violations — the paper's Table III experiment.
+//     cells. This is the circuit static timing analysis checks for
+//     violations — the paper's Table III experiment. TimeFunctionalMode
+//     times it without materializing a Netlist (see functional.go).
 package scan
 
 import (
+	"errors"
 	"fmt"
 
-	"wcm3d/internal/cells"
 	"wcm3d/internal/netlist"
-	"wcm3d/internal/place"
 )
+
+// ErrInvalidPlan is returned (wrapped) when a plan does not fit its die.
+var ErrInvalidPlan = errors.New("scan: invalid plan")
+
+// invalid formats an ErrInvalidPlan.
+func invalid(format string, args ...any) error {
+	return fmt.Errorf("%w: "+format, append([]any{ErrInvalidPlan}, args...)...)
+}
 
 // TestEnableName is the port name ApplyFunctionalMode gives the shared
 // test-enable input; signoff ties it low (case analysis).
@@ -108,23 +116,23 @@ func (a *Assignment) Validate(n *netlist.Netlist) error {
 	tsvSeen := map[netlist.SignalID]struct{}{}
 	for i, g := range a.Control {
 		if len(g.TSVs) == 0 {
-			return fmt.Errorf("scan: control group %d is empty", i)
+			return invalid("control group %d is empty", i)
 		}
 		if g.Reused() {
 			if n.TypeOf(g.ReusedFF) != netlist.GateDFF {
-				return fmt.Errorf("scan: control group %d reuses non-FF %q", i, n.NameOf(g.ReusedFF))
+				return invalid("control group %d reuses non-FF %q", i, n.NameOf(g.ReusedFF))
 			}
 			if prev, dup := ffUsed[n.NameOf(g.ReusedFF)]; dup {
-				return fmt.Errorf("scan: FF %q used by %s and control group %d", n.NameOf(g.ReusedFF), prev, i)
+				return invalid("FF %q used by %s and control group %d", n.NameOf(g.ReusedFF), prev, i)
 			}
 			ffUsed[n.NameOf(g.ReusedFF)] = fmt.Sprintf("control group %d", i)
 		}
 		for _, t := range g.TSVs {
 			if n.TypeOf(t) != netlist.GateTSVIn {
-				return fmt.Errorf("scan: control group %d contains non-TSV %q", i, n.NameOf(t))
+				return invalid("control group %d contains non-TSV %q", i, n.NameOf(t))
 			}
 			if _, dup := tsvSeen[t]; dup {
-				return fmt.Errorf("scan: inbound TSV %q in two groups", n.NameOf(t))
+				return invalid("inbound TSV %q in two groups", n.NameOf(t))
 			}
 			tsvSeen[t] = struct{}{}
 		}
@@ -132,23 +140,23 @@ func (a *Assignment) Validate(n *netlist.Netlist) error {
 	portSeen := map[int]struct{}{}
 	for i, g := range a.Observe {
 		if len(g.Ports) == 0 {
-			return fmt.Errorf("scan: observe group %d is empty", i)
+			return invalid("observe group %d is empty", i)
 		}
 		if g.Reused() {
 			if n.TypeOf(g.ReusedFF) != netlist.GateDFF {
-				return fmt.Errorf("scan: observe group %d reuses non-FF %q", i, n.NameOf(g.ReusedFF))
+				return invalid("observe group %d reuses non-FF %q", i, n.NameOf(g.ReusedFF))
 			}
 			if prev, dup := ffUsed[n.NameOf(g.ReusedFF)]; dup {
-				return fmt.Errorf("scan: FF %q used by %s and observe group %d", n.NameOf(g.ReusedFF), prev, i)
+				return invalid("FF %q used by %s and observe group %d", n.NameOf(g.ReusedFF), prev, i)
 			}
 			ffUsed[n.NameOf(g.ReusedFF)] = fmt.Sprintf("observe group %d", i)
 		}
 		for _, pIdx := range g.Ports {
 			if pIdx < 0 || pIdx >= len(n.Outputs) || n.Outputs[pIdx].Class != netlist.PortTSVOut {
-				return fmt.Errorf("scan: observe group %d references invalid TSV_OUT port %d", i, pIdx)
+				return invalid("observe group %d references invalid TSV_OUT port %d", i, pIdx)
 			}
 			if _, dup := portSeen[pIdx]; dup {
-				return fmt.Errorf("scan: outbound TSV port %d in two groups", pIdx)
+				return invalid("outbound TSV port %d in two groups", pIdx)
 			}
 			portSeen[pIdx] = struct{}{}
 		}
@@ -249,181 +257,4 @@ func ApplyTestMode(n *netlist.Netlist, a *Assignment) (*netlist.Netlist, error) 
 		return nil, fmt.Errorf("scan: test-mode netlist invalid: %w", err)
 	}
 	return tn, nil
-}
-
-// ApplyFunctionalMode builds the functional view with the test hardware in
-// place, and extends the placement with coordinates for the new cells:
-// control muxes sit at their TSV pads, observation XOR/muxes sit at their
-// capture flip-flop, and dedicated wrapper cells sit at their TSV.
-// The returned placement belongs to the returned netlist.
-func ApplyFunctionalMode(n *netlist.Netlist, pl *place.Placement, lib *cells.Library, a *Assignment) (*netlist.Netlist, *place.Placement, error) {
-	if err := a.Validate(n); err != nil {
-		return nil, nil, err
-	}
-	if pl.Netlist != n {
-		return nil, nil, fmt.Errorf("scan: placement belongs to %q, plan applies to %q", pl.Netlist.Name, n.Name)
-	}
-	fn := n.Clone()
-	fn.Name = n.Name + "_func"
-	coords := append([]place.Point(nil), pl.Coords...)
-	outCoords := append([]place.Point(nil), pl.OutCoords...)
-	addGate := func(typ netlist.GateType, name string, at place.Point, fanin ...netlist.SignalID) (netlist.SignalID, error) {
-		id, err := fn.AddGate(typ, name, fanin...)
-		if err != nil {
-			return netlist.InvalidSignal, err
-		}
-		coords = append(coords, at)
-		return id, nil
-	}
-
-	// One shared test-enable pad (tied off in functional mode, but its
-	// mux load and delay are physically present).
-	testEn, err := addGate(netlist.GateInput, TestEnableName, place.Point{X: 0, Y: 0})
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// bufRoute carries a signal from its cell to a destination point,
-	// inserting repeaters every TestBufferDistUM when the plan requested
-	// buffered routing. Returns the signal to connect at the far end.
-	bufSeq := 0
-	bufRoute := func(src netlist.SignalID, to place.Point) (netlist.SignalID, error) {
-		if !a.BufferedRouting || lib == nil || lib.TestBufferDistUM <= 0 {
-			return src, nil
-		}
-		from := coords[src]
-		dist := from.ManhattanTo(to)
-		hops := int(dist / lib.TestBufferDistUM)
-		for h := 1; h <= hops; h++ {
-			frac := float64(h) / float64(hops+1)
-			at := place.Point{
-				X: from.X + (to.X-from.X)*frac,
-				Y: from.Y + (to.Y-from.Y)*frac,
-			}
-			b, err := addGate(netlist.GateBuf, fmt.Sprintf("tbuf%d", bufSeq), at, src)
-			if err != nil {
-				return netlist.InvalidSignal, err
-			}
-			bufSeq++
-			src = b
-		}
-		return src, nil
-	}
-
-	fanouts := n.Fanouts()
-	for i, g := range a.Control {
-		var src netlist.SignalID
-		if g.Reused() {
-			src = g.ReusedFF
-		} else {
-			// Dedicated wrapper cell at the first member pad.
-			src, err = addGate(netlist.GateDFF, fmt.Sprintf("wcc%d", i), coords[g.TSVs[0]], g.TSVs[0])
-			if err != nil {
-				return nil, nil, err
-			}
-		}
-		for _, t := range g.TSVs {
-			// MUX at the pad: functional path TSV→logic picks up one mux
-			// stage; the control point picks up the mux pin plus the
-			// wire out to the pad (repeatered under buffered routing).
-			routed, err := bufRoute(src, coords[t])
-			if err != nil {
-				return nil, nil, err
-			}
-			m, err := addGate(netlist.GateMux2, fmt.Sprintf("wcm%d_%s", i, fn.NameOf(t)), coords[t], testEn, t, routed)
-			if err != nil {
-				return nil, nil, err
-			}
-			for _, fo := range fanouts[t] {
-				fg := fn.Gate(fo)
-				for pin, f := range fg.Fanin {
-					if f == t {
-						fg.Fanin[pin] = m
-					}
-				}
-			}
-			for oi := range fn.Outputs {
-				if fn.Outputs[oi].Signal == t {
-					fn.Outputs[oi].Signal = m
-				}
-			}
-		}
-	}
-	for i, g := range a.Observe {
-		if g.Reused() {
-			ffAt := coords[g.ReusedFF]
-			var folded netlist.SignalID = netlist.InvalidSignal
-			for j, pIdx := range g.Ports {
-				sig, err := bufRoute(fn.Outputs[pIdx].Signal, ffAt)
-				if err != nil {
-					return nil, nil, err
-				}
-				if folded == netlist.InvalidSignal {
-					folded = sig
-					continue
-				}
-				x, err := addGate(netlist.GateXor, fmt.Sprintf("wobx%d_%d", i, j), ffAt, folded, sig)
-				if err != nil {
-					return nil, nil, err
-				}
-				folded = x
-			}
-			ff := fn.Gate(g.ReusedFF)
-			origD := ff.Fanin[0]
-			x, err := addGate(netlist.GateXor, fmt.Sprintf("wobf%d", i), ffAt, origD, folded)
-			if err != nil {
-				return nil, nil, err
-			}
-			m, err := addGate(netlist.GateMux2, fmt.Sprintf("wobm%d", i), ffAt, testEn, origD, x)
-			if err != nil {
-				return nil, nil, err
-			}
-			ff.Fanin[0] = m
-		} else {
-			// Dedicated observation cell at the first member pad; taps
-			// add load on the observed signals. Like a reused flip-flop,
-			// the cell captures through a test-enable mux — functional
-			// signoff ties test_en low, so the fold chain is a test-mode
-			// path, not a functional one.
-			at := outCoords[g.Ports[0]]
-			var folded netlist.SignalID = netlist.InvalidSignal
-			for j, pIdx := range g.Ports {
-				sig, err := bufRoute(fn.Outputs[pIdx].Signal, at)
-				if err != nil {
-					return nil, nil, err
-				}
-				if folded == netlist.InvalidSignal {
-					folded = sig
-					continue
-				}
-				x, err := addGate(netlist.GateXor, fmt.Sprintf("wobx%d_%d", i, j), at, folded, sig)
-				if err != nil {
-					return nil, nil, err
-				}
-				folded = x
-			}
-			hold, err := addGate(netlist.GateConst0, fmt.Sprintf("wcoz%d", i), at)
-			if err != nil {
-				return nil, nil, err
-			}
-			m, err := addGate(netlist.GateMux2, fmt.Sprintf("wcom%d", i), at, testEn, hold, folded)
-			if err != nil {
-				return nil, nil, err
-			}
-			if _, err := addGate(netlist.GateDFF, fmt.Sprintf("wco%d", i), at, m); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
-	if err := fn.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("scan: functional-mode netlist invalid: %w", err)
-	}
-	npl := &place.Placement{
-		Netlist:   fn,
-		Width:     pl.Width,
-		Height:    pl.Height,
-		Coords:    coords,
-		OutCoords: outCoords,
-	}
-	return fn, npl, nil
 }

@@ -482,6 +482,9 @@ func (s *Service) enqueue(j *job) (JobStatus, error) {
 			return JobStatus{}, fmt.Errorf("%w: %v", ErrJournal, err)
 		}
 	}
+	// Snapshot before admitting: once a worker holds the job it may move
+	// it past queued before this call returns.
+	st := s.status(j)
 	if err := s.admit(func(ctx context.Context) { s.runJob(ctx, j) }); err != nil {
 		s.mu.Lock()
 		delete(s.jobs, j.id)
@@ -497,7 +500,7 @@ func (s *Service) enqueue(j *job) (JobStatus, error) {
 		return JobStatus{}, err
 	}
 	s.metrics.JobsQueued.Add(1)
-	return s.status(j), nil
+	return st, nil
 }
 
 // admit hands a task to the pool, counting a full queue as a rejection.

@@ -55,6 +55,7 @@ func (c Config) withDefaults() Config {
 
 // Result is a completed timing analysis.
 type Result struct {
+	// Netlist is the analyzed netlist; nil for an AnalyzeGraph result.
 	Netlist *netlist.Netlist
 	Lib     *cells.Library
 	Config  Config
@@ -69,31 +70,78 @@ type Result struct {
 	// gate id; +Inf for signals with no timed endpoint downstream.
 	RequiredPS []float64
 
-	tiedLow map[netlist.SignalID]bool
+	c *circuit
+}
+
+// circuit is what the passes read: the flat connectivity, the output
+// ports, the library's per-type parameters looked up once, and — when
+// placed — coordinates indexed like the signals.
+type circuit struct {
+	g                 *netlist.Graph
+	outs              []netlist.Output
+	lib               *cells.Library
+	par               [256]cells.Params // lib.Of for every GateType
+	placed            bool
+	coords, outCoords []place.Point
+	tied              []bool // MUX selects tied low; nil when none are
+}
+
+func newCircuit(g *netlist.Graph, outs []netlist.Output, lib *cells.Library, cfg Config) *circuit {
+	c := &circuit{g: g, outs: outs, lib: lib}
+	for t := range c.par {
+		c.par[t] = lib.Of(netlist.GateType(t))
+	}
+	if pl := cfg.Placement; pl != nil {
+		c.placed, c.coords, c.outCoords = true, pl.Coords, pl.OutCoords
+	}
+	if len(cfg.TieLow) > 0 {
+		c.tied = make([]bool, g.NumGates())
+		for _, s := range cfg.TieLow {
+			if s >= 0 && int(s) < len(c.tied) {
+				c.tied[s] = true
+			}
+		}
+	}
+	return c
 }
 
 // Analyze runs a full timing analysis.
 func Analyze(n *netlist.Netlist, lib *cells.Library, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if cfg.ClockPS <= 0 {
-		return nil, fmt.Errorf("sta: clock period must be positive, got %v", cfg.ClockPS)
-	}
 	if cfg.Placement != nil && cfg.Placement.Netlist != n {
 		return nil, fmt.Errorf("sta: placement belongs to netlist %q, analyzing %q",
 			cfg.Placement.Netlist.Name, n.Name)
 	}
+	r, err := AnalyzeGraph(n.Graph(), n.Outputs, lib, cfg)
+	if err != nil {
+		return nil, err
+	}
+	r.Netlist = n
+	return r, nil
+}
+
+// AnalyzeGraph runs a full timing analysis of a circuit given in flat
+// form: its connectivity and output ports, with cfg.Placement supplying
+// coordinates indexed like the graph's signals and ports (its Netlist
+// field is not consulted). This is how a view that was never
+// materialized as a Netlist gets timed; the Result's Netlist is nil.
+func AnalyzeGraph(g *netlist.Graph, outs []netlist.Output, lib *cells.Library, cfg Config) (*Result, error) {
+	cfg = cfg.withDefaults()
+	if cfg.ClockPS <= 0 {
+		return nil, fmt.Errorf("sta: clock period must be positive, got %v", cfg.ClockPS)
+	}
+	if pl := cfg.Placement; pl != nil && (len(pl.Coords) < g.NumGates() || len(pl.OutCoords) < len(outs)) {
+		return nil, fmt.Errorf("sta: placement covers %d signals and %d ports, circuit has %d and %d",
+			len(pl.Coords), len(pl.OutCoords), g.NumGates(), len(outs))
+	}
+	nG := g.NumGates()
 	r := &Result{
-		Netlist:    n,
 		Lib:        lib,
 		Config:     cfg,
-		LoadFF:     make([]float64, n.NumGates()),
-		DelayPS:    make([]float64, n.NumGates()),
-		ArrivalPS:  make([]float64, n.NumGates()),
-		RequiredPS: make([]float64, n.NumGates()),
-	}
-	r.tiedLow = make(map[netlist.SignalID]bool, len(cfg.TieLow))
-	for _, t := range cfg.TieLow {
-		r.tiedLow[t] = true
+		LoadFF:     make([]float64, nG),
+		DelayPS:    make([]float64, nG),
+		ArrivalPS:  make([]float64, nG),
+		RequiredPS: make([]float64, nG),
+		c:          newCircuit(g, outs, lib, cfg),
 	}
 	r.computeLoads()
 	r.computeDelays()
@@ -102,98 +150,117 @@ func Analyze(n *netlist.Netlist, lib *cells.Library, cfg Config) (*Result, error
 	return r, nil
 }
 
-// timedPins returns which fanin indices of a gate are timed: for a MUX
-// whose select is tied low, only pin 1; otherwise all pins.
-func (r *Result) timedPins(g *netlist.Gate) []int {
-	if g.Type == netlist.GateMux2 && r.tiedLow[g.Fanin[0]] {
-		return muxTiedPins
+// AtClock re-times the analysis under another clock period. Loads,
+// delays and arrivals do not depend on the clock, so the new Result
+// shares them with r; only the required times are recomputed.
+func (r *Result) AtClock(clockPS float64) (*Result, error) {
+	if clockPS <= 0 {
+		return nil, fmt.Errorf("sta: clock period must be positive, got %v", clockPS)
 	}
-	return nil // nil = all pins
+	at := *r
+	at.Config.ClockPS = clockPS
+	at.c = r.circ()
+	at.RequiredPS = make([]float64, len(r.RequiredPS))
+	at.computeRequired()
+	return &at, nil
 }
 
-var muxTiedPins = []int{1}
+// circ returns the circuit the result times. A Result assembled by hand
+// (a projection onto a base netlist) gets one built from its Netlist and
+// Config on every call, so concurrent readers never write to it.
+func (r *Result) circ() *circuit {
+	if r.c != nil {
+		return r.c
+	}
+	return newCircuit(r.Netlist.Graph(), r.Netlist.Outputs, r.Lib, r.Config)
+}
+
+// timedFanin returns the fanin pins of id that are timed: for a MUX whose
+// select is tied low, only pin 1; otherwise all pins.
+func (c *circuit) timedFanin(id netlist.SignalID) []netlist.SignalID {
+	fanin := c.g.FaninOf(id)
+	if c.tied != nil && c.g.Types[id] == netlist.GateMux2 && c.tied[fanin[0]] {
+		return fanin[1:2]
+	}
+	return fanin
+}
 
 // computeLoads sums, for every signal, the input capacitance of each fanout
 // pin, the wire capacitance to each sink (if placed), and the TSV pad
 // capacitance (plus wire) for outbound-TSV ports.
 func (r *Result) computeLoads() {
-	n, lib, pl := r.Netlist, r.Lib, r.Config.Placement
-	fanouts := n.Fanouts()
-	for i := range n.Gates {
-		id := netlist.SignalID(i)
+	c := r.c
+	g, lib := c.g, c.lib
+	for i := range r.LoadFF {
 		var load float64
-		for _, fo := range fanouts[id] {
-			load += lib.Of(n.TypeOf(fo)).InputCapFF
-			if pl != nil {
-				load += lib.WireCapFF(pl.WireLength(id, fo))
+		for _, fo := range g.FanoutOf(netlist.SignalID(i)) {
+			load += c.par[g.Types[fo]].InputCapFF
+			if c.placed {
+				load += lib.WireCapFF(c.coords[i].ManhattanTo(c.coords[fo]))
 			}
 		}
-		r.LoadFF[id] = load
+		r.LoadFF[i] = load
 	}
-	for oi, o := range n.Outputs {
+	for oi, o := range c.outs {
 		extra := 0.0
 		if o.Class == netlist.PortTSVOut {
 			extra = lib.TSVCapFF
 		}
-		if pl != nil {
-			extra += lib.WireCapFF(pl.DistanceToOut(o.Signal, oi))
+		if c.placed {
+			extra += lib.WireCapFF(c.coords[o.Signal].ManhattanTo(c.outCoords[oi]))
 		}
 		r.LoadFF[o.Signal] += extra
 	}
 }
 
 func (r *Result) computeDelays() {
-	n, lib := r.Netlist, r.Lib
-	for i := range n.Gates {
-		id := netlist.SignalID(i)
-		p := lib.Of(n.TypeOf(id))
-		r.DelayPS[id] = p.IntrinsicPS + p.DriveResKOhm*r.LoadFF[id]
+	c := r.c
+	for i, t := range c.g.Types {
+		p := c.par[t]
+		r.DelayPS[i] = p.IntrinsicPS + p.DriveResKOhm*r.LoadFF[i]
 	}
 }
 
 // wirePS is the per-sink incremental wire delay from signal `from` to the
 // gate (or pad) at location of `to`.
-func (r *Result) wirePS(from, to netlist.SignalID) float64 {
-	if r.Config.Placement == nil {
+func (c *circuit) wirePS(from, to netlist.SignalID) float64 {
+	if !c.placed {
 		return 0
 	}
-	drive := r.Lib.Of(r.Netlist.TypeOf(from)).DriveResKOhm
-	return r.Lib.WireDelayPS(r.Config.Placement.WireLength(from, to), drive)
+	return c.lib.WireDelayPS(c.coords[from].ManhattanTo(c.coords[to]), c.par[c.g.Types[from]].DriveResKOhm)
 }
 
-func (r *Result) wireToOutPS(from netlist.SignalID, outIdx int) float64 {
-	if r.Config.Placement == nil {
+func (c *circuit) wireToOutPS(from netlist.SignalID, outIdx int) float64 {
+	if !c.placed {
 		return 0
 	}
-	drive := r.Lib.Of(r.Netlist.TypeOf(from)).DriveResKOhm
-	return r.Lib.WireDelayPS(r.Config.Placement.DistanceToOut(from, outIdx), drive)
+	return c.lib.WireDelayPS(c.coords[from].ManhattanTo(c.outCoords[outIdx]), c.par[c.g.Types[from]].DriveResKOhm)
+}
+
+// forEachFF calls fn with every flip-flop and the signal on its D pin.
+func (c *circuit) forEachFF(fn func(ff, d netlist.SignalID)) {
+	for i, t := range c.g.Types {
+		if t == netlist.GateDFF {
+			fn(netlist.SignalID(i), c.g.Fanin[c.g.FaninOff[i]])
+		}
+	}
 }
 
 // computeArrivals propagates arrival times in topological order. Sources
 // launch at t=0 except flip-flops, which launch at their clk-to-Q delay.
 func (r *Result) computeArrivals() {
-	n := r.Netlist
-	for _, id := range n.TopoOrder() {
-		g := n.Gate(id)
-		switch {
-		case g.Type == netlist.GateDFF:
+	c := r.c
+	for _, id := range c.g.Order {
+		switch t := c.g.Types[id]; {
+		case t == netlist.GateDFF:
 			r.ArrivalPS[id] = r.DelayPS[id] // clk->Q
-		case g.Type.IsSource():
+		case t.IsSource():
 			r.ArrivalPS[id] = 0
 		default:
 			worst := 0.0
-			if pins := r.timedPins(g); pins != nil {
-				for _, pin := range pins {
-					f := g.Fanin[pin]
-					if at := r.ArrivalPS[f] + r.wirePS(f, id); at > worst {
-						worst = at
-					}
-				}
-			} else {
-				for _, f := range g.Fanin {
-					if at := r.ArrivalPS[f] + r.wirePS(f, id); at > worst {
-						worst = at
-					}
+			for _, f := range c.timedFanin(id) {
+				if at := r.ArrivalPS[f] + c.wirePS(f, id); at > worst {
+					worst = at
 				}
 			}
 			r.ArrivalPS[id] = worst + r.DelayPS[id]
@@ -204,13 +271,13 @@ func (r *Result) computeArrivals() {
 // computeRequired propagates required times backward. Endpoints are
 // flip-flop D pins and output ports, both required at clock - setup.
 func (r *Result) computeRequired() {
-	n := r.Netlist
+	c := r.c
 	deadline := r.Config.ClockPS - r.Config.SetupPS
 	for i := range r.RequiredPS {
 		r.RequiredPS[i] = math.Inf(1)
 	}
-	for oi, o := range n.Outputs {
-		req := deadline - r.wireToOutPS(o.Signal, oi)
+	for oi, o := range c.outs {
+		req := deadline - c.wireToOutPS(o.Signal, oi)
 		if req < r.RequiredPS[o.Signal] {
 			r.RequiredPS[o.Signal] = req
 		}
@@ -220,40 +287,20 @@ func (r *Result) computeRequired() {
 	// handling their D pins during the reverse walk would set the
 	// endpoint after its fan-in cone had already been processed, leaving
 	// everything upstream optimistically untimed.
-	for _, ff := range n.FlipFlops() {
-		d := n.Gate(ff).Fanin[0]
-		req := deadline - r.wirePS(d, ff)
+	c.forEachFF(func(ff, d netlist.SignalID) {
+		req := deadline - c.wirePS(d, ff)
 		if req < r.RequiredPS[d] {
 			r.RequiredPS[d] = req
 		}
-	}
-	order := n.TopoOrder()
+	})
+	order := c.g.Order
 	for k := len(order) - 1; k >= 0; k-- {
 		id := order[k]
-		g := n.Gate(id)
-		if g.Type == netlist.GateDFF {
-			continue // endpoints seeded above
+		if t := c.g.Types[id]; t == netlist.GateDFF || t.IsSource() {
+			continue // endpoints seeded above; sources have no fanin
 		}
-		if g.Type.IsSource() || math.IsInf(r.RequiredPS[id], 1) {
-			// Required time at this gate's output does not constrain
-			// fanins if nothing downstream is timed... but we still
-			// must not skip propagation for sources (no fanin anyway).
-			if g.Type.IsSource() {
-				continue
-			}
-		}
-		if pins := r.timedPins(g); pins != nil {
-			for _, pin := range pins {
-				f := g.Fanin[pin]
-				req := r.RequiredPS[id] - r.DelayPS[id] - r.wirePS(f, id)
-				if req < r.RequiredPS[f] {
-					r.RequiredPS[f] = req
-				}
-			}
-			continue
-		}
-		for _, f := range g.Fanin {
-			req := r.RequiredPS[id] - r.DelayPS[id] - r.wirePS(f, id)
+		for _, f := range c.timedFanin(id) {
+			req := r.RequiredPS[id] - r.DelayPS[id] - c.wirePS(f, id)
 			if req < r.RequiredPS[f] {
 				r.RequiredPS[f] = req
 			}
@@ -305,19 +352,18 @@ func (r *Result) Violations(max int) []netlist.SignalID {
 // CriticalPathPS returns the longest arrival time at any endpoint — the
 // minimum feasible clock period before setup margin.
 func (r *Result) CriticalPathPS() float64 {
-	n := r.Netlist
+	c := r.circ()
 	worst := 0.0
-	for oi, o := range n.Outputs {
-		if at := r.ArrivalPS[o.Signal] + r.wireToOutPS(o.Signal, oi); at > worst {
+	for oi, o := range c.outs {
+		if at := r.ArrivalPS[o.Signal] + c.wireToOutPS(o.Signal, oi); at > worst {
 			worst = at
 		}
 	}
-	for _, ff := range n.FlipFlops() {
-		d := n.Gate(ff).Fanin[0]
-		if at := r.ArrivalPS[d] + r.wirePS(d, ff); at > worst {
+	c.forEachFF(func(ff, d netlist.SignalID) {
+		if at := r.ArrivalPS[d] + c.wirePS(d, ff); at > worst {
 			worst = at
 		}
-	}
+	})
 	return worst
 }
 
@@ -326,18 +372,16 @@ func (r *Result) CriticalPathPS() float64 {
 // at each step (respecting case analysis). Empty when the design has no
 // timed endpoints.
 func (r *Result) CriticalPath() []netlist.SignalID {
-	n := r.Netlist
+	c := r.circ()
 	// Worst endpoint: minimum slack among true capture points (signals
 	// feeding an output port or a flip-flop D pin) — every signal on a
 	// critical path shares the path slack, so the walk must anchor at
 	// the endpoint, not the first minimal-slack signal found.
-	isEndpoint := make(map[netlist.SignalID]bool)
-	for _, o := range n.Outputs {
+	isEndpoint := make([]bool, c.g.NumGates())
+	for _, o := range c.outs {
 		isEndpoint[o.Signal] = true
 	}
-	for _, ff := range n.FlipFlops() {
-		isEndpoint[n.Gate(ff).Fanin[0]] = true
-	}
+	c.forEachFF(func(_, d netlist.SignalID) { isEndpoint[d] = true })
 	end := netlist.InvalidSignal
 	worst := math.Inf(1)
 	for i := range r.ArrivalPS { // ID order keeps tie-breaks deterministic
@@ -354,27 +398,17 @@ func (r *Result) CriticalPath() []netlist.SignalID {
 	}
 	var path []netlist.SignalID
 	cur := end
-	for steps := 0; steps <= n.NumGates(); steps++ {
+	for steps := 0; steps <= c.g.NumGates(); steps++ {
 		path = append(path, cur)
-		g := n.Gate(cur)
-		if g.Type.IsSource() || g.Type == netlist.GateDFF || len(g.Fanin) == 0 {
+		t := c.g.Types[cur]
+		if t.IsSource() || t == netlist.GateDFF || len(c.g.FaninOf(cur)) == 0 {
 			break
 		}
-		pins := r.timedPins(g)
 		pick := netlist.InvalidSignal
-		consider := func(f netlist.SignalID) {
-			at := r.ArrivalPS[f] + r.wirePS(f, cur)
-			if pick == netlist.InvalidSignal || at > r.ArrivalPS[pick]+r.wirePS(pick, cur) {
+		for _, f := range c.timedFanin(cur) {
+			at := r.ArrivalPS[f] + c.wirePS(f, cur)
+			if pick == netlist.InvalidSignal || at > r.ArrivalPS[pick]+c.wirePS(pick, cur) {
 				pick = f
-			}
-		}
-		if pins != nil {
-			for _, pin := range pins {
-				consider(g.Fanin[pin])
-			}
-		} else {
-			for _, f := range g.Fanin {
-				consider(f)
 			}
 		}
 		if pick == netlist.InvalidSignal {

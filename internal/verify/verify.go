@@ -124,9 +124,11 @@ type Options struct {
 	// mode for plans from solvers without a threshold contract (full-wrap,
 	// Li's matching).
 	Thresholds *wcm.Options
-	// Signoff additionally materializes the plan's physical test hardware
-	// (scan.ApplyFunctionalMode) and re-runs static timing with test_en
-	// tied low; WNS < 0 becomes a CodeSignoff violation.
+	// Signoff additionally re-times the die with the plan's physical test
+	// hardware in place (scan.TimeFunctionalMode: the functional view
+	// ApplyFunctionalMode would build, timed on flat arrays with test_en
+	// tied low at the base clock); WNS < 0 becomes a CodeSignoff
+	// violation, and a plan whose view cannot be built is one too.
 	Signoff bool
 	// Deep additionally re-measures overlapped-cone sharing with real
 	// ATPG on the shared cones (see deep.go). Findings are reported as
@@ -622,31 +624,19 @@ func (c *checker) checkCoverage(asn *scan.Assignment) {
 	}
 }
 
-// signoff materializes the plan's physical hardware and re-times the
-// functional view with test_en tied low — the Table III check, run
-// independently of whatever the caller's pipeline reported.
+// signoff times the plan's physical hardware in the functional view with
+// test_en tied low — the Table III check, run independently of whatever
+// the caller's pipeline reported.
 func (c *checker) signoff(asn *scan.Assignment) error {
-	if c.in.Placement == nil || c.in.Timing == nil {
-		return fmt.Errorf("verify: signoff needs placement and base timing")
+	if c.in.Placement == nil || c.in.Timing == nil || c.in.Timing.Config.ClockPS <= 0 {
+		return fmt.Errorf("verify: signoff needs placement and base timing at a positive clock")
 	}
-	fn, fpl, err := scan.ApplyFunctionalMode(c.n, c.in.Placement, c.lib, asn)
+	timed, err := scan.TimeFunctionalMode(c.n, c.in.Placement, c.lib, asn, c.in.Timing.Config.ClockPS)
 	if err != nil {
 		// A plan that cannot even be materialized is broken; the
 		// structural checks above normally catch this first.
 		c.add(Violation{Code: CodeSignoff, Detail: "plan cannot be materialized: " + err.Error()})
 		return nil
-	}
-	var tie []netlist.SignalID
-	if te, ok := fn.SignalByName(scan.TestEnableName); ok {
-		tie = append(tie, te)
-	}
-	timed, err := sta.Analyze(fn, c.lib, sta.Config{
-		ClockPS:   c.in.Timing.Config.ClockPS,
-		Placement: fpl,
-		TieLow:    tie,
-	})
-	if err != nil {
-		return fmt.Errorf("verify: signoff timing: %w", err)
 	}
 	wns := timed.WNS()
 	c.res.SignoffWNSPS = wns

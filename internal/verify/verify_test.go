@@ -2,6 +2,7 @@ package verify
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"wcm3d/internal/cells"
@@ -425,5 +426,51 @@ func TestDeepModeMeasures(t *testing.T) {
 	}
 	if vres.Deep.OverlapPairs > 0 && vres.Deep.SharedGates == 0 {
 		t.Error("overlapping pairs recorded but no shared gates collected")
+	}
+}
+
+// TestSignoffReportsUnbuildableView: when the plan's functional view
+// cannot be built — an invalid plan, a placement of another netlist, a
+// die already using a name the view generates — signoff reports a
+// CodeSignoff violation instead of failing the verifier.
+func TestSignoffReportsUnbuildableView(t *testing.T) {
+	in := prep(t, 200, 10, 4, 3, 5)
+	other := prep(t, 200, 10, 4, 3, 6)
+	taken := in
+	taken.Netlist = in.Netlist.Clone()
+	taken.Netlist.MustAddGate(netlist.GateInput, scan.TestEnableName)
+	pl, err := place.Place(taken.Netlist, place.Options{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	taken.Placement = pl
+	if taken.Timing, err = sta.Analyze(taken.Netlist, taken.Lib, sta.Config{ClockPS: 1e5, Placement: pl}); err != nil {
+		t.Fatal(err)
+	}
+	invalid := scan.FullWrap(in.Netlist)
+	invalid.Control = append(invalid.Control, scan.ControlGroup{ReusedFF: netlist.InvalidSignal})
+	foreign := in
+	foreign.Placement = other.Placement
+
+	for _, c := range []struct {
+		name string
+		in   wcm.Input
+		asn  *scan.Assignment
+	}{
+		{"invalid plan", in, invalid},
+		{"placement of another netlist", foreign, scan.FullWrap(in.Netlist)},
+		{"test_en taken", taken, scan.FullWrap(taken.Netlist)},
+	} {
+		vres, err := Plan(c.in, c.asn, Options{Signoff: true})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		found := false
+		for _, v := range vres.Violations {
+			found = found || (v.Code == CodeSignoff && strings.HasPrefix(v.Detail, "plan cannot be materialized"))
+		}
+		if !found {
+			t.Errorf("%s: no %q signoff violation in %v", c.name, "plan cannot be materialized", vres.Violations)
+		}
 	}
 }
