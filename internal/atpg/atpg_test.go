@@ -44,7 +44,10 @@ OUTPUT(g_or)
 OUTPUT(g_xor)
 OUTPUT(g_nand)
 `)
-	id := func(s string) *netlist.Gate { i, _ := n.SignalByName(s); return n.Gate(i) }
+	eval3 := func(s string, fn func(int) V) V {
+		i, _ := n.SignalByName(s)
+		return evalGate3(n.TypeOf(i), n.Graph().FaninOf(i), fn)
+	}
 	cases := []struct {
 		a, b                V
 		and, or, xor, nand_ V
@@ -62,16 +65,16 @@ OUTPUT(g_nand)
 			}
 			return c.b
 		}
-		if got := evalGate3(id("g_and"), in); got != c.and {
+		if got := eval3("g_and", in); got != c.and {
 			t.Errorf("AND(%v,%v) = %v, want %v", c.a, c.b, got, c.and)
 		}
-		if got := evalGate3(id("g_or"), in); got != c.or {
+		if got := eval3("g_or", in); got != c.or {
 			t.Errorf("OR(%v,%v) = %v, want %v", c.a, c.b, got, c.or)
 		}
-		if got := evalGate3(id("g_xor"), in); got != c.xor {
+		if got := eval3("g_xor", in); got != c.xor {
 			t.Errorf("XOR(%v,%v) = %v, want %v", c.a, c.b, got, c.xor)
 		}
-		if got := evalGate3(id("g_nand"), in); got != c.nand_ {
+		if got := eval3("g_nand", in); got != c.nand_ {
 			t.Errorf("NAND(%v,%v) = %v, want %v", c.a, c.b, got, c.nand_)
 		}
 	}
@@ -80,9 +83,9 @@ OUTPUT(g_nand)
 func TestEvalGate3Mux(t *testing.T) {
 	n := mk(t, "INPUT(s)\nINPUT(a)\nINPUT(b)\nm = MUX(s, a, b)\nOUTPUT(m)\n")
 	mID, _ := n.SignalByName("m")
-	g := n.Gate(mID)
+	fanin := n.Graph().FaninOf(mID)
 	eval := func(s, a, b V) V {
-		return evalGate3(g, func(pin int) V { return [3]V{s, a, b}[pin] })
+		return evalGate3(netlist.GateMux2, fanin, func(pin int) V { return [3]V{s, a, b}[pin] })
 	}
 	if eval(V0, V1, V0) != V1 || eval(V1, V1, V0) != V0 {
 		t.Error("mux select wrong")
@@ -325,11 +328,11 @@ func TestRunStuckAtHighCoverage(t *testing.T) {
 		t.Errorf("pattern count %d out of range", res.PatternCount())
 	}
 	// Re-grade the pattern set independently: must match Detected.
-	cov, err := EvaluatePatterns(n, list, res.Patterns)
+	camp, err := faultsim.New(n).RunCampaign(res.Patterns, list)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := int(cov*float64(len(list)) + 0.5); got != res.Detected {
+	if got := int(camp.Coverage()*float64(len(list)) + 0.5); got != res.Detected {
 		t.Errorf("independent grading detects %d, result says %d", got, res.Detected)
 	}
 }

@@ -230,15 +230,3 @@ func firstBit(w uint64) int {
 	}
 	return -1
 }
-
-// EvaluatePatterns fault-simulates an existing pattern set against a fault
-// list and returns the coverage — used to grade a wrapped die against the
-// functional-die fault universe.
-func EvaluatePatterns(n *netlist.Netlist, list []faults.Fault, patterns []faultsim.Pattern) (float64, error) {
-	sim := faultsim.New(n)
-	camp, err := sim.RunCampaign(patterns, list)
-	if err != nil {
-		return 0, err
-	}
-	return camp.Coverage(), nil
-}

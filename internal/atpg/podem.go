@@ -11,11 +11,9 @@ import (
 // podem is the per-fault search state. It is reused across faults (Reset)
 // so allocations amortize.
 type podem struct {
-	n       *netlist.Netlist
-	sim     *faultsim.Simulator
-	sc      *scoap
-	fanouts [][]netlist.SignalID
-	level   []int32
+	g   *netlist.Graph
+	sim *faultsim.Simulator
+	sc  *scoap
 
 	gv, fv []V // good / faulty three-valued state
 	trail  []trailEntry
@@ -53,14 +51,13 @@ type trailEntry struct {
 }
 
 func newPodem(n *netlist.Netlist, sim *faultsim.Simulator, sc *scoap, maxBacktracks int) *podem {
-	ng := n.NumGates()
-	maxLvl := n.MaxLevel()
+	g := n.Graph()
+	ng := g.NumGates()
+	maxLvl := g.MaxLevel()
 	return &podem{
-		n:        n,
+		g:        g,
 		sim:      sim,
 		sc:       sc,
-		fanouts:  n.Fanouts(),
-		level:    levelsOf(n),
 		gv:       make([]V, ng),
 		fv:       make([]V, ng),
 		buckets:  make([][]netlist.SignalID, maxLvl+1),
@@ -69,14 +66,6 @@ func newPodem(n *netlist.Netlist, sim *faultsim.Simulator, sc *scoap, maxBacktra
 		maxLevel: maxLvl,
 		maxBT:    maxBacktracks,
 	}
-}
-
-func levelsOf(n *netlist.Netlist) []int32 {
-	l := make([]int32, n.NumGates())
-	for i := range l {
-		l[i] = int32(n.Level(netlist.SignalID(i)))
-	}
-	return l
 }
 
 func (p *podem) controllable(sig netlist.SignalID) bool {
@@ -101,9 +90,9 @@ func (p *podem) reset(f faults.Fault) {
 	p.justifyMode = false
 
 	// Constants are known from the start.
-	for i := range p.n.Gates {
+	for i, t := range p.g.Types {
 		id := netlist.SignalID(i)
-		switch p.n.TypeOf(id) {
+		switch t {
 		case netlist.GateConst0:
 			p.setValue(id, V0, p.faultyOf(id, V0))
 			p.enqueueFanouts(id)
@@ -141,9 +130,9 @@ func (p *podem) resetJustify(sig netlist.SignalID, v V) {
 	p.justifyMode = true
 	p.justifySig = sig
 	p.justifyVal = v
-	for i := range p.n.Gates {
+	for i, t := range p.g.Types {
 		id := netlist.SignalID(i)
-		switch p.n.TypeOf(id) {
+		switch t {
 		case netlist.GateConst0:
 			p.setValue(id, V0, V0)
 			p.enqueueFanouts(id)
@@ -220,12 +209,13 @@ func (p *podem) enqueue(sig netlist.SignalID) {
 		return
 	}
 	p.inQueue[sig] = p.epoch
-	p.buckets[p.level[sig]] = append(p.buckets[p.level[sig]], sig)
+	lvl := p.g.Level[sig]
+	p.buckets[lvl] = append(p.buckets[lvl], sig)
 }
 
 func (p *podem) enqueueFanouts(sig netlist.SignalID) {
-	for _, fo := range p.fanouts[sig] {
-		if p.n.TypeOf(fo) == netlist.GateDFF {
+	for _, fo := range p.g.FanoutOf(sig) {
+		if p.g.Types[fo] == netlist.GateDFF {
 			continue // capture boundary
 		}
 		p.enqueue(fo)
@@ -238,22 +228,22 @@ func (p *podem) propagate() {
 		bucket := p.buckets[lvl]
 		for bi := 0; bi < len(bucket); bi++ {
 			id := bucket[bi]
-			g := p.n.Gate(id)
-			if !g.Type.IsCombinational() {
+			t, fanin := p.g.Types[id], p.g.FaninOf(id)
+			if !t.IsCombinational() {
 				continue
 			}
-			ng := evalGate3(g, func(pin int) V { return p.gv[g.Fanin[pin]] })
+			ng := evalGate3(t, fanin, func(pin int) V { return p.gv[fanin[pin]] })
 			var nf V
 			if id == p.fault.Gate && p.faultPin != faults.OutputPin {
 				stuck := FromBool(p.fault.StuckAt == 1)
-				nf = evalGate3(g, func(pin int) V {
+				nf = evalGate3(t, fanin, func(pin int) V {
 					if pin == p.faultPin {
 						return stuck
 					}
-					return p.fv[g.Fanin[pin]]
+					return p.fv[fanin[pin]]
 				})
 			} else {
-				nf = evalGate3(g, func(pin int) V { return p.fv[g.Fanin[pin]] })
+				nf = evalGate3(t, fanin, func(pin int) V { return p.fv[fanin[pin]] })
 				nf = p.faultyOf(id, nf)
 			}
 			ng2 := p.faultyGoodOf(id, ng)
@@ -284,7 +274,7 @@ func (p *podem) activationLine() netlist.SignalID {
 	if p.faultPin == faults.OutputPin {
 		return p.fault.Gate
 	}
-	return p.n.Gate(p.fault.Gate).Fanin[p.faultPin]
+	return p.g.FaninOf(p.fault.Gate)[p.faultPin]
 }
 
 // objective returns the next (signal, value) goal, or ok=false when the
@@ -319,8 +309,8 @@ func (p *podem) objective() (netlist.SignalID, V, bool) {
 	bestCost := infCost
 	liveEffect := false
 	consider := func(fo netlist.SignalID) {
-		g := p.n.Gate(fo)
-		if !g.Type.IsCombinational() {
+		t, fanin := p.g.Types[fo], p.g.FaninOf(fo)
+		if !t.IsCombinational() {
 			return
 		}
 		if p.gv[fo] != VX && p.fv[fo] != VX {
@@ -333,9 +323,9 @@ func (p *podem) objective() (netlist.SignalID, V, bool) {
 			if fo == p.fault.Gate && pin == p.faultPin {
 				return true // activated pin fault: the effect sits on the pin
 			}
-			return p.isDiff(g.Fanin[pin])
+			return p.isDiff(fanin[pin])
 		}
-		sig, v, ok := p.frontierGoal(g, hasEffect)
+		sig, v, ok := p.frontierGoal(t, fanin, hasEffect)
 		if !ok {
 			return
 		}
@@ -352,7 +342,7 @@ func (p *podem) objective() (netlist.SignalID, V, bool) {
 		if p.sc.reachObs[d] {
 			liveEffect = true
 		}
-		for _, fo := range p.fanouts[d] {
+		for _, fo := range p.g.FanoutOf(d) {
 			consider(fo)
 		}
 	}
@@ -371,22 +361,23 @@ func (p *podem) objective() (netlist.SignalID, V, bool) {
 }
 
 // frontierGoal picks the side-input objective that lets a fault effect pass
-// through frontier gate g. hasEffect reports which input pins carry the
-// effect (a diff signal, or the faulted pin itself).
-func (p *podem) frontierGoal(g *netlist.Gate, hasEffect func(int) bool) (netlist.SignalID, V, bool) {
-	if g.Type == netlist.GateMux2 {
-		sel := g.Fanin[0]
+// through a frontier gate of type t with the given fanin. hasEffect reports
+// which input pins carry the effect (a diff signal, or the faulted pin
+// itself).
+func (p *podem) frontierGoal(t netlist.GateType, fanin []netlist.SignalID, hasEffect func(int) bool) (netlist.SignalID, V, bool) {
+	if t == netlist.GateMux2 {
+		sel := fanin[0]
 		switch {
 		case hasEffect(0):
 			// Effect on the select: the two data inputs must differ.
 			for _, pin := range [2]int{1, 2} {
-				if p.gv[g.Fanin[pin]] == VX && !hasEffect(pin) {
-					other := p.gv[g.Fanin[3-pin]]
+				if p.gv[fanin[pin]] == VX && !hasEffect(pin) {
+					other := p.gv[fanin[3-pin]]
 					v := V1
 					if other == V1 {
 						v = V0
 					}
-					return g.Fanin[pin], v, true
+					return fanin[pin], v, true
 				}
 			}
 			return 0, VX, false
@@ -405,7 +396,7 @@ func (p *podem) frontierGoal(g *netlist.Gate, hasEffect func(int) bool) (netlist
 		}
 	}
 	var v V
-	switch g.Type {
+	switch t {
 	case netlist.GateAnd, netlist.GateNand:
 		v = V1
 	case netlist.GateOr, netlist.GateNor:
@@ -415,7 +406,7 @@ func (p *podem) frontierGoal(g *netlist.Gate, hasEffect func(int) bool) (netlist
 	default:
 		return 0, VX, false // BUF/NOT propagate effects without help
 	}
-	for pin, src := range g.Fanin {
+	for pin, src := range fanin {
 		if p.gv[src] == VX && !hasEffect(pin) {
 			return src, v, true
 		}
@@ -429,22 +420,22 @@ func (p *podem) isDiff(sig netlist.SignalID) bool {
 
 // backtrace walks an objective back to an unassigned controllable source.
 func (p *podem) backtrace(sig netlist.SignalID, v V) (netlist.SignalID, V, bool) {
-	for steps := 0; steps < p.n.NumGates()+1; steps++ {
+	for steps := 0; steps < p.g.NumGates()+1; steps++ {
 		if p.controllable(sig) {
 			if p.gv[sig] != VX {
 				return 0, VX, false // already assigned: dead end
 			}
 			return sig, v, true
 		}
-		g := p.n.Gate(sig)
-		switch g.Type {
+		t, fanin := p.g.Types[sig], p.g.FaninOf(sig)
+		switch t {
 		case netlist.GateBuf:
-			sig = g.Fanin[0]
+			sig = fanin[0]
 		case netlist.GateNot:
-			sig, v = g.Fanin[0], v.Neg()
+			sig, v = fanin[0], v.Neg()
 		case netlist.GateAnd, netlist.GateNand, netlist.GateOr, netlist.GateNor:
 			av := v
-			if g.Type == netlist.GateNand || g.Type == netlist.GateNor {
+			if t == netlist.GateNand || t == netlist.GateNor {
 				av = v.Neg()
 			}
 			// In the AND domain: output 1 needs all inputs 1 (pick the
@@ -452,7 +443,7 @@ func (p *podem) backtrace(sig netlist.SignalID, v V) (netlist.SignalID, V, bool)
 			// easiest). OR domain is the dual.
 			need := V1
 			all := av == V1
-			if g.Type == netlist.GateOr || g.Type == netlist.GateNor {
+			if t == netlist.GateOr || t == netlist.GateNor {
 				need = V0
 				all = av == V0
 			}
@@ -462,7 +453,7 @@ func (p *podem) backtrace(sig netlist.SignalID, v V) (netlist.SignalID, V, bool)
 			}
 			next := netlist.InvalidSignal
 			var bestCost int32
-			for _, src := range g.Fanin {
+			for _, src := range fanin {
 				if p.gv[src] != VX {
 					continue
 				}
@@ -478,13 +469,13 @@ func (p *podem) backtrace(sig netlist.SignalID, v V) (netlist.SignalID, V, bool)
 			sig, v = next, want
 		case netlist.GateXor, netlist.GateXnor:
 			target := v
-			if g.Type == netlist.GateXnor {
+			if t == netlist.GateXnor {
 				target = v.Neg()
 			}
 			// parity of known inputs; first X input becomes the goal.
 			next := netlist.InvalidSignal
 			parity := V0
-			for _, src := range g.Fanin {
+			for _, src := range fanin {
 				switch p.gv[src] {
 				case V1:
 					parity = parity.Neg()
@@ -503,16 +494,16 @@ func (p *podem) backtrace(sig netlist.SignalID, v V) (netlist.SignalID, V, bool)
 			}
 			sig, v = next, want
 		case netlist.GateMux2:
-			sel := g.Fanin[0]
+			sel := fanin[0]
 			switch p.gv[sel] {
 			case V0:
-				sig = g.Fanin[1]
+				sig = fanin[1]
 			case V1:
-				sig = g.Fanin[2]
+				sig = fanin[2]
 			default:
 				// Choose the cheaper select branch for the target value.
-				c0 := addSat(p.sc.cost(sel, V0), p.sc.cost(g.Fanin[1], v))
-				c1 := addSat(p.sc.cost(sel, V1), p.sc.cost(g.Fanin[2], v))
+				c0 := addSat(p.sc.cost(sel, V0), p.sc.cost(fanin[1], v))
+				c1 := addSat(p.sc.cost(sel, V1), p.sc.cost(fanin[2], v))
 				if c0 <= c1 {
 					sig, v = sel, V0
 				} else {
@@ -589,11 +580,11 @@ const (
 )
 
 func (p *podem) generate(f faults.Fault, rng *rand.Rand) (faultsim.Pattern, genOutcome) {
-	if f.Pin != faults.OutputPin && p.n.TypeOf(f.Gate) == netlist.GateDFF {
+	if f.Pin != faults.OutputPin && p.g.Types[f.Gate] == netlist.GateDFF {
 		// A D-pin branch fault is observed directly at scan capture:
 		// the test only needs to justify the opposite value on the
 		// driver.
-		d := p.n.Gate(f.Gate).Fanin[f.Pin]
+		d := p.g.FaninOf(f.Gate)[f.Pin]
 		p.resetJustify(d, FromBool(f.StuckAt == 1).Neg())
 		if p.search() {
 			return p.extractPattern(rng), genFound
@@ -632,7 +623,7 @@ func (p *podem) justifyVector(sig netlist.SignalID, v V, rng *rand.Rand) (faults
 }
 
 func (p *podem) structurallyObservable(f faults.Fault) bool {
-	if f.Pin != faults.OutputPin && p.n.TypeOf(f.Gate) == netlist.GateDFF {
+	if f.Pin != faults.OutputPin && p.g.Types[f.Gate] == netlist.GateDFF {
 		return true // D-pin branch faults are observed at capture
 	}
 	site := f.Gate

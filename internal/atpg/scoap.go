@@ -28,42 +28,41 @@ func addSat(a, b int32) int32 {
 // computeScoap derives the measures for a netlist, given which signals are
 // controllable sources and which are observed.
 func computeScoap(n *netlist.Netlist, controllable func(netlist.SignalID) bool, observed func(netlist.SignalID) bool) *scoap {
-	ng := n.NumGates()
+	g := n.Graph()
+	ng := g.NumGates()
 	sc := &scoap{
 		cc0:      make([]int32, ng),
 		cc1:      make([]int32, ng),
 		reachObs: make([]bool, ng),
 	}
-	for _, id := range n.TopoOrder() {
-		g := n.Gate(id)
+	for _, id := range g.Order {
+		t := g.Types[id]
 		switch {
-		case g.Type == netlist.GateConst0:
+		case t == netlist.GateConst0:
 			sc.cc0[id], sc.cc1[id] = 1, infCost
-		case g.Type == netlist.GateConst1:
+		case t == netlist.GateConst1:
 			sc.cc0[id], sc.cc1[id] = infCost, 1
-		case g.Type.IsSource() || g.Type == netlist.GateDFF:
+		case t.IsSource() || t == netlist.GateDFF:
 			if controllable(id) {
 				sc.cc0[id], sc.cc1[id] = 1, 1
 			} else {
 				sc.cc0[id], sc.cc1[id] = infCost, infCost
 			}
 		default:
-			sc.cc0[id], sc.cc1[id] = gateCC(g, sc)
+			sc.cc0[id], sc.cc1[id] = gateCC(t, g.FaninOf(id), sc)
 		}
 	}
 	// Backward reachability to observation points, through combinational
 	// gates only (a DFF D pin is itself an observation point in full
 	// scan, so effects never need to cross a DFF).
-	fanouts := n.Fanouts()
-	order := n.TopoOrder()
-	for k := len(order) - 1; k >= 0; k-- {
-		id := order[k]
+	for k := len(g.Order) - 1; k >= 0; k-- {
+		id := g.Order[k]
 		if observed(id) {
 			sc.reachObs[id] = true
 			continue
 		}
-		for _, fo := range fanouts[id] {
-			if n.TypeOf(fo).IsCombinational() && sc.reachObs[fo] {
+		for _, fo := range g.FanoutOf(id) {
+			if g.Types[fo].IsCombinational() && sc.reachObs[fo] {
 				sc.reachObs[id] = true
 				break
 			}
@@ -72,13 +71,14 @@ func computeScoap(n *netlist.Netlist, controllable func(netlist.SignalID) bool, 
 	return sc
 }
 
-// gateCC computes (cc0, cc1) of a combinational gate from fanin measures.
-func gateCC(g *netlist.Gate, sc *scoap) (int32, int32) {
-	in0 := func(pin int) int32 { return sc.cc0[g.Fanin[pin]] }
-	in1 := func(pin int) int32 { return sc.cc1[g.Fanin[pin]] }
+// gateCC computes (cc0, cc1) of a combinational gate of type t from the
+// measures of its fanin.
+func gateCC(t netlist.GateType, fanin []netlist.SignalID, sc *scoap) (int32, int32) {
+	in0 := func(pin int) int32 { return sc.cc0[fanin[pin]] }
+	in1 := func(pin int) int32 { return sc.cc1[fanin[pin]] }
 	minOver := func(f func(int) int32) int32 {
 		m := infCost
-		for i := range g.Fanin {
+		for i := range fanin {
 			if c := f(i); c < m {
 				m = c
 			}
@@ -87,12 +87,12 @@ func gateCC(g *netlist.Gate, sc *scoap) (int32, int32) {
 	}
 	sumOver := func(f func(int) int32) int32 {
 		var s int32 = 0
-		for i := range g.Fanin {
+		for i := range fanin {
 			s = addSat(s, f(i))
 		}
 		return s
 	}
-	switch g.Type {
+	switch t {
 	case netlist.GateBuf:
 		return addSat(in0(0), 1), addSat(in1(0), 1)
 	case netlist.GateNot:
@@ -111,13 +111,13 @@ func gateCC(g *netlist.Gate, sc *scoap) (int32, int32) {
 		// but monotone, which is all backtrace needs).
 		even := int32(0) // cheapest way to get even parity of 1s
 		odd := infCost
-		for i := range g.Fanin {
+		for i := range fanin {
 			c0, c1 := in0(i), in1(i)
 			nEven := minI32(addSat(even, c0), addSat(odd, c1))
 			nOdd := minI32(addSat(even, c1), addSat(odd, c0))
 			even, odd = nEven, nOdd
 		}
-		if g.Type == netlist.GateXor {
+		if t == netlist.GateXor {
 			return addSat(even, 1), addSat(odd, 1)
 		}
 		return addSat(odd, 1), addSat(even, 1)

@@ -60,10 +60,10 @@ func FromBool(b bool) V {
 	return V0
 }
 
-// evalGate3 computes a gate's three-valued output, reading fanin values
-// through fn(pin).
-func evalGate3(g *netlist.Gate, fn func(int) V) V {
-	switch g.Type {
+// evalGate3 computes the three-valued output of a gate of type t with the
+// given fanin, reading fanin values through fn(pin).
+func evalGate3(t netlist.GateType, fanin []netlist.SignalID, fn func(int) V) V {
+	switch t {
 	case netlist.GateBuf:
 		return fn(0)
 	case netlist.GateNot:
@@ -74,7 +74,7 @@ func evalGate3(g *netlist.Gate, fn func(int) V) V {
 		return V1
 	case netlist.GateAnd, netlist.GateNand:
 		out := V1
-		for i := range g.Fanin {
+		for i := range fanin {
 			switch fn(i) {
 			case V0:
 				out = V0
@@ -87,13 +87,13 @@ func evalGate3(g *netlist.Gate, fn func(int) V) V {
 				break
 			}
 		}
-		if g.Type == netlist.GateNand {
+		if t == netlist.GateNand {
 			return out.Neg()
 		}
 		return out
 	case netlist.GateOr, netlist.GateNor:
 		out := V0
-		for i := range g.Fanin {
+		for i := range fanin {
 			switch fn(i) {
 			case V1:
 				out = V1
@@ -106,13 +106,13 @@ func evalGate3(g *netlist.Gate, fn func(int) V) V {
 				break
 			}
 		}
-		if g.Type == netlist.GateNor {
+		if t == netlist.GateNor {
 			return out.Neg()
 		}
 		return out
 	case netlist.GateXor, netlist.GateXnor:
 		out := V0
-		for i := range g.Fanin {
+		for i := range fanin {
 			in := fn(i)
 			if in == VX {
 				return VX
@@ -121,7 +121,7 @@ func evalGate3(g *netlist.Gate, fn func(int) V) V {
 				out = out.Neg()
 			}
 		}
-		if g.Type == netlist.GateXnor {
+		if t == netlist.GateXnor {
 			return out.Neg()
 		}
 		return out

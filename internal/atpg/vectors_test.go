@@ -39,15 +39,15 @@ func TestVectorRoundTrip(t *testing.T) {
 		}
 	}
 	// The read-back set must grade identically.
-	origCov, err := EvaluatePatterns(n, list, res.Patterns)
+	orig, err := sim.RunCampaign(res.Patterns, list)
 	if err != nil {
 		t.Fatal(err)
 	}
-	backCov, err := EvaluatePatterns(n, list, back)
+	read, err := sim.RunCampaign(back, list)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if origCov != backCov {
+	if origCov, backCov := orig.Coverage(), read.Coverage(); origCov != backCov {
 		t.Errorf("coverage changed through the file: %.4f -> %.4f", origCov, backCov)
 	}
 }

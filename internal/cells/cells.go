@@ -157,29 +157,6 @@ func (l *Library) WireDelayPS(lengthUM, driveKOhm float64) float64 {
 	return driveKOhm*cw + rw*cw/2
 }
 
-// RepeatedWireDelayPS models a routed net the way a physical flow builds
-// it: wires longer than TestBufferDistUM carry repeaters, so delay grows
-// linearly with length (one buffer delay plus one segment of RC per hop)
-// instead of quadratically, and no single driver ever sees more than one
-// segment of wire.
-func (l *Library) RepeatedWireDelayPS(lengthUM, driveKOhm float64) float64 {
-	seg := l.TestBufferDistUM
-	if seg <= 0 || lengthUM <= seg {
-		return l.WireDelayPS(lengthUM, driveKOhm)
-	}
-	buf := l.Of(netlist.GateBuf)
-	hops := int(lengthUM / seg)
-	rem := lengthUM - float64(hops)*seg
-	// First segment driven by the original cell, then hops-1 full buffer
-	// stages, then the final buffer drives the remainder.
-	d := l.WireDelayPS(seg, driveKOhm) + driveKOhm*buf.InputCapFF
-	for i := 1; i < hops; i++ {
-		d += buf.IntrinsicPS + l.WireDelayPS(seg, buf.DriveResKOhm) + buf.DriveResKOhm*buf.InputCapFF
-	}
-	d += buf.IntrinsicPS + l.WireDelayPS(rem, buf.DriveResKOhm)
-	return d
-}
-
 // WireCapFF returns the capacitance of a wire of the given length.
 func (l *Library) WireCapFF(lengthUM float64) float64 {
 	return l.WireCapPerUM * lengthUM

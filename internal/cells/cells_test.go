@@ -80,28 +80,6 @@ func TestWrapperCellCostlierThanMux(t *testing.T) {
 	}
 }
 
-func TestRepeatedWireDelayLinear(t *testing.T) {
-	lib := Default45nm()
-	drive := 2.0
-	seg := lib.TestBufferDistUM
-	// Short wires: identical to the unrepeatered model.
-	if got, want := lib.RepeatedWireDelayPS(seg/2, drive), lib.WireDelayPS(seg/2, drive); got != want {
-		t.Errorf("short wire: repeated %v != raw %v", got, want)
-	}
-	// At millimeter scale the raw model's quadratic RC term dominates
-	// and repeaters win outright.
-	long := 20000.0
-	if lib.RepeatedWireDelayPS(long, drive) >= lib.WireDelayPS(long, drive) {
-		t.Error("repeaters must beat a millimeter-scale unrepeatered wire")
-	}
-	d1 := lib.RepeatedWireDelayPS(5*seg, drive)
-	d2 := lib.RepeatedWireDelayPS(10*seg, drive)
-	ratio := d2 / d1
-	if ratio < 1.6 || ratio > 2.4 {
-		t.Errorf("doubling a repeatered wire scaled delay by %.2f, want ~2", ratio)
-	}
-}
-
 func TestDriverWireCapBounded(t *testing.T) {
 	lib := Default45nm()
 	seg := lib.TestBufferDistUM
@@ -117,15 +95,8 @@ func TestDriverWireCapBounded(t *testing.T) {
 	if capAt2seg > lib.WireCapFF(seg)+5 {
 		t.Errorf("saturated driver cap %v far above one segment %v", capAt2seg, lib.WireCapFF(seg))
 	}
-}
-
-func TestRepeatedWireNoBufferDistance(t *testing.T) {
-	lib := Default45nm()
+	// Without a repeater spacing the driver sees the whole wire.
 	lib.TestBufferDistUM = 0
-	// Without a repeater spacing the models coincide.
-	if lib.RepeatedWireDelayPS(500, 2.0) != lib.WireDelayPS(500, 2.0) {
-		t.Error("zero spacing must disable repeaters")
-	}
 	if lib.DriverWireCapFF(500) != lib.WireCapFF(500) {
 		t.Error("zero spacing must disable cap saturation")
 	}

@@ -70,7 +70,13 @@ func controllingValue(t netlist.GateType) (uint8, bool) {
 //
 // The DFF D pin is treated like a buffer input (no extra pin faults).
 func CollapsedList(n *netlist.Netlist) []Fault {
-	fanouts := n.Fanouts()
+	graph := n.Graph()
+	// ports[s] counts the output ports observing s: with the gate pins s
+	// feeds, they make up its electrical fanout.
+	ports := make([]int, n.NumGates())
+	for _, o := range n.Outputs {
+		ports[o.Signal]++
+	}
 	var list []Fault
 	for i := range n.Gates {
 		id := netlist.SignalID(i)
@@ -84,7 +90,7 @@ func CollapsedList(n *netlist.Netlist) []Fault {
 			continue
 		}
 		for pin, src := range g.Fanin {
-			if n.FanoutCount(src) <= 1 && len(fanouts[src]) <= 1 {
+			if len(graph.FanoutOf(src))+ports[src] <= 1 {
 				continue // wire-equivalent to the driver's output fault
 			}
 			switch g.Type {

@@ -31,6 +31,30 @@ func TestCollapsedListSingleFanout(t *testing.T) {
 	}
 }
 
+func TestCollapsedListPortBranch(t *testing.T) {
+	// a drives one gate pin and one output port: two branches, so the
+	// pin fault is not wire-equivalent to a's output fault and is kept.
+	// b drives only the pin, which therefore gets no fault.
+	n := mk(t, `
+INPUT(a)
+INPUT(b)
+x = AND(a, b)
+OUTPUT(x)
+OUTPUT(a)
+`)
+	xID, _ := n.SignalByName("x")
+	var pins []Fault
+	for _, f := range CollapsedList(n) {
+		if f.Pin != OutputPin {
+			pins = append(pins, f)
+		}
+	}
+	want := Fault{Gate: xID, Pin: 0, StuckAt: 1}
+	if len(pins) != 1 || pins[0] != want {
+		t.Errorf("pin faults = %v, want [%v] (s-a-1 on the pin a drives)", pins, want)
+	}
+}
+
 func TestCollapsedListBranchFaults(t *testing.T) {
 	// a fans out to an AND and an OR: branch pin faults appear, and only
 	// the non-controlling polarity for AND/OR.

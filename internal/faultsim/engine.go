@@ -27,12 +27,7 @@ type Engine struct {
 // netlist.
 func (s *Simulator) NewEngine() *Engine {
 	ng := s.N.NumGates()
-	maxLvl := 0
-	for _, l := range s.level {
-		if int(l) > maxLvl {
-			maxLvl = int(l)
-		}
-	}
+	maxLvl := s.g.MaxLevel()
 	return &Engine{
 		s:          s,
 		fval:       make([]uint64, ng),
@@ -70,7 +65,7 @@ func (e *Engine) enqueue(sig netlist.SignalID) {
 		return
 	}
 	e.inQueue[sig] = e.epoch
-	lvl := e.s.level[sig]
+	lvl := e.s.g.Level[sig]
 	e.buckets[lvl] = append(e.buckets[lvl], sig)
 }
 
@@ -80,7 +75,7 @@ func (e *Engine) enqueue(sig netlist.SignalID) {
 // differ at at least one observation point.
 func (e *Engine) Detects(f faults.Fault, good *Block) uint64 {
 	s := e.s
-	n := s.N
+	g := s.g
 	e.epoch++
 	e.touched = e.touched[:0]
 
@@ -94,17 +89,17 @@ func (e *Engine) Detects(f faults.Fault, good *Block) uint64 {
 	if f.Pin == faults.OutputPin {
 		seedV, seedK = stuck, good.mask
 	} else {
-		g := n.Gate(site)
-		if g.Type == netlist.GateDFF {
+		fanin := g.FaninOf(site)
+		if g.Types[site] == netlist.GateDFF {
 			// A branch fault on the D pin corrupts only what the
 			// flip-flop captures; the scan chain observes the capture
 			// directly. Detected wherever the good D value is known
 			// and differs from the stuck value.
-			d := g.Fanin[f.Pin]
+			d := fanin[f.Pin]
 			return good.known[d] & (good.val[d] ^ stuck) & good.mask
 		}
 		fp := int(f.Pin)
-		seedV, seedK = evalWordWith(g, func(pin int, src netlist.SignalID) (uint64, uint64) {
+		seedV, seedK = evalWordWith(g.Types[site], fanin, func(pin int, src netlist.SignalID) (uint64, uint64) {
 			if pin == fp {
 				return stuck, good.mask
 			}
@@ -123,8 +118,8 @@ func (e *Engine) Detects(f faults.Fault, good *Block) uint64 {
 		return 0
 	}
 	e.setFaulty(site, seedV, seedK)
-	for _, fo := range n.Fanouts()[site] {
-		if n.TypeOf(fo) == netlist.GateDFF {
+	for _, fo := range g.FanoutOf(site) {
+		if g.Types[fo] == netlist.GateDFF {
 			continue // effect is captured; D-pin driver is the observed signal
 		}
 		e.enqueue(fo)
@@ -134,8 +129,7 @@ func (e *Engine) Detects(f faults.Fault, good *Block) uint64 {
 		bucket := e.buckets[lvl]
 		for bi := 0; bi < len(bucket); bi++ {
 			id := bucket[bi]
-			g := n.Gate(id)
-			v, k := evalWordWith(g, func(_ int, src netlist.SignalID) (uint64, uint64) {
+			v, k := evalWordWith(g.Types[id], g.FaninOf(id), func(_ int, src netlist.SignalID) (uint64, uint64) {
 				return e.faultyVal(good, src)
 			})
 			v &= good.mask
@@ -145,8 +139,8 @@ func (e *Engine) Detects(f faults.Fault, good *Block) uint64 {
 				continue
 			}
 			e.setFaulty(id, v, k)
-			for _, fo := range n.Fanouts()[id] {
-				if n.TypeOf(fo) == netlist.GateDFF {
+			for _, fo := range g.FanoutOf(id) {
+				if g.Types[fo] == netlist.GateDFF {
 					continue
 				}
 				e.enqueue(fo)

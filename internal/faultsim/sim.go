@@ -61,12 +61,8 @@ type Simulator struct {
 	sourceIdx map[netlist.SignalID]int
 	// observed[sig] reports whether the signal is an observation point.
 	observed []bool
-	// observedList caches the observed signals.
-	observedList []netlist.SignalID
-
-	order   []netlist.SignalID
-	fanouts [][]netlist.SignalID
-	level   []int32
+	// g is N's flat connectivity, which every simulation walks.
+	g *netlist.Graph
 }
 
 // New builds a simulator with the standard pre-bond test view described in
@@ -76,14 +72,11 @@ func New(n *netlist.Netlist) *Simulator {
 		N:         n,
 		sourceIdx: make(map[netlist.SignalID]int),
 		observed:  make([]bool, n.NumGates()),
-		order:     n.TopoOrder(),
-		fanouts:   n.Fanouts(),
-		level:     make([]int32, n.NumGates()),
+		g:         n.Graph(),
 	}
-	for i := range n.Gates {
+	for i, t := range s.g.Types {
 		id := netlist.SignalID(i)
-		s.level[i] = int32(n.Level(id))
-		switch n.TypeOf(id) {
+		switch t {
 		case netlist.GateInput, netlist.GateDFF:
 			s.sourceIdx[id] = len(s.Sources)
 			s.Sources = append(s.Sources, id)
@@ -96,11 +89,6 @@ func New(n *netlist.Netlist) *Simulator {
 	}
 	for _, ff := range n.FlipFlops() {
 		s.observed[n.Gate(ff).Fanin[0]] = true
-	}
-	for i, obs := range s.observed {
-		if obs {
-			s.observedList = append(s.observedList, netlist.SignalID(i))
-		}
 	}
 	return s
 }
@@ -116,9 +104,6 @@ func (s *Simulator) SourceIndex(sig netlist.SignalID) (int, bool) {
 
 // Observed reports whether the signal is an observation point.
 func (s *Simulator) Observed(sig netlist.SignalID) bool { return s.observed[sig] }
-
-// ObservedSignals returns all observation points.
-func (s *Simulator) ObservedSignals() []netlist.SignalID { return s.observedList }
 
 // RandomPattern draws a uniform random vector.
 func (s *Simulator) RandomPattern(rng *rand.Rand) Pattern {
@@ -172,9 +157,9 @@ func (s *Simulator) GoodSim(patterns []Pattern) (*Block, error) {
 		b.val[sig] = w
 		b.known[sig] = b.mask
 	}
-	for _, id := range s.order {
-		g := s.N.Gate(id)
-		switch g.Type {
+	for _, id := range s.g.Order {
+		t := s.g.Types[id]
+		switch t {
 		case netlist.GateInput, netlist.GateDFF:
 			// loaded above
 		case netlist.GateTSVIn:
@@ -185,27 +170,28 @@ func (s *Simulator) GoodSim(patterns []Pattern) (*Block, error) {
 		case netlist.GateConst1:
 			b.val[id], b.known[id] = b.mask, b.mask
 		default:
-			v, kn := evalWord(g, b.val, b.known)
+			v, kn := evalWord(t, s.g.FaninOf(id), b.val, b.known)
 			b.val[id], b.known[id] = v&b.mask, kn&b.mask
 		}
 	}
 	return b, nil
 }
 
-// evalWord computes the three-valued output of a gate from fanin words.
-func evalWord(g *netlist.Gate, val, known []uint64) (uint64, uint64) {
-	return evalWordWith(g, func(_ int, f netlist.SignalID) (uint64, uint64) {
+// evalWord computes the three-valued output of a gate of type t from
+// fanin words.
+func evalWord(t netlist.GateType, fanin []netlist.SignalID, val, known []uint64) (uint64, uint64) {
+	return evalWordWith(t, fanin, func(_ int, f netlist.SignalID) (uint64, uint64) {
 		return val[f], known[f]
 	})
 }
 
-// evalWordWith computes the gate output fetching fanin values through
-// fn(pin, signal); the faulty-machine propagation passes a reader that
-// substitutes faulty values inside the affected region (and a forced value
-// on the faulted pin).
-func evalWordWith(g *netlist.Gate, pinFn func(int, netlist.SignalID) (uint64, uint64)) (uint64, uint64) {
-	fn := func(pin int) (uint64, uint64) { return pinFn(pin, g.Fanin[pin]) }
-	switch g.Type {
+// evalWordWith computes the output of a gate of type t with the given
+// fanin, fetching fanin values through fn(pin, signal); the faulty-machine
+// propagation passes a reader that substitutes faulty values inside the
+// affected region (and a forced value on the faulted pin).
+func evalWordWith(t netlist.GateType, fanin []netlist.SignalID, pinFn func(int, netlist.SignalID) (uint64, uint64)) (uint64, uint64) {
+	fn := func(pin int) (uint64, uint64) { return pinFn(pin, fanin[pin]) }
+	switch t {
 	case netlist.GateBuf:
 		return fn(0)
 	case netlist.GateNot:
@@ -215,14 +201,14 @@ func evalWordWith(g *netlist.Gate, pinFn func(int, netlist.SignalID) (uint64, ui
 		v := ^uint64(0)
 		known1 := ^uint64(0) // all fanins known
 		known0 := uint64(0)  // any fanin known-0
-		for pin := range g.Fanin {
+		for pin := range fanin {
 			fv, fk := fn(pin)
 			v &= fv
 			known1 &= fk
 			known0 |= fk &^ fv
 		}
 		kn := known1 | known0
-		if g.Type == netlist.GateNand {
+		if t == netlist.GateNand {
 			return ^v, kn
 		}
 		return v, kn
@@ -230,26 +216,26 @@ func evalWordWith(g *netlist.Gate, pinFn func(int, netlist.SignalID) (uint64, ui
 		v := uint64(0)
 		known1 := ^uint64(0)
 		known0 := uint64(0) // any fanin known-1 forces output
-		for pin := range g.Fanin {
+		for pin := range fanin {
 			fv, fk := fn(pin)
 			v |= fv
 			known1 &= fk
 			known0 |= fk & fv
 		}
 		kn := known1 | known0
-		if g.Type == netlist.GateNor {
+		if t == netlist.GateNor {
 			return ^v, kn
 		}
 		return v, kn
 	case netlist.GateXor, netlist.GateXnor:
 		v := uint64(0)
 		kn := ^uint64(0)
-		for pin := range g.Fanin {
+		for pin := range fanin {
 			fv, fk := fn(pin)
 			v ^= fv
 			kn &= fk
 		}
-		if g.Type == netlist.GateXnor {
+		if t == netlist.GateXnor {
 			return ^v, kn
 		}
 		return v, kn

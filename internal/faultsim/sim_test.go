@@ -128,7 +128,7 @@ func bruteDetect(n *netlist.Netlist, s *Simulator, f faults.Fault, assign map[ne
 		panic(err)
 	}
 	faulty := make([]bool, n.NumGates())
-	for _, id := range n.TopoOrder() {
+	for _, id := range n.Graph().Order {
 		g := n.Gate(id)
 		var v bool
 		switch g.Type {
@@ -156,8 +156,8 @@ func bruteDetect(n *netlist.Netlist, s *Simulator, f faults.Fault, assign map[ne
 		d := n.Gate(f.Gate).Fanin[f.Pin]
 		return good[d] != (f.StuckAt == 1)
 	}
-	for _, obs := range s.ObservedSignals() {
-		if good[obs] != faulty[obs] {
+	for i := range good {
+		if obs := netlist.SignalID(i); s.Observed(obs) && good[obs] != faulty[obs] {
 			return true
 		}
 	}

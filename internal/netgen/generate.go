@@ -314,7 +314,7 @@ func Generate(p Profile, seed int64) (*netlist.Netlist, error) {
 // gates serve as fallback, with the deconstant pass cleaning up any
 // correlation they introduce.
 func spliceDanglers(n *netlist.Netlist, rng *rand.Rand, clusterOf []int) error {
-	fanouts := n.Fanouts()
+	graph := n.Graph()
 
 	// Observability: backward reachability from FF D pins and ports.
 	obs := make([]bool, n.NumGates())
@@ -324,13 +324,13 @@ func spliceDanglers(n *netlist.Netlist, rng *rand.Rand, clusterOf []int) error {
 	for _, o := range n.Outputs {
 		obs[o.Signal] = true
 	}
-	order := n.TopoOrder()
+	order := graph.Order
 	for k := len(order) - 1; k >= 0; k-- {
 		id := order[k]
 		if obs[id] {
 			continue
 		}
-		for _, fo := range fanouts[id] {
+		for _, fo := range graph.FanoutOf(id) {
 			if n.TypeOf(fo).IsCombinational() && obs[fo] {
 				obs[id] = true
 				break
@@ -345,7 +345,7 @@ func spliceDanglers(n *netlist.Netlist, rng *rand.Rand, clusterOf []int) error {
 	var roots []netlist.SignalID
 	for i := range n.Gates {
 		id := netlist.SignalID(i)
-		if n.TypeOf(id).IsCombinational() && len(fanouts[id]) == 0 && !hasPort[id] {
+		if n.TypeOf(id).IsCombinational() && len(graph.FanoutOf(id)) == 0 && !hasPort[id] {
 			roots = append(roots, id)
 		}
 	}

@@ -118,19 +118,19 @@ func TestGenerateAllSourcesUsed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fanouts := n.Fanouts()
+	g := n.Graph()
 	for _, id := range n.InboundTSVs() {
-		if len(fanouts[id]) == 0 {
+		if len(g.FanoutOf(id)) == 0 {
 			t.Errorf("inbound TSV %s has no fanout", n.NameOf(id))
 		}
 	}
 	for _, id := range n.FlipFlops() {
-		if len(fanouts[id]) == 0 {
+		if len(g.FanoutOf(id)) == 0 {
 			t.Errorf("flip-flop %s has no fanout", n.NameOf(id))
 		}
 	}
 	for _, id := range n.Inputs() {
-		if len(fanouts[id]) == 0 {
+		if len(g.FanoutOf(id)) == 0 {
 			t.Errorf("input %s has no fanout", n.NameOf(id))
 		}
 	}

@@ -33,14 +33,14 @@ func TestQuickProfileInvariants(t *testing.T) {
 			st.InboundTSVs != p.InboundTSVs || st.OutboundTSVs != p.OutboundTSVs {
 			return false
 		}
-		fanouts := n.Fanouts()
+		g := n.Graph()
 		for _, id := range n.InboundTSVs() {
-			if len(fanouts[id]) == 0 {
+			if len(g.FanoutOf(id)) == 0 {
 				return false
 			}
 		}
 		for _, ff := range n.FlipFlops() {
-			if len(fanouts[ff]) == 0 {
+			if len(g.FanoutOf(ff)) == 0 {
 				return false
 			}
 			if !n.TypeOf(n.Gate(ff).Fanin[0]).IsCombinational() {

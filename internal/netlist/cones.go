@@ -130,13 +130,6 @@ func (s SparseSet) IntersectCount(o SparseSet) int {
 	return c
 }
 
-// Or merges o into b.
-func (b *BitSet) Or(o *BitSet) {
-	for i, w := range o.words {
-		b.words[i] |= w
-	}
-}
-
 // Members returns the member IDs in ascending order.
 func (b *BitSet) Members() []SignalID {
 	var out []SignalID
@@ -296,17 +289,4 @@ func (cs *ConeSet) Fanout(s SignalID) *BitSet {
 		cs.fanout[s] = c
 	}
 	return c
-}
-
-// FanoutOverlap reports whether the fan-out cones of two signals share any
-// gate — the condition the paper's Algorithm 1 tests before allowing a scan
-// flip-flop to be shared "safely" with an inbound TSV.
-func (cs *ConeSet) FanoutOverlap(a, b SignalID) bool {
-	return cs.Fanout(a).Intersects(cs.Fanout(b))
-}
-
-// FaninOverlap reports whether the fan-in cones of two signals share any
-// gate — the analogous condition on the observation side (outbound TSVs).
-func (cs *ConeSet) FaninOverlap(a, b SignalID) bool {
-	return cs.Fanin(a).Intersects(cs.Fanin(b))
 }

@@ -12,7 +12,7 @@ import "fmt"
 // property-style in tests.
 func (n *Netlist) Evaluate(assign map[SignalID]bool) ([]bool, error) {
 	vals := make([]bool, len(n.Gates))
-	for _, id := range n.TopoOrder() {
+	for _, id := range n.Graph().Order {
 		g := &n.Gates[id]
 		switch g.Type {
 		case GateConst0:

@@ -38,15 +38,31 @@ type Graph struct {
 // NumGates returns the number of signals.
 func (g *Graph) NumGates() int { return len(g.Types) }
 
-// FaninOf returns the fanin of id in pin order.
+// FaninOf returns the fanin of id in pin order. The slice is capped at
+// its length, so an append copies out instead of overwriting the next
+// gate's list.
 func (g *Graph) FaninOf(id SignalID) []SignalID {
-	return g.Fanin[g.FaninOff[id]:g.FaninOff[id+1]]
+	lo, hi := g.FaninOff[id], g.FaninOff[id+1]
+	return g.Fanin[lo:hi:hi]
 }
 
 // FanoutOf returns the gates id feeds, in ascending SignalID order, one
-// entry per pin.
+// entry per pin. Output ports do not appear. Like FaninOf, the slice is
+// capped at its length.
 func (g *Graph) FanoutOf(id SignalID) []SignalID {
-	return g.Fanout[g.FanoutOff[id]:g.FanoutOff[id+1]]
+	lo, hi := g.FanoutOff[id], g.FanoutOff[id+1]
+	return g.Fanout[lo:hi:hi]
+}
+
+// MaxLevel returns the deepest logic level in the circuit.
+func (g *Graph) MaxLevel() int {
+	max := int32(0)
+	for _, l := range g.Level {
+		if l > max {
+			max = l
+		}
+	}
+	return int(max)
 }
 
 // Derive fills the fanout CSR, Order and Level from Types and the fanin

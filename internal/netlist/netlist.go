@@ -22,15 +22,10 @@ type Netlist struct {
 
 	byName map[string]SignalID
 
-	// Derived structures; (re)built lazily and invalidated by mutation.
-	//
-	// The hot traversal state is the flat Graph (gate types, fanin and
-	// fanout CSR, topological order) so the cone DFS, the simulator and
-	// the timing analyzer walk contiguous memory instead of chasing a
-	// pointer per gate. fanouts is kept as subslice views into
-	// graph.Fanout to preserve the [][]SignalID accessor API.
+	// graph is the flat connectivity (gate types, fanin and fanout CSR,
+	// topological order, levels) every walker reads: built lazily and
+	// invalidated by mutation.
 	graph     *Graph
-	fanouts   [][]SignalID
 	derivedOK bool
 }
 
@@ -257,60 +252,12 @@ func (n *Netlist) signalsOfType(t GateType) []SignalID {
 	return ids
 }
 
-// Fanouts returns, for every signal, the gates it feeds. The slice is
-// indexed by SignalID and must not be mutated. Output ports do not appear:
-// use Outputs for those.
-func (n *Netlist) Fanouts() [][]SignalID {
-	n.ensureDerived()
-	return n.fanouts
-}
-
-// FanoutCount returns the number of gate pins driven by the signal plus
-// the number of output ports observing it — the electrical fanout used by
-// the timing model.
-func (n *Netlist) FanoutCount(id SignalID) int {
-	n.ensureDerived()
-	c := len(n.fanouts[id])
-	for _, o := range n.Outputs {
-		if o.Signal == id {
-			c++
-		}
-	}
-	return c
-}
-
-// TopoOrder returns every signal in topological order: sources and
-// flip-flop outputs first, then combinational gates such that each gate
-// appears after all of its fanins (flip-flop D pins do not constrain the
-// order — a DFF is a source for ordering purposes). The returned slice is
-// shared; do not mutate.
-func (n *Netlist) TopoOrder() []SignalID {
-	return n.Graph().Order
-}
-
-// Level returns the logic depth of a signal: 0 for sources and flip-flop
-// outputs, 1 + max(fanin levels) for combinational gates.
-func (n *Netlist) Level(id SignalID) int {
-	return int(n.Graph().Level[id])
-}
-
-// MaxLevel returns the deepest combinational level in the circuit.
-func (n *Netlist) MaxLevel() int {
-	max := 0
-	for _, l := range n.Graph().Level {
-		if int(l) > max {
-			max = int(l)
-		}
-	}
-	return max
-}
-
 func (n *Netlist) ensureDerived() {
 	if n.derivedOK {
 		return
 	}
-	// A rebuild never writes into arrays an earlier caller may still hold
-	// (Graph, Fanouts, TopoOrder): every array is fresh.
+	// A rebuild never writes into arrays an earlier caller may still hold:
+	// every array of the new Graph is fresh.
 	g := &Graph{
 		Types:    make([]GateType, len(n.Gates)),
 		FaninOff: make([]int32, len(n.Gates)+1),
@@ -327,13 +274,6 @@ func (n *Netlist) ensureDerived() {
 		g.Fanin = append(g.Fanin, n.Gates[i].Fanin...)
 	}
 	g.Derive()
-	// Full (three-index) windows, so an append by a confused caller
-	// copies out instead of corrupting a neighbor's list.
-	n.fanouts = make([][]SignalID, len(n.Gates))
-	for i := range n.fanouts {
-		lo, hi := g.FanoutOff[i], g.FanoutOff[i+1]
-		n.fanouts[i] = g.Fanout[lo:hi:hi]
-	}
 	n.graph = g
 	n.derivedOK = true
 }
@@ -463,6 +403,6 @@ func CollectStats(n *Netlist) Stats {
 		OutboundTSVs: len(n.OutboundTSVs()),
 		PIs:          len(n.Inputs()),
 		POs:          len(n.PrimaryOutputs()),
-		MaxLevel:     n.MaxLevel(),
+		MaxLevel:     n.Graph().MaxLevel(),
 	}
 }

@@ -2,6 +2,7 @@ package netlist
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -104,9 +105,10 @@ func TestClassifiers(t *testing.T) {
 
 func TestTopoOrderAndLevels(t *testing.T) {
 	n, ids := buildSmall(t)
-	order := n.TopoOrder()
+	g := n.Graph()
+	order := g.Order
 	if len(order) != n.NumGates() {
-		t.Fatalf("TopoOrder covers %d of %d gates", len(order), n.NumGates())
+		t.Fatalf("Order covers %d of %d gates", len(order), n.NumGates())
 	}
 	pos := make(map[SignalID]int, len(order))
 	for i, id := range order {
@@ -125,17 +127,17 @@ func TestTopoOrderAndLevels(t *testing.T) {
 			}
 		}
 	}
-	if lvl := n.Level(ids["a"]); lvl != 0 {
+	if lvl := g.Level[ids["a"]]; lvl != 0 {
 		t.Errorf("Level(a) = %d, want 0", lvl)
 	}
-	if lvl := n.Level(ids["n1"]); lvl != 1 {
+	if lvl := g.Level[ids["n1"]]; lvl != 1 {
 		t.Errorf("Level(n1) = %d, want 1", lvl)
 	}
-	if lvl := n.Level(ids["n2"]); lvl != 2 {
+	if lvl := g.Level[ids["n2"]]; lvl != 2 {
 		t.Errorf("Level(n2) = %d, want 2", lvl)
 	}
-	if n.MaxLevel() != 2 {
-		t.Errorf("MaxLevel = %d, want 2", n.MaxLevel())
+	if g.MaxLevel() != 2 {
+		t.Errorf("MaxLevel = %d, want 2", g.MaxLevel())
 	}
 }
 
@@ -168,19 +170,49 @@ func TestDFFBreaksCycle(t *testing.T) {
 	}
 }
 
+// fanoutCount is the electrical fanout of id: the gate pins it drives
+// plus the output ports observing it.
+func fanoutCount(n *Netlist, id SignalID) int {
+	c := len(n.Graph().FanoutOf(id))
+	for _, o := range n.Outputs {
+		if o.Signal == id {
+			c++
+		}
+	}
+	return c
+}
+
 func TestFanouts(t *testing.T) {
 	n, ids := buildSmall(t)
-	fo := n.Fanouts()
+	g := n.Graph()
 	// n1 feeds n2 and q's D pin? No: q.D = n2. n1 feeds n2 only (plus
 	// the TSV_OUT port, which is not a gate).
-	if got := len(fo[ids["n1"]]); got != 1 {
+	if got := len(g.FanoutOf(ids["n1"])); got != 1 {
 		t.Errorf("fanout(n1) gates = %d, want 1", got)
 	}
-	if got := n.FanoutCount(ids["n1"]); got != 2 {
-		t.Errorf("FanoutCount(n1) = %d, want 2 (XOR + TSV_OUT port)", got)
+	if got := fanoutCount(n, ids["n1"]); got != 2 {
+		t.Errorf("fanoutCount(n1) = %d, want 2 (XOR + TSV_OUT port)", got)
 	}
-	if got := n.FanoutCount(ids["n2"]); got != 2 {
-		t.Errorf("FanoutCount(n2) = %d, want 2 (DFF D + OUTPUT port)", got)
+	if got := fanoutCount(n, ids["n2"]); got != 2 {
+		t.Errorf("fanoutCount(n2) = %d, want 2 (DFF D + OUTPUT port)", got)
+	}
+}
+
+// TestGraphListsAreCapped checks that appending to a FanoutOf or FaninOf
+// result copies out instead of overwriting a neighboring list.
+func TestGraphListsAreCapped(t *testing.T) {
+	n, _ := buildSmall(t)
+	g := n.Graph()
+	fanout, fanin := slices.Clone(g.Fanout), slices.Clone(g.Fanin)
+	for id := SignalID(0); int(id) < g.NumGates(); id++ {
+		_ = append(g.FanoutOf(id), InvalidSignal)
+		_ = append(g.FaninOf(id), InvalidSignal)
+	}
+	if !slices.Equal(g.Fanout, fanout) {
+		t.Errorf("appends through FanoutOf changed Fanout: %v, want %v", g.Fanout, fanout)
+	}
+	if !slices.Equal(g.Fanin, fanin) {
+		t.Errorf("appends through FaninOf changed Fanin: %v, want %v", g.Fanin, fanin)
 	}
 }
 
@@ -345,12 +377,12 @@ func TestAppendFanin(t *testing.T) {
 
 func TestFanoutCountAfterRewire(t *testing.T) {
 	n, ids := buildSmall(t)
-	before := n.FanoutCount(ids["a"])
+	before := fanoutCount(n, ids["a"])
 	// Rewire n1's pin 0 (was a) to b: a loses a consumer.
 	if err := n.RewireFanin(ids["n1"], 0, ids["b"]); err != nil {
 		t.Fatal(err)
 	}
-	if got := n.FanoutCount(ids["a"]); got != before-1 {
+	if got := fanoutCount(n, ids["a"]); got != before-1 {
 		t.Errorf("fanout(a) = %d, want %d", got, before-1)
 	}
 }

@@ -118,10 +118,10 @@ func bipartition(n *netlist.Netlist, members []netlist.SignalID, opts Options, r
 	// Nets restricted to the member set: driver + member sinks.
 	type net struct{ cells []int }
 	var nets []net
-	fanouts := n.Fanouts()
+	graph := n.Graph()
 	for _, id := range members {
 		cells := []int{idxOf[id]}
-		for _, fo := range fanouts[id] {
+		for _, fo := range graph.FanoutOf(id) {
 			if j, ok := idxOf[fo]; ok {
 				cells = append(cells, j)
 			}
@@ -254,11 +254,11 @@ func bipartition(n *netlist.Netlist, members []netlist.SignalID, opts Options, r
 
 func countCut(n *netlist.Netlist, dieOf []int) int {
 	cut := 0
-	fanouts := n.Fanouts()
+	graph := n.Graph()
 	for i := range n.Gates {
 		id := netlist.SignalID(i)
 		crossed := map[int]bool{}
-		for _, fo := range fanouts[id] {
+		for _, fo := range graph.FanoutOf(id) {
 			if dieOf[fo] != dieOf[id] && !crossed[dieOf[fo]] {
 				crossed[dieOf[fo]] = true
 				cut++ // one TSV per (net, destination die)
@@ -322,7 +322,7 @@ func Extract(n *netlist.Netlist, dieOf []int, dies int) ([]*netlist.Netlist, err
 		placeholder[d] = id
 		return id, nil
 	}
-	for _, id := range n.TopoOrder() {
+	for _, id := range n.Graph().Order {
 		g := n.Gate(id)
 		d := dieOf[id]
 		switch {
@@ -357,7 +357,7 @@ func Extract(n *netlist.Netlist, dieOf []int, dies int) ([]*netlist.Netlist, err
 		}
 	}
 	// Flip-flop D pins reference signals that may be defined later in
-	// TopoOrder (sequential loops); fix them up now.
+	// topological order (sequential loops); fix them up now.
 	for _, ff := range n.FlipFlops() {
 		d := dieOf[ff]
 		src := n.Gate(ff).Fanin[0]
@@ -374,7 +374,7 @@ func Extract(n *netlist.Netlist, dieOf []int, dies int) ([]*netlist.Netlist, err
 	for d := range emitted {
 		emitted[d] = make(map[netlist.SignalID]bool)
 	}
-	fanouts := n.Fanouts()
+	graph := n.Graph()
 	for i := range n.Gates {
 		id := netlist.SignalID(i)
 		if n.TypeOf(id) == netlist.GateInput {
@@ -382,7 +382,7 @@ func Extract(n *netlist.Netlist, dieOf []int, dies int) ([]*netlist.Netlist, err
 		}
 		d := dieOf[id]
 		needed := false
-		for _, fo := range fanouts[id] {
+		for _, fo := range graph.FanoutOf(id) {
 			if dieOf[fo] != d {
 				needed = true
 				break

@@ -85,18 +85,6 @@ func (p *Placement) Distance(a, b netlist.SignalID) float64 {
 	return p.Coords[a].ManhattanTo(p.Coords[b])
 }
 
-// DistanceToOut returns the Manhattan distance between a signal's cell and
-// an output port's pad.
-func (p *Placement) DistanceToOut(a netlist.SignalID, outIdx int) float64 {
-	return p.Coords[a].ManhattanTo(p.OutCoords[outIdx])
-}
-
-// WireLength returns the estimated routed length of the net from driver
-// `from` to sink `to`: Manhattan distance (L-shaped route).
-func (p *Placement) WireLength(from, to netlist.SignalID) float64 {
-	return p.Distance(from, to)
-}
-
 // Place computes a placement for the die.
 func Place(n *netlist.Netlist, opts Options) (*Placement, error) {
 	opts = opts.withDefaults()
@@ -135,19 +123,18 @@ func Place(n *netlist.Netlist, opts Options) (*Placement, error) {
 // and a y spread across the die, with jitter so identical levels do not
 // stack.
 func (p *Placement) seedByLevel(rng *rand.Rand) {
-	n := p.Netlist
-	maxLvl := n.MaxLevel()
+	g := p.Netlist.Graph()
+	maxLvl := g.MaxLevel()
 	if maxLvl == 0 {
 		maxLvl = 1
 	}
 	counts := make([]int, maxLvl+1)
-	for i := range n.Gates {
-		counts[n.Level(netlist.SignalID(i))]++
+	for _, lvl := range g.Level {
+		counts[lvl]++
 	}
 	idxInLvl := make([]int, maxLvl+1)
-	for i := range n.Gates {
+	for i, lvl := range g.Level {
 		id := netlist.SignalID(i)
-		lvl := n.Level(id)
 		x := (float64(lvl) + 0.5) / float64(maxLvl+1) * p.Width
 		y := (float64(idxInLvl[lvl]) + 0.5) / float64(counts[lvl]) * p.Height
 		idxInLvl[lvl]++
@@ -215,7 +202,7 @@ func (p *Placement) placeOutPads(rng *rand.Rand) {
 // pins. Inputs and TSV pads stay fixed (they are pads/pillars).
 func (p *Placement) forceSweep() {
 	n := p.Netlist
-	fanouts := n.Fanouts()
+	graph := n.Graph()
 	for i := range n.Gates {
 		id := netlist.SignalID(i)
 		g := n.Gate(id)
@@ -229,7 +216,7 @@ func (p *Placement) forceSweep() {
 			sy += p.Coords[f].Y
 			cnt++
 		}
-		for _, fo := range fanouts[id] {
+		for _, fo := range graph.FanoutOf(id) {
 			sx += p.Coords[fo].X
 			sy += p.Coords[fo].Y
 			cnt++

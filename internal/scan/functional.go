@@ -277,9 +277,9 @@ func ApplyFunctionalMode(n *netlist.Netlist, pl *place.Placement, lib *cells.Lib
 			return nil, nil, err
 		}
 	}
-	fanouts := n.Fanouts()
+	base := n.Graph()
 	for _, r := range e.padMux {
-		for _, fo := range fanouts[r.from] {
+		for _, fo := range base.FanoutOf(r.from) {
 			fg := fn.Gate(fo)
 			for pin, f := range fg.Fanin {
 				if f == r.from {

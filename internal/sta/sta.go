@@ -326,9 +326,6 @@ func (r *Result) WNS() float64 {
 	return wns
 }
 
-// HasViolation reports whether any signal misses the clock constraint.
-func (r *Result) HasViolation() bool { return r.WNS() < 0 }
-
 // Violations returns the signals with negative slack, worst first capped at
 // max entries (0 = all).
 func (r *Result) Violations(max int) []netlist.SignalID {
@@ -365,60 +362,4 @@ func (r *Result) CriticalPathPS() float64 {
 		}
 	})
 	return worst
-}
-
-// CriticalPath returns the worst-slack endpoint's path as a signal chain
-// from a launch point to the endpoint, following the latest-arriving fanin
-// at each step (respecting case analysis). Empty when the design has no
-// timed endpoints.
-func (r *Result) CriticalPath() []netlist.SignalID {
-	c := r.circ()
-	// Worst endpoint: minimum slack among true capture points (signals
-	// feeding an output port or a flip-flop D pin) — every signal on a
-	// critical path shares the path slack, so the walk must anchor at
-	// the endpoint, not the first minimal-slack signal found.
-	isEndpoint := make([]bool, c.g.NumGates())
-	for _, o := range c.outs {
-		isEndpoint[o.Signal] = true
-	}
-	c.forEachFF(func(_, d netlist.SignalID) { isEndpoint[d] = true })
-	end := netlist.InvalidSignal
-	worst := math.Inf(1)
-	for i := range r.ArrivalPS { // ID order keeps tie-breaks deterministic
-		id := netlist.SignalID(i)
-		if !isEndpoint[id] || math.IsInf(r.RequiredPS[id], 1) {
-			continue
-		}
-		if s := r.SlackPS(id); s < worst {
-			worst, end = s, id
-		}
-	}
-	if end == netlist.InvalidSignal {
-		return nil
-	}
-	var path []netlist.SignalID
-	cur := end
-	for steps := 0; steps <= c.g.NumGates(); steps++ {
-		path = append(path, cur)
-		t := c.g.Types[cur]
-		if t.IsSource() || t == netlist.GateDFF || len(c.g.FaninOf(cur)) == 0 {
-			break
-		}
-		pick := netlist.InvalidSignal
-		for _, f := range c.timedFanin(cur) {
-			at := r.ArrivalPS[f] + c.wirePS(f, cur)
-			if pick == netlist.InvalidSignal || at > r.ArrivalPS[pick]+c.wirePS(pick, cur) {
-				pick = f
-			}
-		}
-		if pick == netlist.InvalidSignal {
-			break
-		}
-		cur = pick
-	}
-	// Reverse to launch→endpoint order.
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return path
 }

@@ -366,7 +366,7 @@ func (p *Planner) patch(inV []victim, inAsn []int, outV []victim, outAsn []int) 
 // again on undo — an undo is itself a pin move).
 func (p *Planner) patchInbound(tx *txn, failed, spare netlist.SignalID) {
 	n := p.die.Netlist
-	sinks := append([]netlist.SignalID(nil), n.Fanouts()[failed]...)
+	sinks := append([]netlist.SignalID(nil), n.Graph().FanoutOf(failed)...)
 	for _, g := range sinks {
 		fanin := n.Gate(g).Fanin
 		for pin := range fanin {

@@ -38,7 +38,7 @@ func naiveFaninCone(n *netlist.Netlist, anchor netlist.SignalID) map[netlist.Sig
 // at flip-flops other than the anchor (the flip-flop itself is included as
 // the capture boundary).
 func naiveFanoutCone(n *netlist.Netlist, anchor netlist.SignalID) map[netlist.SignalID]bool {
-	fanouts := n.Fanouts()
+	graph := n.Graph()
 	cone := map[netlist.SignalID]bool{anchor: true}
 	stack := []netlist.SignalID{anchor}
 	for len(stack) > 0 {
@@ -47,7 +47,7 @@ func naiveFanoutCone(n *netlist.Netlist, anchor netlist.SignalID) map[netlist.Si
 		if n.TypeOf(s) == netlist.GateDFF && s != anchor {
 			continue
 		}
-		for _, f := range fanouts[s] {
+		for _, f := range graph.FanoutOf(s) {
 			if !cone[f] {
 				cone[f] = true
 				stack = append(stack, f)

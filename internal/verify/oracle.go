@@ -148,7 +148,7 @@ func oraclePhase(in wcm.Input, opts wcm.Options, inbound bool, available map[net
 		for _, t := range n.InboundTSVs() {
 			it := oracleMember{sig: t, anchor: t, port: -1}
 			pinLoad := 0.0
-			for _, fo := range n.Fanouts()[t] {
+			for _, fo := range n.Graph().FanoutOf(t) {
 				pinLoad += lib.Of(n.TypeOf(fo)).InputCapFF
 			}
 			if pinLoad >= opts.PadCapThFF {

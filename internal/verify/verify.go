@@ -193,7 +193,7 @@ func Plan(in wcm.Input, asn *scan.Assignment, vo Options) (*Result, error) {
 		lib:         in.Lib,
 		th:          th,
 		res:         res,
-		fanouts:     in.Netlist.Fanouts(),
+		graph:       in.Netlist.Graph(),
 		sharedGates: make(map[netlist.SignalID]bool),
 	}
 	ctlTiming, obsTiming, err := c.phaseTimings(asn)
@@ -225,7 +225,7 @@ type checker struct {
 	th  *wcm.Options
 	res *Result
 
-	fanouts [][]netlist.SignalID
+	graph *netlist.Graph
 
 	// ffUse maps a reused flip-flop to the first group that claimed it.
 	ffUse map[netlist.SignalID]string
@@ -546,7 +546,7 @@ func (c *checker) checkGroupBudgets(where string, ms []member, inbound bool, tim
 		}
 		if inbound {
 			pinLoad := 0.0
-			for _, fo := range c.fanouts[m.sig] {
+			for _, fo := range c.graph.FanoutOf(m.sig) {
 				pinLoad += c.lib.Of(c.n.TypeOf(fo)).InputCapFF
 			}
 			if !(pinLoad < c.th.PadCapThFF) {

@@ -36,12 +36,3 @@ func Options(capThFF float64) wcm.Options {
 func Run(in wcm.Input, capThFF float64) (*wcm.Result, error) {
 	return wcm.Run(in, Options(capThFF))
 }
-
-// RunWithOrder executes Agrawal's method with an explicit processing order
-// — used by the paper's Table I, which motivates the larger-set-first rule
-// by comparing inbound-first against outbound-first under this method.
-func RunWithOrder(in wcm.Input, capThFF float64, order wcm.OrderPolicy) (*wcm.Result, error) {
-	opts := Options(capThFF)
-	opts.Order = order
-	return wcm.Run(in, opts)
-}

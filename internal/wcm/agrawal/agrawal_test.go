@@ -62,11 +62,13 @@ func TestRunAndOrderVariant(t *testing.T) {
 		t.Error("Agrawal graphs must carry no overlap edges")
 	}
 
-	alt, err := RunWithOrder(in, 150, wcm.OrderOutboundFirst)
+	opts := Options(150)
+	opts.Order = wcm.OrderOutboundFirst
+	alt, err := wcm.Run(in, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if alt.Phases[0].Inbound {
-		t.Error("RunWithOrder(outbound-first) must process outbound first")
+		t.Error("Options.Order = outbound-first must process outbound first")
 	}
 }

@@ -31,7 +31,7 @@ func assertSessionRun(t *testing.T, s *Session, tag string) *Result {
 func movePins(t *testing.T, s *Session, from, to netlist.SignalID) {
 	t.Helper()
 	n := s.Input().Netlist
-	sinks := append([]netlist.SignalID(nil), n.Fanouts()[from]...)
+	sinks := append([]netlist.SignalID(nil), n.Graph().FanoutOf(from)...)
 	for _, g := range sinks {
 		fanin := n.Gate(g).Fanin
 		for pin := range fanin {
