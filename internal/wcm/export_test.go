@@ -37,10 +37,14 @@ func SweepKernelCheck(in Input, opts Options) (pairs int, err error) {
 			return pairs, err
 		}
 		nNodes := tw.graph.NumAlive()
+		cones := make([]*netlist.BitSet, nNodes)
+		for id := range cones {
+			cones[id] = tw.coneOf(id)
+		}
 		for a := 0; a < len(items); a++ {
-			ca := tw.coneOf(a)
+			ca := cones[a]
 			for b := a + 1; b < nNodes; b++ {
-				cb := tw.coneOf(b)
+				cb := cones[b]
 				got := tw.nodeMasked[a].IntersectCount(tw.nodeMasked[b])
 				// A full-width miss means a full-width count of zero, so
 				// the count scan only runs when either side intersects.
