@@ -6,6 +6,7 @@ package wcm3d_test
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -393,5 +394,63 @@ TSV_OUT(u0) = n1
 				t.Errorf("spare sites in=%v out=%v, want %v", hasIn, hasOut, want)
 			}
 		})
+	}
+}
+
+// TestSuspectTSVsNamesInboundTSV checks that a ranked fault inside an
+// inbound TSV's fan-out cone implicates that TSV.
+func TestSuspectTSVsNamesInboundTSV(t *testing.T) {
+	d, err := wcm3d.PrepareDie(wcm3d.CircuitProfiles("b11")[0], 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := wcm3d.Minimize(d, wcm3d.MethodOurs, wcm3d.TightTiming)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := d.Netlist
+	tsv := n.InboundTSVs()[0]
+	cone := n.FanoutCone(tsv)
+	var ranked []wcm3d.DiagnosisCandidate
+	for _, f := range d.StuckAt {
+		if f.Gate != tsv && cone.Has(f.Gate) {
+			ranked = append(ranked, wcm3d.DiagnosisCandidate{Fault: f, Matched: 1})
+			break
+		}
+	}
+	if len(ranked) == 0 {
+		t.Fatalf("no fault in the fan-out cone of %s", n.NameOf(tsv))
+	}
+	suspects, err := wcm3d.SuspectTSVs(d, plan.Assignment, ranked, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range suspects {
+		if s == n.NameOf(tsv) {
+			return
+		}
+	}
+	t.Errorf("suspects = %v, want %s among them", suspects, n.NameOf(tsv))
+}
+
+// TestPrepareDieWithZeroSparesMatchesPrepareDie checks that a spared
+// preparation with no spare sites is the plain preparation, field for
+// field, fault lists included.
+func TestPrepareDieWithZeroSparesMatchesPrepareDie(t *testing.T) {
+	for _, c := range []string{"b11", "b12"} {
+		for _, p := range wcm3d.CircuitProfiles(c) {
+			want, err := wcm3d.PrepareDie(p, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := wcm3d.PrepareDieWithSpares(p, 1, wcm3d.SpareSpec{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: PrepareDieWithSpares(SpareSpec{}) differs from PrepareDie (stuck-at %d vs %d, transition %d vs %d)",
+					p.Name(), len(got.StuckAt), len(want.StuckAt), len(got.Transition), len(want.Transition))
+			}
+		}
 	}
 }

@@ -68,14 +68,9 @@ func run(w io.Writer, circuit, profileList string, width int, widthList, methodN
 	if err != nil {
 		return err
 	}
-	var bud wcm3d.ATPGBudget
-	switch budgetName {
-	case "full":
-		bud = wcm3d.DefaultBudget(seed)
-	case "reduced":
-		bud = wcm3d.ReducedBudget(seed)
-	default:
-		return fmt.Errorf("unknown budget %q", budgetName)
+	bud, err := wcm3d.ParseBudget(budgetName, seed)
+	if err != nil {
+		return err
 	}
 
 	dies, err := wcm3d.PrepareSuite(profiles, seed)

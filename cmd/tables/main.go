@@ -125,14 +125,9 @@ func run(w io.Writer, table, figure int, tam, all, refineGap bool, refineBudget 
 			circuits = "b11,b12"
 		}
 	}
-	var budget experiments.ATPGBudget
-	switch budgetName {
-	case "full":
-		budget = experiments.DefaultBudget(seed)
-	case "reduced":
-		budget = experiments.ReducedBudget(seed)
-	default:
-		return fmt.Errorf("unknown budget %q (want full or reduced)", budgetName)
+	budget, err := wcm3d.ParseBudget(budgetName, seed)
+	if err != nil {
+		return err
 	}
 	tamWidths, err := parseWidths(widthList)
 	if err != nil {
@@ -153,6 +148,34 @@ func run(w io.Writer, table, figure int, tam, all, refineGap bool, refineBudget 
 			out = append(out, ps...)
 		}
 		return out, nil
+	}
+	// The experiments only read their dies, so each die is prepared at
+	// most once per run and shared by every experiment that covers it.
+	prepared := map[string]*experiments.Die{}
+	diesFor := func(defaults []string) ([]*experiments.Die, error) {
+		profiles, err := profilesFor(defaults)
+		if err != nil {
+			return nil, err
+		}
+		var missing []netgen.Profile
+		for _, p := range profiles {
+			if _, ok := prepared[p.Name()]; !ok {
+				prepared[p.Name()] = nil
+				missing = append(missing, p)
+			}
+		}
+		fresh, err := experiments.PrepareSuite(missing, seed)
+		if err != nil {
+			return nil, err
+		}
+		for i, d := range fresh {
+			prepared[missing[i].Name()] = d
+		}
+		dies := make([]*experiments.Die, len(profiles))
+		for i, p := range profiles {
+			dies[i] = prepared[p.Name()]
+		}
+		return dies, nil
 	}
 	allCircuits := netgen.ITC99CircuitNames()
 	bigThree := []string{"b20", "b21", "b22"}
@@ -194,12 +217,8 @@ func run(w io.Writer, table, figure int, tam, all, refineGap bool, refineBudget 
 
 	if want(1, false) {
 		ran = true
-		profiles, err := profilesFor([]string{"b12"})
-		if err != nil {
-			return err
-		}
 		if err := timed("Table I", func() error {
-			dies, err := experiments.PrepareSuite(profiles, seed)
+			dies, err := diesFor([]string{"b12"})
 			if err != nil {
 				return err
 			}
@@ -232,12 +251,8 @@ func run(w io.Writer, table, figure int, tam, all, refineGap bool, refineBudget 
 	}
 	if want(3, false) {
 		ran = true
-		profiles, err := profilesFor(allCircuits)
-		if err != nil {
-			return err
-		}
 		if err := timed("Table III", func() error {
-			dies, err := experiments.PrepareSuite(profiles, seed)
+			dies, err := diesFor(allCircuits)
 			if err != nil {
 				return err
 			}
@@ -253,12 +268,8 @@ func run(w io.Writer, table, figure int, tam, all, refineGap bool, refineBudget 
 	}
 	if want(4, false) {
 		ran = true
-		profiles, err := profilesFor(allCircuits)
-		if err != nil {
-			return err
-		}
 		if err := timed("Table IV", func() error {
-			dies, err := experiments.PrepareSuite(profiles, seed)
+			dies, err := diesFor(allCircuits)
 			if err != nil {
 				return err
 			}
@@ -274,12 +285,8 @@ func run(w io.Writer, table, figure int, tam, all, refineGap bool, refineBudget 
 	}
 	if want(5, false) {
 		ran = true
-		profiles, err := profilesFor(bigThree)
-		if err != nil {
-			return err
-		}
 		if err := timed("Table V", func() error {
-			dies, err := experiments.PrepareSuite(profiles, seed)
+			dies, err := diesFor(bigThree)
 			if err != nil {
 				return err
 			}
@@ -295,12 +302,8 @@ func run(w io.Writer, table, figure int, tam, all, refineGap bool, refineBudget 
 	}
 	if want(7, true) {
 		ran = true
-		profiles, err := profilesFor(bigThree)
-		if err != nil {
-			return err
-		}
 		if err := timed("Figure 7", func() error {
-			dies, err := experiments.PrepareSuite(profiles, seed)
+			dies, err := diesFor(bigThree)
 			if err != nil {
 				return err
 			}
@@ -316,12 +319,8 @@ func run(w io.Writer, table, figure int, tam, all, refineGap bool, refineBudget 
 	}
 	if all || tam {
 		ran = true
-		profiles, err := profilesFor(allCircuits)
-		if err != nil {
-			return err
-		}
 		if err := timed("TAM widths", func() error {
-			dies, err := experiments.PrepareSuite(profiles, seed)
+			dies, err := diesFor(allCircuits)
 			if err != nil {
 				return err
 			}
@@ -337,12 +336,8 @@ func run(w io.Writer, table, figure int, tam, all, refineGap bool, refineBudget 
 	}
 	if refineGap {
 		ran = true
-		profiles, err := profilesFor(allCircuits)
-		if err != nil {
-			return err
-		}
 		if err := timed("Refinement gap", func() error {
-			dies, err := experiments.PrepareSuite(profiles, seed)
+			dies, err := diesFor(allCircuits)
 			if err != nil {
 				return err
 			}
@@ -416,9 +411,8 @@ type batchSweepRow struct {
 }
 
 // batchSweepRows prepares and solves the profiles one die per core
-// (par.ForEachIndex), as the experiment suites do. Preparation skips the
-// fault lists, which a minimize-only sweep never reads, and each die is
-// dropped once its row is filled, so at most GOMAXPROCS dies are resident.
+// (par.ForEachIndex), as the experiment suites do. Each die is dropped
+// once its row is filled, so at most GOMAXPROCS dies are resident.
 // The plans are bit-identical to serial wcm3d.Minimize calls; the
 // returned duration is the wall clock of the whole loop.
 func batchSweepRows(profiles []netgen.Profile, seed int64) ([]batchSweepRow, time.Duration, error) {
@@ -426,7 +420,7 @@ func batchSweepRows(profiles []netgen.Profile, seed int64) ([]batchSweepRow, tim
 	start := time.Now()
 	err := par.ForEachIndex(context.Background(), len(profiles), func(_ context.Context, i int) error {
 		t0 := time.Now()
-		d, err := experiments.PrepareDieOpts(profiles[i], seed, experiments.PrepareOptions{SkipFaultLists: true})
+		d, err := experiments.PrepareDie(profiles[i], seed)
 		if err != nil {
 			return fmt.Errorf("die %s: preparing: %w", profiles[i].Name(), err)
 		}
@@ -483,7 +477,7 @@ func replanSweepRows(profiles []netgen.Profile, seed int64) ([]tsvrepair.Speedup
 	const trials = 3
 	rows := make([]tsvrepair.SpeedupRow, 0, len(profiles))
 	for _, p := range profiles {
-		d, err := tsvrepair.PrepareWithSpares(p, seed, tsvrepair.SpareSpec{Inbound: 2, Outbound: 2})
+		d, err := wcm3d.PrepareDieWithSpares(p, seed, wcm3d.SpareSpec{Inbound: 2, Outbound: 2})
 		if err != nil {
 			return nil, fmt.Errorf("die %s: %w", p.Name(), err)
 		}

@@ -57,14 +57,9 @@ func run(w io.Writer, profile, netPath, methodName, timingName string, seed int6
 	if err != nil {
 		return err
 	}
-	var bud wcm3d.ATPGBudget
-	switch budgetName {
-	case "full":
-		bud = wcm3d.DefaultBudget(seed)
-	case "reduced":
-		bud = wcm3d.ReducedBudget(seed)
-	default:
-		return fmt.Errorf("unknown budget %q", budgetName)
+	bud, err := wcm3d.ParseBudget(budgetName, seed)
+	if err != nil {
+		return err
 	}
 
 	var methods []wcm3d.Method

@@ -68,45 +68,32 @@ func Locate(n *netlist.Netlist, patterns []faultsim.Pattern, syn *Syndrome, cand
 		return nil, fmt.Errorf("diagnose: syndrome covers %d patterns, %d applied",
 			len(syn.Failing), len(patterns))
 	}
-	sim := faultsim.New(n)
-	eng := sim.NewEngine()
-
 	// Observed failing set as bit words per 64-pattern block.
-	blocks := (len(patterns) + 63) / 64
-	observed := make([]uint64, blocks)
+	observed := make([]uint64, (len(patterns)+63)/64)
 	for i, f := range syn.Failing {
 		if f {
 			observed[i>>6] |= 1 << (uint(i) & 63)
 		}
 	}
-
+	scored := make([]Candidate, len(candidates))
+	predicts := make([]bool, len(candidates))
+	err := signatures(n, patterns, candidates, func(i, b int, det uint64) {
+		c := &scored[i]
+		obs := observed[b]
+		c.Matched += bits.OnesCount64(det & obs)
+		c.Missed += bits.OnesCount64(obs &^ det)
+		c.Extra += bits.OnesCount64(det &^ obs)
+		predicts[i] = predicts[i] || det != 0
+	})
+	if err != nil {
+		return nil, err
+	}
 	var out []Candidate
-	for _, f := range candidates {
-		var matched, missed, extra int
-		any := false
-		for b := 0; b < blocks; b++ {
-			lo := b * 64
-			hi := lo + 64
-			if hi > len(patterns) {
-				hi = len(patterns)
-			}
-			good, err := sim.GoodSim(patterns[lo:hi])
-			if err != nil {
-				return nil, err
-			}
-			det := eng.Detects(f, good)
-			if det != 0 {
-				any = true
-			}
-			obs := observed[b]
-			matched += bits.OnesCount64(det & obs)
-			missed += bits.OnesCount64(obs &^ det)
-			extra += bits.OnesCount64(det &^ obs)
+	for i, f := range candidates {
+		if predicts[i] {
+			scored[i].Fault = f
+			out = append(out, scored[i])
 		}
-		if !any {
-			continue
-		}
-		out = append(out, Candidate{Fault: f, Matched: matched, Missed: missed, Extra: extra})
 	}
 	sort.SliceStable(out, func(i, j int) bool {
 		di, mi := out[i].score()
@@ -117,6 +104,40 @@ func Locate(n *netlist.Netlist, patterns []faultsim.Pattern, syn *Syndrome, cand
 		return mi < mj
 	})
 	return out, nil
+}
+
+// Simulate plays the tester for a die carrying fault f: it returns which
+// of the patterns fail.
+func Simulate(n *netlist.Netlist, patterns []faultsim.Pattern, f faults.Fault) (*Syndrome, error) {
+	syn := &Syndrome{Failing: make([]bool, len(patterns))}
+	err := signatures(n, patterns, []faults.Fault{f}, func(_, b int, det uint64) {
+		for ; det != 0; det &= det - 1 {
+			syn.Failing[b*64+bits.TrailingZeros64(det)] = true
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return syn, nil
+}
+
+// signatures simulates every fault against the patterns and hands visit
+// each fault's detection word per 64-pattern block: bit k of fault i's
+// word for block b is set when pattern 64b+k detects it. Blocks are the
+// outer loop, so each block's good machine is simulated once.
+func signatures(n *netlist.Netlist, patterns []faultsim.Pattern, fs []faults.Fault, visit func(i, b int, det uint64)) error {
+	sim := faultsim.New(n)
+	eng := sim.NewEngine()
+	for lo := 0; lo < len(patterns); lo += 64 {
+		good, err := sim.GoodSim(patterns[lo:min(lo+64, len(patterns))])
+		if err != nil {
+			return err
+		}
+		for i, f := range fs {
+			visit(i, lo/64, eng.Detects(f, good))
+		}
+	}
+	return nil
 }
 
 // TSVSuspects maps a ranked candidate list onto the die's TSVs: a fault

@@ -132,27 +132,11 @@ func withFullWrap(n *netlist.Netlist, partial *scan.Assignment) *scan.Assignment
 // attaching a test mux over a long wire to a distant flip-flop eats more
 // than the margin and shows up as a timing violation in Table III.
 func PrepareDie(p netgen.Profile, seed int64) (*Die, error) {
-	return PrepareDieOpts(p, seed, PrepareOptions{})
-}
-
-// PrepareOptions trims optional die artefacts for callers that know which
-// downstream stages they will run.
-type PrepareOptions struct {
-	// SkipFaultLists leaves Die.StuckAt and Die.Transition nil. The fault
-	// universes are only consumed by the ATPG evaluators; a minimize-only
-	// sweep (cmd/tables -batch) or a TSV-repair replan never reads them,
-	// and enumerating ~100k collapsed faults per large die costs real
-	// time and heap.
-	SkipFaultLists bool
-}
-
-// PrepareDieOpts is PrepareDie with explicit preparation options.
-func PrepareDieOpts(p netgen.Profile, seed int64, po PrepareOptions) (*Die, error) {
 	n, err := netgen.Generate(p, seed)
 	if err != nil {
 		return nil, err
 	}
-	d, err := PrepareNetlistOpts(n, seed, po)
+	d, err := PrepareNetlist(n, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -161,14 +145,10 @@ func PrepareDieOpts(p netgen.Profile, seed int64, po PrepareOptions) (*Die, erro
 }
 
 // PrepareNetlist places and times an existing die (for example one parsed
-// from a .bench file) the same way PrepareDie does for generated ones. The
-// returned Die carries a synthetic profile derived from the netlist.
+// from a .bench file, or one carrying spare TSV sites) and enumerates its
+// fault universes. Every preparation path ends here. The returned Die
+// carries a synthetic profile derived from the netlist.
 func PrepareNetlist(n *netlist.Netlist, seed int64) (*Die, error) {
-	return PrepareNetlistOpts(n, seed, PrepareOptions{})
-}
-
-// PrepareNetlistOpts is PrepareNetlist with explicit preparation options.
-func PrepareNetlistOpts(n *netlist.Netlist, seed int64, po PrepareOptions) (*Die, error) {
 	lib := cells.Default45nm()
 	pl, err := place.Place(n, place.Options{Seed: seed})
 	if err != nil {
@@ -226,16 +206,14 @@ func PrepareNetlistOpts(n *netlist.Netlist, seed int64, po PrepareOptions) (*Die
 			InboundTSVs: st.InboundTSVs, OutboundTSVs: st.OutboundTSVs,
 			PIs: st.PIs, POs: st.POs,
 		},
-		Netlist:   n,
-		Lib:       lib,
-		Placement: pl,
-		ClockPS:   clock,
-		MarginPS:  margin,
-		Timing:    timing,
-	}
-	if !po.SkipFaultLists {
-		d.StuckAt = faults.CollapsedList(n)
-		d.Transition = faults.TransitionList(n)
+		Netlist:    n,
+		Lib:        lib,
+		Placement:  pl,
+		ClockPS:    clock,
+		MarginPS:   margin,
+		Timing:     timing,
+		StuckAt:    faults.CollapsedList(n),
+		Transition: faults.TransitionList(n),
 	}
 	return d, nil
 }

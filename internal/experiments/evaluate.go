@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	"wcm3d/internal/atpg"
+	"wcm3d/internal/faultsim"
+	"wcm3d/internal/netlist"
 	"wcm3d/internal/scan"
 )
 
@@ -52,36 +54,56 @@ func ReducedBudget(seed int64) ATPGBudget {
 // EvaluateStuckAt wraps the die per the plan and runs stuck-at ATPG against
 // the die's functional fault universe.
 func EvaluateStuckAt(d *Die, asn *scan.Assignment, budget ATPGBudget) (Testability, error) {
-	tn, err := scan.ApplyTestMode(d.Netlist, asn)
+	_, t, err := StuckAtPatterns(d, asn, budget)
+	return t, err
+}
+
+// StuckAtPatterns is EvaluateStuckAt that also returns the pattern set.
+func StuckAtPatterns(d *Die, asn *scan.Assignment, budget ATPGBudget) ([]faultsim.Pattern, Testability, error) {
+	res, err := runATPG(d, asn, func(tn *netlist.Netlist) (*atpg.Result, error) {
+		return atpg.Run(tn, d.StuckAt, budget.Stuck)
+	})
 	if err != nil {
-		return Testability{}, err
+		return nil, Testability{}, err
 	}
-	res, err := atpg.Run(tn, d.StuckAt, budget.Stuck)
-	if err != nil {
-		return Testability{}, err
-	}
-	return Testability{
-		Coverage:    res.TestCoverage(),
-		RawCoverage: res.Coverage(),
-		Patterns:    res.PatternCount(),
-	}, nil
+	return res.Patterns, testability(res), nil
 }
 
 // EvaluateTransition is EvaluateStuckAt for the transition-delay model.
 func EvaluateTransition(d *Die, asn *scan.Assignment, budget ATPGBudget) (Testability, error) {
+	res, err := runATPG(d, asn, func(tn *netlist.Netlist) (*atpg.TransitionResult, error) {
+		return atpg.RunTransition(tn, d.Transition, budget.Transition)
+	})
+	if err != nil {
+		return Testability{}, err
+	}
+	return testability(res), nil
+}
+
+// atpgResult is what both ATPG engines report.
+type atpgResult interface {
+	Coverage() float64
+	TestCoverage() float64
+	PatternCount() int
+}
+
+// runATPG builds the plan's test-mode view of the die and runs one ATPG
+// engine on it.
+func runATPG[R atpgResult](d *Die, asn *scan.Assignment, run func(tn *netlist.Netlist) (R, error)) (R, error) {
 	tn, err := scan.ApplyTestMode(d.Netlist, asn)
 	if err != nil {
-		return Testability{}, err
+		var none R
+		return none, err
 	}
-	res, err := atpg.RunTransition(tn, d.Transition, budget.Transition)
-	if err != nil {
-		return Testability{}, err
-	}
+	return run(tn)
+}
+
+func testability(r atpgResult) Testability {
 	return Testability{
-		Coverage:    res.TestCoverage(),
-		RawCoverage: res.Coverage(),
-		Patterns:    res.PatternCount(),
-	}, nil
+		Coverage:    r.TestCoverage(),
+		RawCoverage: r.Coverage(),
+		Patterns:    r.PatternCount(),
+	}
 }
 
 // CheckTiming times the plan's physical test hardware in functional mode

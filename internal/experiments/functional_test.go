@@ -74,7 +74,7 @@ func sameBits(got, want *sta.Result) string {
 // way PrepareDie did before it timed one view for both clocks.
 func TestTimeFunctionalModeMatchesMaterialized(t *testing.T) {
 	for _, p := range functionalProfiles() {
-		d, err := PrepareDieOpts(p, 1, PrepareOptions{SkipFaultLists: true})
+		d, err := PrepareDie(p, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name(), err)
 		}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"wcm3d/internal/atpg"
 	"wcm3d/internal/netlist"
 	"wcm3d/internal/scan"
 )
@@ -39,25 +38,13 @@ func ExactSharePenalty(d *Die, tsvA, tsvB netlist.SignalID, budget ATPGBudget) (
 	merged.ReusedFF = netlist.InvalidSignal
 	shared.Control = append(kept, merged)
 
-	sep, err := evalQuick(d, base, budget)
+	sep, err := EvaluateStuckAt(d, base, budget)
 	if err != nil {
 		return 0, 0, err
 	}
-	shr, err := evalQuick(d, shared, budget)
+	shr, err := EvaluateStuckAt(d, shared, budget)
 	if err != nil {
 		return 0, 0, err
 	}
 	return sep.Coverage - shr.Coverage, shr.Patterns - sep.Patterns, nil
-}
-
-func evalQuick(d *Die, a *scan.Assignment, budget ATPGBudget) (Testability, error) {
-	tn, err := scan.ApplyTestMode(d.Netlist, a)
-	if err != nil {
-		return Testability{}, err
-	}
-	res, err := atpg.Run(tn, d.StuckAt, budget.Stuck)
-	if err != nil {
-		return Testability{}, err
-	}
-	return Testability{Coverage: res.TestCoverage(), RawCoverage: res.Coverage(), Patterns: res.PatternCount()}, nil
 }

@@ -34,8 +34,8 @@ package refine
 //     rejected move reverts bit-exactly, so delta cost equals the cost a
 //     from-scratch rematch would report — the property test in
 //     eval_test.go asserts exactly that on thousands of random moves, and
-//     the crossCheck debug mode (Options.CrossCheck or
-//     WCM3D_REFINE_CROSSCHECK=1) re-scores every applied move against the
+//     the crossCheck debug mode (Options.CrossCheck, or cmd/refine
+//     -crosscheck) re-scores every applied move against the
 //     PR 6 reference rematch at runtime.
 
 import "fmt"

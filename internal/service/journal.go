@@ -243,18 +243,11 @@ func (s *Service) journalFinish(j *job) {
 	if abandoned {
 		return
 	}
-	var err error
 	switch {
 	case state == StateCanceled && !started:
-		err = s.cfg.Journal.Cancel(j.id)
+		s.journalWrite("finish "+j.id, func(jl Journal) error { return jl.Cancel(j.id) })
 	case state == StateDone || state == StateFailed || state == StateCanceled:
-		err = s.cfg.Journal.Finish(j.id, state, errMsg, rep)
-	default:
-		return
-	}
-	if err != nil {
-		s.metrics.WALErrors.Add(1)
-		s.logf("wcmd: journal finish %s: %v", j.id, err)
+		s.journalWrite("finish "+j.id, func(jl Journal) error { return jl.Finish(j.id, state, errMsg, rep) })
 	}
 }
 
@@ -262,23 +255,24 @@ func (s *Service) journalFinish(j *job) {
 // (like Start/Finish — the replan already executed, a lost record only
 // costs replay fidelity after the next restart).
 func (s *Service) journalReplan(id string, delta ReplanRequest) {
-	if s.cfg.Journal == nil {
-		return
-	}
-	if err := s.cfg.Journal.Replan(id, delta); err != nil {
-		s.metrics.WALErrors.Add(1)
-		s.logf("wcmd: journal replan %s: %v", id, err)
-	}
+	s.journalWrite("replan "+id, func(jl Journal) error { return jl.Replan(id, delta) })
 }
 
 // journalStart records that a job began executing; non-fatal on failure.
 func (s *Service) journalStart(id string) {
+	s.journalWrite("start "+id, func(jl Journal) error { return jl.Start(id) })
+}
+
+// journalWrite makes one write whose failure must not fail the caller:
+// without a journal it does nothing, and an error counts in WALErrors and
+// is logged as "wcmd: journal <what>: <error>".
+func (s *Service) journalWrite(what string, write func(Journal) error) {
 	if s.cfg.Journal == nil {
 		return
 	}
-	if err := s.cfg.Journal.Start(id); err != nil {
+	if err := write(s.cfg.Journal); err != nil {
 		s.metrics.WALErrors.Add(1)
-		s.logf("wcmd: journal start %s: %v", id, err)
+		s.logf("wcmd: journal %s: %v", what, err)
 	}
 }
 

@@ -261,3 +261,43 @@ func TestReplanRecoveryReplaysHistory(t *testing.T) {
 		t.Fatalf("replayed history not reflected: %+v (want seq 2, 0 inbound spares left)", rs)
 	}
 }
+
+// TestSparedJobGradesFullFaultList checks that a job asking for spare
+// sites grades its plan against the die's whole stuck-at fault list: the
+// same coverage and pattern count EvaluateStuckAt gives on the spared die,
+// not the perfect score of an empty list.
+func TestSparedJobGradesFullFaultList(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	code, st, raw := postJob(t, ts,
+		`{"profile":"b11/0","atpg":true,"budget":"reduced","spares":{"inbound":1,"outbound":1}}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", code, raw)
+	}
+	fin := waitJob(t, ts, st.ID)
+	if fin.State != StateDone {
+		t.Fatalf("job ended %s: %s", fin.State, fin.Error)
+	}
+	p, err := wcm3d.ProfileByName("b11/0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := wcm3d.PrepareDieWithSpares(p, 1, wcm3d.SpareSpec{Inbound: 1, Outbound: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := wcm3d.Minimize(d, wcm3d.MethodOurs, wcm3d.TightTiming)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := wcm3d.EvaluateStuckAt(d, res.Assignment, wcm3d.ReducedBudget(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := fin.Result.StuckAt
+	if got == nil || got.Patterns == 0 {
+		t.Fatalf("stuck-at grade = %+v, want patterns > 0", got)
+	}
+	if got.Coverage != want.Coverage || got.Patterns != want.Patterns {
+		t.Errorf("stuck-at grade = %.4f/%d patterns, want %.4f/%d", got.Coverage, got.Patterns, want.Coverage, want.Patterns)
+	}
+}

@@ -69,9 +69,10 @@ type DieSpec struct {
 	Spares wcm3d.SpareSpec
 }
 
-// DefaultPrepare is the production die builder: PrepareDie for profiles,
-// ParseNetlist + PrepareParsed for inline sources. The heavy pipeline is
-// not cancellable mid-flight, so ctx is only checked before starting.
+// DefaultPrepare is the production die builder: PrepareDieWithSpares for
+// profiles, ParseNetlist + AddSpareTSVs + PrepareParsed for inline sources
+// (a zero spare spec adds no sites). The heavy pipeline is not cancellable
+// mid-flight, so ctx is only checked before starting.
 func DefaultPrepare(ctx context.Context, spec DieSpec) (*wcm3d.Die, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -81,17 +82,12 @@ func DefaultPrepare(ctx context.Context, spec DieSpec) (*wcm3d.Die, error) {
 		if err != nil {
 			return nil, err
 		}
-		if spec.Spares != (wcm3d.SpareSpec{}) {
-			if err := wcm3d.AddSpareTSVs(n, spec.Spares); err != nil {
-				return nil, err
-			}
+		if err := wcm3d.AddSpareTSVs(n, spec.Spares); err != nil {
+			return nil, err
 		}
 		return wcm3d.PrepareParsed(n, spec.Seed)
 	}
-	if spec.Spares != (wcm3d.SpareSpec{}) {
-		return wcm3d.PrepareDieWithSpares(spec.Profile, spec.Seed, spec.Spares)
-	}
-	return wcm3d.PrepareDie(spec.Profile, spec.Seed)
+	return wcm3d.PrepareDieWithSpares(spec.Profile, spec.Seed, spec.Spares)
 }
 
 // JobRequest is the body of POST /v1/jobs. A job is a list of dies run in
@@ -413,13 +409,8 @@ func (s *Service) resolve(req JobRequest) (*job, error) {
 		return nil, err
 	}
 	j.mode = mode
-	switch req.Budget {
-	case "", "full":
-		j.budget = wcm3d.DefaultBudget(req.Seed)
-	case "reduced":
-		j.budget = wcm3d.ReducedBudget(req.Seed)
-	default:
-		return nil, fmt.Errorf("unknown budget %q", req.Budget)
+	if j.budget, err = wcm3d.ParseBudget(req.Budget, req.Seed); err != nil {
+		return nil, err
 	}
 	if req.TimeoutMS < 0 {
 		return nil, fmt.Errorf("timeout_ms must be >= 0, got %d", req.TimeoutMS)
@@ -489,13 +480,10 @@ func (s *Service) enqueue(j *job) (JobStatus, error) {
 		s.mu.Lock()
 		delete(s.jobs, j.id)
 		s.mu.Unlock()
-		if s.cfg.Journal != nil && !j.remoteOrigin {
+		if !j.remoteOrigin {
 			// Neutralize the submit record: the client was refused, so the
 			// job must not rise from the log on the next boot.
-			if jerr := s.cfg.Journal.Cancel(j.id); jerr != nil {
-				s.metrics.WALErrors.Add(1)
-				s.logf("wcmd: journal cancel %s after rejection: %v", j.id, jerr)
-			}
+			s.journalWrite("cancel "+j.id+" after rejection", func(jl Journal) error { return jl.Cancel(j.id) })
 		}
 		return JobStatus{}, err
 	}

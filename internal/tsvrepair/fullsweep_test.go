@@ -44,7 +44,7 @@ func TestFullEquivalenceSweepTableII(t *testing.T) {
 		pi, prof := pi, prof
 		t.Run(prof.Name(), func(t *testing.T) {
 			t.Parallel()
-			d, err := PrepareWithSpares(prof, 1, SpareSpec{Inbound: 4, Outbound: 2})
+			d, err := prepareSpared(prof, 1, SpareSpec{Inbound: 4, Outbound: 2})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"wcm3d/internal/experiments"
-	"wcm3d/internal/netgen"
 	"wcm3d/internal/netlist"
 )
 
@@ -55,26 +54,6 @@ func AddSpares(n *netlist.Netlist, spec SpareSpec) error {
 		}
 	}
 	return nil
-}
-
-// PrepareWithSpares generates a benchmark die, adds spare TSV sites, and
-// prepares it (placement, repeaters, clock derivation, signoff timing)
-// exactly as experiments.PrepareDie would. Fault universes are skipped:
-// the repair workload is minimize-and-verify only.
-func PrepareWithSpares(p netgen.Profile, seed int64, spec SpareSpec) (*experiments.Die, error) {
-	n, err := netgen.Generate(p, seed)
-	if err != nil {
-		return nil, err
-	}
-	if err := AddSpares(n, spec); err != nil {
-		return nil, err
-	}
-	d, err := experiments.PrepareNetlistOpts(n, seed, experiments.PrepareOptions{SkipFaultLists: true})
-	if err != nil {
-		return nil, err
-	}
-	d.Profile = p
-	return d, nil
 }
 
 // CloneDie deep-copies the mutable state of a prepared die — the netlist,

@@ -25,11 +25,29 @@ func testDie(t testing.TB, seed int64, spec SpareSpec) *experiments.Die {
 	if err := AddSpares(n, spec); err != nil {
 		t.Fatal(err)
 	}
-	d, err := experiments.PrepareNetlistOpts(n, seed, experiments.PrepareOptions{SkipFaultLists: true})
+	d, err := experiments.PrepareNetlist(n, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return d
+}
+
+// prepareSpared generates a benchmark die, adds spare TSV sites and
+// prepares it, as wcm3d.PrepareDieWithSpares does.
+func prepareSpared(p netgen.Profile, seed int64, spec SpareSpec) (*experiments.Die, error) {
+	n, err := netgen.Generate(p, seed)
+	if err != nil {
+		return nil, err
+	}
+	if err := AddSpares(n, spec); err != nil {
+		return nil, err
+	}
+	d, err := experiments.PrepareNetlist(n, seed)
+	if err != nil {
+		return nil, err
+	}
+	d.Profile = p
+	return d, nil
 }
 
 func planOpts(workers int) wcm.Options {

@@ -36,7 +36,6 @@ import (
 	"strconv"
 	"strings"
 
-	"wcm3d/internal/atpg"
 	"wcm3d/internal/cells"
 	"wcm3d/internal/diagnose"
 	"wcm3d/internal/experiments"
@@ -108,6 +107,19 @@ const (
 	// pre-reuse baseline).
 	MethodFullWrap
 )
+
+// ParseBudget maps the ATPG effort spelling used by the CLIs and the wcmd
+// service ("full" or "reduced"; empty means full) to the budget for seed.
+func ParseBudget(name string, seed int64) (ATPGBudget, error) {
+	switch name {
+	case "", "full":
+		return DefaultBudget(seed), nil
+	case "reduced":
+		return ReducedBudget(seed), nil
+	default:
+		return ATPGBudget{}, fmt.Errorf("wcm3d: unknown budget %q (want full or reduced)", name)
+	}
+}
 
 // ParseMethod maps the spelling used by the CLIs and the wcmd service
 // ("ours", "agrawal", "li", "fullwrap" / "full-wrap", case-insensitive)
@@ -473,14 +485,12 @@ func Diagnose(d *Die, asn *Assignment, patterns []Pattern, syn *Syndrome) ([]Dia
 	return diagnose.Locate(tn, patterns, syn, d.StuckAt)
 }
 
-// SuspectTSVs maps ranked defect candidates onto TSV names whose test
-// paths they implicate.
+// SuspectTSVs maps the first maxFaults ranked defect candidates onto the
+// names of the TSVs whose test paths they implicate. Candidates are mapped
+// on the base die, where every TSV is still a pad (the test view wraps
+// them), so the result does not depend on asn.
 func SuspectTSVs(d *Die, asn *Assignment, ranked []DiagnosisCandidate, maxFaults int) ([]string, error) {
-	tn, err := scan.ApplyTestMode(d.Netlist, asn)
-	if err != nil {
-		return nil, err
-	}
-	return diagnose.TSVSuspects(tn, ranked, maxFaults), nil
+	return diagnose.TSVSuspects(d.Netlist, ranked, maxFaults), nil
 }
 
 // Pattern is one scan test vector.
@@ -535,15 +545,28 @@ func ParseTSVFaultKind(s string) (TSVFaultKind, error) { return tsvrepair.ParseF
 func AddSpareTSVs(n *Netlist, spec SpareSpec) error { return tsvrepair.AddSpares(n, spec) }
 
 // PrepareDieWithSpares generates and prepares a benchmark die carrying
-// spare TSV sites, ready for NewReplanPlanner.
+// spare TSV sites, ready for NewReplanPlanner. A zero spec prepares
+// exactly what PrepareDie does.
 func PrepareDieWithSpares(p Profile, seed int64, spec SpareSpec) (*Die, error) {
-	return tsvrepair.PrepareWithSpares(p, seed, spec)
+	n, err := GenerateDie(p, seed)
+	if err != nil {
+		return nil, err
+	}
+	if err := AddSpareTSVs(n, spec); err != nil {
+		return nil, err
+	}
+	d, err := PrepareParsed(n, seed)
+	if err != nil {
+		return nil, err
+	}
+	d.Profile = p
+	return d, nil
 }
 
 // LoadDie prepares the die a CLI names by exactly one of a benchmark
 // profile ("b13/2") or a .bench netlist path, and returns it with its
-// display name. A zero spares spec prepares as PrepareDie or
-// PrepareParsed do; a non-zero one adds the spare TSV sites first.
+// display name. A non-zero spares spec adds the spare TSV sites before
+// preparation.
 func LoadDie(profile, netlistPath string, seed int64, spares SpareSpec) (*Die, string, error) {
 	switch {
 	case profile != "" && netlistPath != "":
@@ -553,12 +576,7 @@ func LoadDie(profile, netlistPath string, seed int64, spares SpareSpec) (*Die, s
 		if err != nil {
 			return nil, "", err
 		}
-		var d *Die
-		if spares == (SpareSpec{}) {
-			d, err = PrepareDie(p, seed)
-		} else {
-			d, err = PrepareDieWithSpares(p, seed, spares)
-		}
+		d, err := PrepareDieWithSpares(p, seed, spares)
 		if err != nil {
 			return nil, "", err
 		}
@@ -619,19 +637,7 @@ func Replan(p *ReplanPlanner, delta TSVDelta) (*MinimizeResult, []TSVRepair, err
 // pattern set and its grade — the vectors Diagnose expects back from the
 // tester.
 func GeneratePatterns(d *Die, asn *Assignment, budget ATPGBudget) ([]Pattern, Testability, error) {
-	tn, err := scan.ApplyTestMode(d.Netlist, asn)
-	if err != nil {
-		return nil, Testability{}, err
-	}
-	res, err := atpg.Run(tn, d.StuckAt, budget.Stuck)
-	if err != nil {
-		return nil, Testability{}, err
-	}
-	return res.Patterns, Testability{
-		Coverage:    res.TestCoverage(),
-		RawCoverage: res.Coverage(),
-		Patterns:    res.PatternCount(),
-	}, nil
+	return experiments.StuckAtPatterns(d, asn, budget)
 }
 
 // SimulateDefect plays the tester for a hypothetical defective die: it
@@ -643,24 +649,5 @@ func SimulateDefect(d *Die, asn *Assignment, f Fault, patterns []Pattern) (*Synd
 	if err != nil {
 		return nil, err
 	}
-	sim := faultsim.New(tn)
-	eng := sim.NewEngine()
-	syn := &Syndrome{Failing: make([]bool, len(patterns))}
-	for base := 0; base < len(patterns); base += 64 {
-		end := base + 64
-		if end > len(patterns) {
-			end = len(patterns)
-		}
-		good, err := sim.GoodSim(patterns[base:end])
-		if err != nil {
-			return nil, err
-		}
-		det := eng.Detects(f, good)
-		for k := 0; k < end-base; k++ {
-			if det&(1<<uint(k)) != 0 {
-				syn.Failing[base+k] = true
-			}
-		}
-	}
-	return syn, nil
+	return diagnose.Simulate(tn, patterns, f)
 }
