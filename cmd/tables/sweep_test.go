@@ -65,9 +65,8 @@ func TestBatchSweepMatchesSerial(t *testing.T) {
 
 // BenchmarkBatchTableII is the 24-die Table II prepare+minimize sweep
 // (ours, tight timing) written two ways. The naive sub-bench is a serial
-// wcm3d.PrepareDie + wcm3d.Minimize loop, fault lists included. The
-// parallel sub-bench is the -batch sweep: one die per core, no fault
-// lists, each die dropped once solved. Both report the summed cells and
+// wcm3d.PrepareDie + wcm3d.Minimize loop. The parallel sub-bench is the
+// -batch sweep: one die per core, each die dropped once solved. Both report the summed cells and
 // reused flip-flops; the two rows must agree, and CI checks that they do.
 // results/batch_throughput.txt holds a reference run.
 func BenchmarkBatchTableII(b *testing.B) {
