@@ -320,6 +320,26 @@ func BenchmarkATPG(b *testing.B) {
 	b.ReportMetric(float64(res.PatternCount()), "patterns")
 }
 
+// BenchmarkTransitionATPG is BenchmarkATPG for the transition-delay model
+// on the same die.
+func BenchmarkTransitionATPG(b *testing.B) {
+	n, err := netgen.Generate(netgen.ITC99Circuit("b11")[1], 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	list := faults.TransitionList(n)
+	b.ResetTimer()
+	var res *atpg.TransitionResult
+	for i := 0; i < b.N; i++ {
+		res, err = atpg.RunTransition(n, list, atpg.Options{Seed: int64(i)})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(100*res.TestCoverage(), "test-coverage-%")
+	b.ReportMetric(float64(res.PatternCount()), "patterns")
+}
+
 // BenchmarkWCM measures the minimization engine itself (graph construction
 // plus clique partitioning) on the largest b22 die.
 func BenchmarkWCM(b *testing.B) {

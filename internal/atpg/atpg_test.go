@@ -403,6 +403,67 @@ func TestRunTransition(t *testing.T) {
 	}
 }
 
+// TestRunTransitionDetectedMatchesResimulation grades RunTransition's final
+// pairs from scratch: a pair detects a transition fault when V2 detects the
+// equivalent stuck-at fault and V1 sets the site to the initial value.
+func TestRunTransitionDetectedMatchesResimulation(t *testing.T) {
+	n, err := netgen.Random(netgen.RandomOptions{Gates: 250, FFs: 10, PIs: 5, POs: 3, Seed: 14})
+	if err != nil {
+		t.Fatal(err)
+	}
+	list := faults.TransitionList(n)
+	sim := faultsim.New(n)
+	for _, opts := range []Options{
+		{Seed: 6},
+		{Seed: 6, DisableCompaction: true},
+		{Seed: 2, MaxRandomBlocks: 2, MaxBacktracks: 6, MaxDeterministic: 40},
+	} {
+		res, err := RunTransition(n, list, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := sim.NewEngine()
+		detected := make([]bool, len(list))
+		for base := 0; base < len(res.Pairs); base += 64 {
+			var v1, v2 []faultsim.Pattern
+			for _, p := range res.Pairs[base:min(base+64, len(res.Pairs))] {
+				v1 = append(v1, p.V1)
+				v2 = append(v2, p.V2)
+			}
+			g1, err := sim.GoodSim(v1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g2, err := sim.GoodSim(v2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for fi, f := range list {
+				if detected[fi] {
+					continue
+				}
+				var initMask uint64
+				for k := 0; k < g1.NPat; k++ {
+					if v, known := g1.Val(f.Gate, k); known && v == (f.InitialValue() == 1) {
+						initMask |= 1 << uint(k)
+					}
+				}
+				detected[fi] = eng.Detects(f.Equivalent(), g2)&initMask != 0
+			}
+		}
+		got := 0
+		for _, d := range detected {
+			if d {
+				got++
+			}
+		}
+		if got != res.Detected {
+			t.Errorf("%+v: re-simulating %d pairs detects %d faults, result says %d",
+				opts, len(res.Pairs), got, res.Detected)
+		}
+	}
+}
+
 func TestTransitionNeedsBothVectors(t *testing.T) {
 	// A constant site can never transition: both transition faults on a
 	// constant-fed buffer must be untestable while the stuck-at view
