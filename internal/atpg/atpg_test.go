@@ -335,6 +335,13 @@ func TestRunStuckAtHighCoverage(t *testing.T) {
 	if got := int(camp.Coverage()*float64(len(list)) + 0.5); got != res.Detected {
 		t.Errorf("independent grading detects %d, result says %d", got, res.Detected)
 	}
+	// Compaction keeps only first detectors, and removing the others
+	// leaves each fault's first detector in place.
+	for i, u := range camp.UsefulPattern {
+		if !u {
+			t.Errorf("pattern %d of %d is no fault's first detector", i, len(res.Patterns))
+		}
+	}
 }
 
 func TestRunDeterministic(t *testing.T) {

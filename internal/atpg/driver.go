@@ -2,7 +2,9 @@ package atpg
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"slices"
 
 	"wcm3d/internal/faults"
 	"wcm3d/internal/faultsim"
@@ -26,8 +28,8 @@ type Options struct {
 	// (0 = unlimited). Reduced-effort runs use it to bound worst-case
 	// runtime on large dies; untargeted faults simply stay undetected.
 	MaxDeterministic int
-	// Compact enables reverse-order pattern compaction. Default on via
-	// DisableCompaction.
+	// DisableCompaction skips reverse-order pattern compaction, which
+	// otherwise runs.
 	DisableCompaction bool
 }
 
@@ -44,38 +46,50 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Result is the outcome of a pattern-generation run.
-type Result struct {
-	// Patterns is the final (compacted) test set.
-	Patterns []faultsim.Pattern
-	// TotalFaults, Detected, Untestable and Aborted partition the fault
-	// list (Detected + Untestable + Aborted + undetected-but-unproven =
-	// TotalFaults).
+// Reduced is the reduced-effort configuration, for sweeps and benchmark
+// loops where per-run cost matters more than the last percent of coverage.
+// Counter-intuitively it keeps the random phase GENEROUS (random patterns
+// are cheap and every extra detection is one fewer PODEM target) and
+// starves only PODEM.
+func Reduced(seed int64) Options {
+	return Options{Seed: seed, MaxRandomBlocks: 48, MaxBacktracks: 6, MinNewDetects: 1, MaxDeterministic: 3000}
+}
+
+// Counts partitions a fault list: Detected + Untestable + Aborted +
+// undetected-but-unproven = TotalFaults.
+type Counts struct {
 	TotalFaults int
 	Detected    int
 	Untestable  int
 	Aborted     int
-	// RandomDetected counts faults the random phase caught.
-	RandomDetected int
 }
 
 // Coverage is the raw fault coverage: detected / total.
-func (r *Result) Coverage() float64 {
-	if r.TotalFaults == 0 {
+func (c Counts) Coverage() float64 {
+	if c.TotalFaults == 0 {
 		return 1
 	}
-	return float64(r.Detected) / float64(r.TotalFaults)
+	return float64(c.Detected) / float64(c.TotalFaults)
 }
 
 // TestCoverage is detected / (total - proven untestable) — the metric
 // commercial ATPG tools headline, and the one the paper's coverage tables
 // correspond to (redundant faults are excluded from the denominator).
-func (r *Result) TestCoverage() float64 {
-	den := r.TotalFaults - r.Untestable
+func (c Counts) TestCoverage() float64 {
+	den := c.TotalFaults - c.Untestable
 	if den <= 0 {
 		return 1
 	}
-	return float64(r.Detected) / float64(den)
+	return float64(c.Detected) / float64(den)
+}
+
+// Result is the outcome of a stuck-at pattern-generation run.
+type Result struct {
+	// Patterns is the final (compacted) test set.
+	Patterns []faultsim.Pattern
+	Counts
+	// RandomDetected counts faults the random phase caught.
+	RandomDetected int
 }
 
 // PatternCount returns the number of test patterns in the final set.
@@ -83,82 +97,134 @@ func (r *Result) PatternCount() int { return len(r.Patterns) }
 
 // Run generates a stuck-at test set for the fault list on the die.
 func Run(n *netlist.Netlist, list []faults.Fault, opts Options) (*Result, error) {
+	r, err := run(n, list, opts, stuckAt)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Patterns: r.vectors[0], Counts: r.Counts, RandomDetected: r.randomDetected}, nil
+}
+
+// faultModel is what the driver needs to know about one fault model.
+type faultModel[F any] struct {
+	// vectors is how many vectors one test applies.
+	vectors int
+	// detect returns the word of tests that detect f, given one
+	// good-machine block per vector position.
+	detect func(eng *faultsim.Engine, f F, good []*faultsim.Block) uint64
+	// generate builds one test for f with PODEM, one vector per position
+	// of test.
+	generate func(pd *podem, f F, rng *rand.Rand, test []faultsim.Pattern) genOutcome
+}
+
+var stuckAt = faultModel[faults.Fault]{
+	vectors: 1,
+	detect: func(eng *faultsim.Engine, f faults.Fault, good []*faultsim.Block) uint64 {
+		return eng.Detects(f, good[0])
+	},
+	generate: func(pd *podem, f faults.Fault, rng *rand.Rand, test []faultsim.Pattern) (out genOutcome) {
+		test[0], out = pd.generate(f, rng)
+		return out
+	},
+}
+
+// flowResult is the driver's outcome.
+type flowResult struct {
+	Counts
+	// vectors[k][i] is vector k of final test i.
+	vectors        [][]faultsim.Pattern
+	randomDetected int
+}
+
+// run is the pattern-generation flow shared by every fault model: random
+// tests with fault dropping, PODEM for the survivors, then reverse-order
+// compaction.
+func run[F any](n *netlist.Netlist, list []F, opts Options, m faultModel[F]) (*flowResult, error) {
 	opts = opts.withDefaults()
 	sim := faultsim.New(n)
 	if sim.NumSources() == 0 {
 		return nil, fmt.Errorf("atpg: die %q has no controllable sources", n.Name)
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
-	res := &Result{TotalFaults: len(list)}
-
-	detected := make([]bool, len(list))
+	res := &flowResult{Counts: Counts{TotalFaults: len(list)}, vectors: make([][]faultsim.Pattern, m.vectors)}
 	eng := sim.NewEngine()
-	var patterns []faultsim.Pattern
 
-	// Phase 1: random patterns with fault dropping. Keep only patterns
-	// that first-detect something.
-	for blk := 0; blk < opts.MaxRandomBlocks; blk++ {
-		block := make([]faultsim.Pattern, 64)
-		for i := range block {
-			block[i] = sim.RandomPattern(rng)
+	// grade simulates a block of up to 64 tests (block[k] holds vector k
+	// of each) against the faults not yet marked in detected, marks the
+	// ones it detects, and flags each fault's first detector as useful.
+	grade := func(block [][]faultsim.Pattern, detected []bool) (useful [64]bool, newDetects int, err error) {
+		good := make([]*faultsim.Block, len(block))
+		for k, vecs := range block {
+			if good[k], err = sim.GoodSim(vecs); err != nil {
+				return useful, 0, err
+			}
 		}
-		good, err := sim.GoodSim(block)
-		if err != nil {
-			return nil, err
-		}
-		newDetects := 0
-		useful := make([]bool, 64)
 		for fi := range list {
 			if detected[fi] {
 				continue
 			}
-			det := eng.Detects(list[fi], good)
-			if det == 0 {
-				continue
+			if det := m.detect(eng, list[fi], good); det != 0 {
+				useful[bits.TrailingZeros64(det)] = true
+				detected[fi] = true
+				newDetects++
 			}
-			first := firstBit(det)
-			useful[first] = true
-			detected[fi] = true
-			newDetects++
 		}
+		return useful, newDetects, nil
+	}
+	keepUseful := func(dst, block [][]faultsim.Pattern, useful [64]bool) {
 		for i, u := range useful {
 			if u {
-				patterns = append(patterns, block[i])
+				for k := range dst {
+					dst[k] = append(dst[k], block[k][i])
+				}
 			}
 		}
-		res.RandomDetected += newDetects
+	}
+
+	// Phase 1: random tests with fault dropping. Keep only tests that
+	// first-detect something.
+	detected := make([]bool, len(list))
+	for blk := 0; blk < opts.MaxRandomBlocks; blk++ {
+		block := make([][]faultsim.Pattern, m.vectors)
+		for k := range block {
+			block[k] = make([]faultsim.Pattern, 64)
+		}
+		for i := 0; i < 64; i++ {
+			for k := range block {
+				block[k][i] = sim.RandomPattern(rng)
+			}
+		}
+		useful, newDetects, err := grade(block, detected)
+		if err != nil {
+			return nil, err
+		}
+		keepUseful(res.vectors, block, useful)
+		res.randomDetected += newDetects
 		if newDetects < opts.MinNewDetects {
 			break
 		}
 	}
 
-	// Phase 2: PODEM for the survivors, fault-simulating each new
-	// pattern against the remaining faults.
+	// Phase 2: PODEM for the survivors, fault-simulating each 64 new
+	// tests against the remaining faults.
 	sc := computeScoap(n,
 		func(s netlist.SignalID) bool { _, ok := sim.SourceIndex(s); return ok },
 		sim.Observed)
 	pd := newPodem(n, sim, sc, opts.MaxBacktracks)
-	var pending []faultsim.Pattern // generated but not yet cross-simulated
-	flushPending := func() error {
-		if len(pending) == 0 {
+	pending := make([][]faultsim.Pattern, m.vectors) // generated but not yet cross-simulated
+	flush := func() error {
+		if len(pending[0]) == 0 {
 			return nil
 		}
-		good, err := sim.GoodSim(pending)
-		if err != nil {
+		if _, _, err := grade(pending, detected); err != nil {
 			return err
 		}
-		for fi := range list {
-			if detected[fi] {
-				continue
-			}
-			if eng.Detects(list[fi], good) != 0 {
-				detected[fi] = true
-			}
+		for k := range pending {
+			res.vectors[k] = append(res.vectors[k], pending[k]...)
+			pending[k] = pending[k][:0]
 		}
-		patterns = append(patterns, pending...)
-		pending = pending[:0]
 		return nil
 	}
+	test := make([]faultsim.Pattern, m.vectors)
 	targeted := 0
 	for fi := range list {
 		if detected[fi] {
@@ -168,13 +234,14 @@ func Run(n *netlist.Netlist, list []faults.Fault, opts Options) (*Result, error)
 			break
 		}
 		targeted++
-		pat, outcome := pd.generate(list[fi], rng)
-		switch outcome {
+		switch m.generate(pd, list[fi], rng, test) {
 		case genFound:
 			detected[fi] = true
-			pending = append(pending, pat)
-			if len(pending) == 64 {
-				if err := flushPending(); err != nil {
+			for k := range pending {
+				pending[k] = append(pending[k], test[k])
+			}
+			if len(pending[0]) == 64 {
+				if err := flush(); err != nil {
 					return nil, err
 				}
 			}
@@ -184,49 +251,46 @@ func Run(n *netlist.Netlist, list []faults.Fault, opts Options) (*Result, error)
 			res.Aborted++
 		}
 	}
-	if err := flushPending(); err != nil {
+	if err := flush(); err != nil {
 		return nil, err
 	}
-
 	for _, d := range detected {
 		if d {
 			res.Detected++
 		}
 	}
 
-	// Phase 3: reverse-order compaction — late deterministic patterns
-	// tend to cover the early random ones.
-	if !opts.DisableCompaction && len(patterns) > 1 {
-		reversed := make([]faultsim.Pattern, len(patterns))
-		for i, p := range patterns {
-			reversed[len(patterns)-1-i] = p
+	// Phase 3: reverse-order compaction — late deterministic tests tend
+	// to cover the early random ones. The first-detector pass re-grades
+	// the whole set from scratch, so its count replaces PODEM's claims.
+	nt := len(res.vectors[0])
+	if opts.DisableCompaction || nt <= 1 {
+		return res, nil
+	}
+	// Reverse copies, so that an empty kept set leaves the tests as they
+	// were.
+	reversed := make([][]faultsim.Pattern, m.vectors)
+	for k, vecs := range res.vectors {
+		reversed[k] = slices.Clone(vecs)
+		slices.Reverse(reversed[k])
+	}
+	redetected := make([]bool, len(list))
+	kept := make([][]faultsim.Pattern, m.vectors)
+	res.Detected = 0
+	for base := 0; base < nt; base += 64 {
+		block := make([][]faultsim.Pattern, m.vectors)
+		for k := range block {
+			block[k] = reversed[k][base:min(base+64, nt)]
 		}
-		camp, err := sim.RunCampaign(reversed, list)
+		useful, newDetects, err := grade(block, redetected)
 		if err != nil {
 			return nil, err
 		}
-		var kept []faultsim.Pattern
-		for i, u := range camp.UsefulPattern {
-			if u {
-				kept = append(kept, reversed[i])
-			}
-		}
-		if len(kept) > 0 {
-			patterns = kept
-		}
-		// The campaign independently verified detection of every fault
-		// by the final pattern set; prefer it over PODEM's claims.
-		res.Detected = camp.NumDetected
+		keepUseful(kept, block, useful)
+		res.Detected += newDetects
 	}
-	res.Patterns = patterns
+	if len(kept[0]) > 0 {
+		res.vectors = kept
+	}
 	return res, nil
-}
-
-func firstBit(w uint64) int {
-	for i := 0; i < 64; i++ {
-		if w&(1<<uint(i)) != 0 {
-			return i
-		}
-	}
-	return -1
 }

@@ -1,7 +1,6 @@
 package atpg
 
 import (
-	"fmt"
 	"math/rand"
 
 	"wcm3d/internal/faults"
@@ -20,29 +19,7 @@ type PatternPair struct {
 type TransitionResult struct {
 	// Pairs is the final set of two-vector tests.
 	Pairs []PatternPair
-	// TotalFaults, Detected, Untestable and Aborted partition the list.
-	TotalFaults int
-	Detected    int
-	Untestable  int
-	Aborted     int
-}
-
-// Coverage is the raw transition-fault coverage: detected / total.
-func (r *TransitionResult) Coverage() float64 {
-	if r.TotalFaults == 0 {
-		return 1
-	}
-	return float64(r.Detected) / float64(r.TotalFaults)
-}
-
-// TestCoverage excludes proven-untestable transition faults from the
-// denominator, mirroring commercial tools.
-func (r *TransitionResult) TestCoverage() float64 {
-	den := r.TotalFaults - r.Untestable
-	if den <= 0 {
-		return 1
-	}
-	return float64(r.Detected) / float64(den)
+	Counts
 }
 
 // PatternCount counts applied vectors: two per pair, matching how
@@ -51,208 +28,43 @@ func (r *TransitionResult) PatternCount() int { return 2 * len(r.Pairs) }
 
 // RunTransition generates a transition-delay test set.
 func RunTransition(n *netlist.Netlist, list []faults.TransitionFault, opts Options) (*TransitionResult, error) {
-	opts = opts.withDefaults()
-	sim := faultsim.New(n)
-	if sim.NumSources() == 0 {
-		return nil, fmt.Errorf("atpg: die %q has no controllable sources", n.Name)
+	opts.Seed ^= 0x7472616e73 // decorrelate from the stuck-at run
+	r, err := run(n, list, opts, transition)
+	if err != nil {
+		return nil, err
 	}
-	rng := rand.New(rand.NewSource(opts.Seed ^ 0x7472616e73)) // decorrelate from stuck-at phase
-	res := &TransitionResult{TotalFaults: len(list)}
+	res := &TransitionResult{Counts: r.Counts}
+	for i, v1 := range r.vectors[0] {
+		res.Pairs = append(res.Pairs, PatternPair{V1: v1, V2: r.vectors[1][i]})
+	}
+	return res, nil
+}
 
-	detected := make([]bool, len(list))
-	eng := sim.NewEngine()
-	var pairs []PatternPair
-
-	detectWord := func(f faults.TransitionFault, g1, g2 *faultsim.Block) uint64 {
-		// Pattern k detects the fault when V1[k] proves the initial
-		// value at the site and V2[k] detects the equivalent stuck-at.
-		site := f.Gate
-		det2 := eng.Detects(f.Equivalent(), g2)
-		if det2 == 0 {
+var transition = faultModel[faults.TransitionFault]{
+	vectors: 2,
+	// Test k detects the fault when V1[k] proves the initial value at the
+	// site and V2[k] detects the equivalent stuck-at.
+	detect: func(eng *faultsim.Engine, f faults.TransitionFault, good []*faultsim.Block) uint64 {
+		det := eng.Detects(f.Equivalent(), good[1])
+		if det == 0 {
 			return 0
 		}
+		g1 := good[0]
 		var initMask uint64
 		for k := 0; k < g1.NPat; k++ {
-			v, known := g1.Val(site, k)
-			if known && v == (f.InitialValue() == 1) {
+			if v, known := g1.Val(f.Gate, k); known && v == (f.InitialValue() == 1) {
 				initMask |= 1 << uint(k)
 			}
 		}
-		return det2 & initMask
-	}
-
-	// Phase 1: random pairs with dropping.
-	for blk := 0; blk < opts.MaxRandomBlocks; blk++ {
-		b1 := make([]faultsim.Pattern, 64)
-		b2 := make([]faultsim.Pattern, 64)
-		for i := range b1 {
-			b1[i] = sim.RandomPattern(rng)
-			b2[i] = sim.RandomPattern(rng)
+		return det & initMask
+	},
+	// V2 via PODEM on the equivalent stuck-at fault, V1 via justification
+	// of the initial value.
+	generate: func(pd *podem, f faults.TransitionFault, rng *rand.Rand, test []faultsim.Pattern) (out genOutcome) {
+		if test[1], out = pd.generate(f.Equivalent(), rng); out != genFound {
+			return out
 		}
-		g1, err := sim.GoodSim(b1)
-		if err != nil {
-			return nil, err
-		}
-		g2, err := sim.GoodSim(b2)
-		if err != nil {
-			return nil, err
-		}
-		newDetects := 0
-		useful := make([]bool, 64)
-		for fi := range list {
-			if detected[fi] {
-				continue
-			}
-			det := detectWord(list[fi], g1, g2)
-			if det == 0 {
-				continue
-			}
-			useful[firstBit(det)] = true
-			detected[fi] = true
-			newDetects++
-		}
-		for i, u := range useful {
-			if u {
-				pairs = append(pairs, PatternPair{V1: b1[i], V2: b2[i]})
-			}
-		}
-		if newDetects < opts.MinNewDetects {
-			break
-		}
-	}
-
-	// Phase 2: deterministic. V2 via PODEM on the equivalent stuck-at
-	// fault, V1 via justification of the initial value.
-	sc := computeScoap(n,
-		func(s netlist.SignalID) bool { _, ok := sim.SourceIndex(s); return ok },
-		sim.Observed)
-	pd := newPodem(n, sim, sc, opts.MaxBacktracks)
-	var pendV1, pendV2 []faultsim.Pattern
-	flush := func() error {
-		if len(pendV1) == 0 {
-			return nil
-		}
-		g1, err := sim.GoodSim(pendV1)
-		if err != nil {
-			return err
-		}
-		g2, err := sim.GoodSim(pendV2)
-		if err != nil {
-			return err
-		}
-		for fi := range list {
-			if detected[fi] {
-				continue
-			}
-			if detectWord(list[fi], g1, g2) != 0 {
-				detected[fi] = true
-			}
-		}
-		for i := range pendV1 {
-			pairs = append(pairs, PatternPair{V1: pendV1[i], V2: pendV2[i]})
-		}
-		pendV1, pendV2 = pendV1[:0], pendV2[:0]
-		return nil
-	}
-	targeted := 0
-	for fi := range list {
-		if detected[fi] {
-			continue
-		}
-		if opts.MaxDeterministic > 0 && targeted >= opts.MaxDeterministic {
-			break
-		}
-		targeted++
-		f := list[fi]
-		v2, out2 := pd.generate(f.Equivalent(), rng)
-		if out2 != genFound {
-			if out2 == genAborted {
-				res.Aborted++
-			} else {
-				res.Untestable++
-			}
-			continue
-		}
-		v1, out1 := pd.justifyVector(f.Gate, FromBool(f.InitialValue() == 1), rng)
-		if out1 != genFound {
-			if out1 == genAborted {
-				res.Aborted++
-			} else {
-				res.Untestable++
-			}
-			continue
-		}
-		detected[fi] = true
-		pendV1 = append(pendV1, v1)
-		pendV2 = append(pendV2, v2)
-		if len(pendV1) == 64 {
-			if err := flush(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if err := flush(); err != nil {
-		return nil, err
-	}
-
-	// Phase 3: reverse-order pair compaction with independent
-	// re-verification.
-	if !opts.DisableCompaction && len(pairs) > 1 {
-		for i, j := 0, len(pairs)-1; i < j; i, j = i+1, j-1 {
-			pairs[i], pairs[j] = pairs[j], pairs[i]
-		}
-		redetected := make([]bool, len(list))
-		numDet := 0
-		var kept []PatternPair
-		for base := 0; base < len(pairs); base += 64 {
-			end := base + 64
-			if end > len(pairs) {
-				end = len(pairs)
-			}
-			b1 := make([]faultsim.Pattern, 0, end-base)
-			b2 := make([]faultsim.Pattern, 0, end-base)
-			for _, pr := range pairs[base:end] {
-				b1 = append(b1, pr.V1)
-				b2 = append(b2, pr.V2)
-			}
-			g1, err := sim.GoodSim(b1)
-			if err != nil {
-				return nil, err
-			}
-			g2, err := sim.GoodSim(b2)
-			if err != nil {
-				return nil, err
-			}
-			useful := make([]bool, end-base)
-			for fi := range list {
-				if redetected[fi] {
-					continue
-				}
-				det := detectWord(list[fi], g1, g2)
-				if det == 0 {
-					continue
-				}
-				useful[firstBit(det)] = true
-				redetected[fi] = true
-				numDet++
-			}
-			for i, u := range useful {
-				if u {
-					kept = append(kept, pairs[base+i])
-				}
-			}
-		}
-		if len(kept) > 0 {
-			pairs = kept
-		}
-		res.Detected = numDet
-	} else {
-		for _, d := range detected {
-			if d {
-				res.Detected++
-			}
-		}
-	}
-	res.Pairs = pairs
-	return res, nil
+		test[0], out = pd.justifyVector(f.Gate, FromBool(f.InitialValue() == 1), rng)
+		return out
+	},
 }

@@ -89,7 +89,7 @@ func pinATPG(t *testing.T, got map[string]pinnedATPG, prefix string, d *Die, asn
 		t.Fatalf("%s: %v", prefix, err)
 	}
 	ns := faultsim.New(tn).NumSources()
-	sa, err := atpg.Run(tn, d.StuckAt, budget.Stuck)
+	sa, err := atpg.Run(tn, d.StuckAt, budget)
 	if err != nil {
 		t.Fatalf("%s stuck-at: %v", prefix, err)
 	}
@@ -101,7 +101,7 @@ func pinATPG(t *testing.T, got map[string]pinnedATPG, prefix string, d *Die, asn
 		Patterns:   sa.PatternCount(),
 		Hash:       patternHash(ns, sa.Patterns),
 	}
-	tr, err := atpg.RunTransition(tn, d.Transition, budget.Transition)
+	tr, err := atpg.RunTransition(tn, d.Transition, budget)
 	if err != nil {
 		t.Fatalf("%s transition: %v", prefix, err)
 	}

@@ -26,30 +26,16 @@ func (t Testability) String() string {
 	return fmt.Sprintf("(%.2f%%, %d)", 100*t.Coverage, t.Patterns)
 }
 
-// ATPGBudget tunes the per-die ATPG effort used by the experiments. The
-// zero value uses atpg defaults; Reduced() keeps benchmark iterations fast.
-type ATPGBudget struct {
-	Stuck      atpg.Options
-	Transition atpg.Options
-}
+// ATPGBudget tunes the per-die ATPG effort used by the experiments; the
+// stuck-at and transition runs share it. The zero value uses atpg defaults.
+type ATPGBudget = atpg.Options
 
 // DefaultBudget gives the full-effort configuration used by cmd/tables.
-func DefaultBudget(seed int64) ATPGBudget {
-	return ATPGBudget{
-		Stuck:      atpg.Options{Seed: seed},
-		Transition: atpg.Options{Seed: seed},
-	}
-}
+func DefaultBudget(seed int64) ATPGBudget { return atpg.Options{Seed: seed} }
 
-// ReducedBudget caps the expensive deterministic phase — for testing.B
-// benchmark loops and quick table runs where per-run cost matters more
-// than the last percent of coverage. Counter-intuitively, a fast budget
-// keeps the random phase GENEROUS (random patterns are cheap and every
-// extra detection is one fewer PODEM target) and starves only PODEM.
-func ReducedBudget(seed int64) ATPGBudget {
-	o := atpg.Options{Seed: seed, MaxRandomBlocks: 48, MaxBacktracks: 6, MinNewDetects: 1, MaxDeterministic: 3000}
-	return ATPGBudget{Stuck: o, Transition: o}
-}
+// ReducedBudget caps the expensive deterministic phase (atpg.Reduced) — for
+// testing.B benchmark loops and quick table runs.
+func ReducedBudget(seed int64) ATPGBudget { return atpg.Reduced(seed) }
 
 // EvaluateStuckAt wraps the die per the plan and runs stuck-at ATPG against
 // the die's functional fault universe.
@@ -61,7 +47,7 @@ func EvaluateStuckAt(d *Die, asn *scan.Assignment, budget ATPGBudget) (Testabili
 // StuckAtPatterns is EvaluateStuckAt that also returns the pattern set.
 func StuckAtPatterns(d *Die, asn *scan.Assignment, budget ATPGBudget) ([]faultsim.Pattern, Testability, error) {
 	res, err := runATPG(d, asn, func(tn *netlist.Netlist) (*atpg.Result, error) {
-		return atpg.Run(tn, d.StuckAt, budget.Stuck)
+		return atpg.Run(tn, d.StuckAt, budget)
 	})
 	if err != nil {
 		return nil, Testability{}, err
@@ -72,7 +58,7 @@ func StuckAtPatterns(d *Die, asn *scan.Assignment, budget ATPGBudget) ([]faultsi
 // EvaluateTransition is EvaluateStuckAt for the transition-delay model.
 func EvaluateTransition(d *Die, asn *scan.Assignment, budget ATPGBudget) (Testability, error) {
 	res, err := runATPG(d, asn, func(tn *netlist.Netlist) (*atpg.TransitionResult, error) {
-		return atpg.RunTransition(tn, d.Transition, budget.Transition)
+		return atpg.RunTransition(tn, d.Transition, budget)
 	})
 	if err != nil {
 		return Testability{}, err

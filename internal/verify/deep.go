@@ -18,16 +18,6 @@ import (
 // coverage by whole percents against thresholds of fractions of one), the
 // findings are advisory Warnings, never certification failures.
 
-// deepATPG is the deep-mode ATPG effort: the reduced budget the
-// experiments pipeline uses for sweeps.
-var deepATPG = atpg.Options{
-	Seed:             1,
-	MaxRandomBlocks:  48,
-	MaxBacktracks:    6,
-	MinNewDetects:    1,
-	MaxDeterministic: 3000,
-}
-
 // DeepStats reports what deep mode measured.
 type DeepStats struct {
 	// OverlapPairs is how many member pairs shared combinational logic.
@@ -72,7 +62,7 @@ func (c *checker) deep(asn *scan.Assignment) error {
 	if err != nil {
 		return fmt.Errorf("verify: deep: applying plan test mode: %w", err)
 	}
-	planRes, err := atpg.Run(planDie, list, deepATPG)
+	planRes, err := atpg.Run(planDie, list, atpg.Reduced(1))
 	if err != nil {
 		return fmt.Errorf("verify: deep: plan ATPG: %w", err)
 	}
@@ -80,7 +70,7 @@ func (c *checker) deep(asn *scan.Assignment) error {
 	if err != nil {
 		return fmt.Errorf("verify: deep: applying full-wrap baseline: %w", err)
 	}
-	baseRes, err := atpg.Run(baseDie, list, deepATPG)
+	baseRes, err := atpg.Run(baseDie, list, atpg.Reduced(1))
 	if err != nil {
 		return fmt.Errorf("verify: deep: baseline ATPG: %w", err)
 	}
