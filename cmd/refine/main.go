@@ -3,8 +3,10 @@
 // local search and seeded simulated annealing run one after another, each
 // on a share of one wall budget, and the best plan that passes the
 // independent verifier wins.
-// The output is the before/after cell count plus each solver's search
-// statistics.
+// The output is the before/after cell count, the capacity lower bound on
+// refine's model (phase two priced from greedy's phase-one hardware) with
+// the plan's gap to it, and each solver's search statistics. A plan at the
+// bound is optimal on the model, and the portfolio stops there.
 //
 // Usage:
 //
@@ -107,6 +109,8 @@ func run(w io.Writer, profile, netPath, methodName, timingName string, ro wcm3d.
 	} else {
 		fmt.Fprintln(w, "refined: no verified improvement found within budget")
 	}
+	fmt.Fprintf(w, "lower bound on refine's model: %d cells (gap %d)\n",
+		rr.LowerBound, rr.AdditionalCells-rr.LowerBound)
 	for _, so := range rr.Strategies {
 		line := fmt.Sprintf("  %-6s %d steps, %d proposed, %d admitted, %d rejected",
 			so.Name, so.Steps, so.Proposed, so.Admitted, so.Rejected)

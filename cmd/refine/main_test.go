@@ -29,6 +29,9 @@ func TestRunTextOutput(t *testing.T) {
 	if !strings.Contains(out, "refined:") {
 		t.Fatalf("missing refined line:\n%s", out)
 	}
+	if !strings.Contains(out, "lower bound on refine's model:") {
+		t.Fatalf("missing lower-bound line:\n%s", out)
+	}
 	for _, s := range []string{"local", "anneal", "lns"} {
 		if !strings.Contains(out, s) {
 			t.Fatalf("missing %s statistics line:\n%s", s, out)
@@ -57,6 +60,9 @@ func TestRunJSONSchema(t *testing.T) {
 	}
 	if len(rep.Strategies) != 1 || rep.Strategies[0].Name != "local" {
 		t.Fatalf("strategy subset not honored: %+v", rep.Strategies)
+	}
+	if rep.LowerBound > rep.AdditionalCells || rep.Gap != rep.AdditionalCells-rep.LowerBound {
+		t.Fatalf("bound %d, gap %d inconsistent with %d cells", rep.LowerBound, rep.Gap, rep.AdditionalCells)
 	}
 }
 

@@ -48,7 +48,7 @@ func TestRunTAMSweep(t *testing.T) {
 
 // TestRunRefineGap runs the refinement-gap experiment on the smallest
 // family with a short per-die budget and holds the output to its contract:
-// refined cells never exceed greedy cells.
+// refined cells never exceed greedy cells, nor fall below the bound.
 func TestRunRefineGap(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run(&buf, 0, 0, false, false, true, 500*time.Millisecond, false, false, "b11", "16", 1, "reduced", false, true); err != nil {
@@ -75,6 +75,9 @@ func TestRunRefineGap(t *testing.T) {
 		}
 		if r.Saved != r.GreedyCells-r.RefinedCells {
 			t.Errorf("%s: saved %d inconsistent", r.Die, r.Saved)
+		}
+		if r.LowerBound > r.RefinedCells {
+			t.Errorf("%s: bound %d above the refined plan's %d cells", r.Die, r.LowerBound, r.RefinedCells)
 		}
 	}
 }

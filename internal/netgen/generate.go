@@ -764,19 +764,32 @@ func (g *generator) recordAncestors(gid netlist.SignalID, fanin []netlist.Signal
 // deconstant finds combinational gates whose output never toggles across a
 // random-simulation sweep and rewires one input pin to an independent
 // source, repeating until the sweep finds nothing. Rewiring to a level-0
-// source can never create a cycle.
+// source can never create a cycle. A pin whose source is a pad or
+// flip-flop with no other fan-out keeps its source — rewiring it would
+// strand that source — so the rewire takes the next pin that strands
+// nothing, or skips the gate when every pin would.
 func deconstant(n *netlist.Netlist, rng *rand.Rand) error {
 	var srcs []netlist.SignalID
+	isSrc := make([]bool, n.NumGates())
 	for i := range n.Gates {
 		id := netlist.SignalID(i)
 		switch n.TypeOf(id) {
 		case netlist.GateInput, netlist.GateTSVIn, netlist.GateDFF:
 			srcs = append(srcs, id)
+			isSrc[id] = true
 		}
 	}
 	if len(srcs) == 0 {
 		return nil
 	}
+	// fanout counts each signal's consuming pins.
+	fanout := make([]int32, n.NumGates())
+	for i := range n.Gates {
+		for _, f := range n.Gates[i].Fanin {
+			fanout[f]++
+		}
+	}
+	strands := func(src netlist.SignalID) bool { return isSrc[src] && fanout[src] == 1 }
 	// The sweep simulates 96 patterns as two 64-bit words, bit p%64 of word
 	// p/64 carrying pattern p; the last word holds only 32 patterns.
 	const patterns = 96
@@ -808,9 +821,17 @@ func deconstant(n *netlist.Netlist, rng *rand.Rand) error {
 			}
 			g := n.Gate(id)
 			pin := rng.Intn(len(g.Fanin))
+			for k := 0; k < len(g.Fanin) && strands(g.Fanin[pin]); k++ {
+				pin = (pin + 1) % len(g.Fanin)
+			}
+			if strands(g.Fanin[pin]) {
+				continue
+			}
 			for tries := 0; tries < 8; tries++ {
 				cand := srcs[rng.Intn(len(srcs))]
 				if !contains(g.Fanin, cand) {
+					fanout[g.Fanin[pin]]--
+					fanout[cand]++
 					if err := n.RewireFanin(id, pin, cand); err != nil {
 						return fmt.Errorf("netgen: deconstant rewire: %w", err)
 					}

@@ -113,25 +113,36 @@ func TestGenerateDeterministic(t *testing.T) {
 func TestGenerateAllSourcesUsed(t *testing.T) {
 	// Every PI, TSV pad and flip-flop must have at least one fanout —
 	// otherwise cones degenerate and the WCM graph loses nodes.
-	p := ITC99Circuit("b11")[2] // only 3 FFs, 38+38 TSVs, 229 gates
-	n, err := Generate(p, 3)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		p    Profile
+		seed int64
+	}{
+		{ITC99Circuit("b11")[2], 3}, // only 3 FFs, 38+38 TSVs, 229 gates
+		// The deconstant pass once rewired away the only fan-out of a
+		// TSV pad on these two (tin4 and tin801).
+		{Profile{Circuit: "q", Gates: 276, ScanFFs: 15, InboundTSVs: 28, PIs: 4, POs: 3}, 5248694409189590524},
+		{ITC99Circuit("b22")[1], 2},
 	}
-	g := n.Graph()
-	for _, id := range n.InboundTSVs() {
-		if len(g.FanoutOf(id)) == 0 {
-			t.Errorf("inbound TSV %s has no fanout", n.NameOf(id))
+	for _, c := range cases {
+		n, err := Generate(c.p, c.seed)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for _, id := range n.FlipFlops() {
-		if len(g.FanoutOf(id)) == 0 {
-			t.Errorf("flip-flop %s has no fanout", n.NameOf(id))
+		g := n.Graph()
+		for _, id := range n.InboundTSVs() {
+			if len(g.FanoutOf(id)) == 0 {
+				t.Errorf("%s@%d: inbound TSV %s has no fanout", c.p.Name(), c.seed, n.NameOf(id))
+			}
 		}
-	}
-	for _, id := range n.Inputs() {
-		if len(g.FanoutOf(id)) == 0 {
-			t.Errorf("input %s has no fanout", n.NameOf(id))
+		for _, id := range n.FlipFlops() {
+			if len(g.FanoutOf(id)) == 0 {
+				t.Errorf("%s@%d: flip-flop %s has no fanout", c.p.Name(), c.seed, n.NameOf(id))
+			}
+		}
+		for _, id := range n.Inputs() {
+			if len(g.FanoutOf(id)) == 0 {
+				t.Errorf("%s@%d: input %s has no fanout", c.p.Name(), c.seed, n.NameOf(id))
+			}
 		}
 	}
 }

@@ -33,7 +33,7 @@ const (
 	defaultAnnealSteps = 60000
 )
 
-func (annealer) Refine(ctx context.Context, p *Problem, start *Solution, o Options, emit func(*Solution) bool) (int, error) {
+func (annealer) Refine(ctx context.Context, p *Problem, start *Solution, o Options, emit func(*Solution)) (int, error) {
 	maxSteps := o.maxSteps(defaultAnnealSteps)
 	segments := annealSegments
 	segSteps := maxSteps / segments

@@ -10,23 +10,23 @@ package refine
 //   - Moves decompose into elementary graph changes, each with a provably
 //     sufficient repair that restores a *maximum* matching:
 //
-//     delete a left vertex matched to g   → one reverse augment from g
+//     delete a left vertex matched to g   → one re-seat of g
 //     edges removed at block b (mask grew)
 //     → release b's flip-flop if it stopped covering, forward augment
-//     from b, then reverse augment from the freed flip-flop if
-//     still free
+//     from b, then re-seat the freed flip-flop if still free
 //     edges added at block b (mask shrank)
 //     → release b's flip-flop unconditionally (an augmenting path may
-//     now pass *through* b), forward augment from b, then reverse
-//     augment from the freed flip-flop
+//     now pass *through* b), forward augment from b, then re-seat
+//     the freed flip-flop
 //     new block → one forward augment from it
 //
 //     The arguments are exchange/Berge arguments over the bipartite
 //     share graph: starting from a maximum matching, every augmenting
 //     path created by one elementary change must start at the touched
 //     block or end at the freed flip-flop, and Kuhn's persistence lemma
-//     (a failed augment stays failed) lets each repair run exactly one
-//     tree search per endpoint. Each trial therefore costs a few
+//     (a failed augment stays failed) lets each repair run one search
+//     per endpoint (a re-seat: one direct scan, then forward searches
+//     from the exposed blocks under one shared stamp). Each trial therefore costs a few
 //     fail-fast alternating-tree walks instead of a full rematch.
 //
 //   - Every mutation (member moves, mask bits, flip-flop assignments,
@@ -79,7 +79,7 @@ type evaluator struct {
 	ownerBlock []int32
 	// itemBlock[pi][item] is the index of the block currently holding the
 	// item, -1 while the item is mid-move (taken but not yet re-housed).
-	// The reverse augmenting search enumerates a freed flip-flop's
+	// The re-seat's direct pass enumerates a freed flip-flop's
 	// candidate blocks through it — a block is coverable only if it holds
 	// at least one adjacent item — instead of scanning the whole phase.
 	itemBlock [2][]int32
@@ -92,11 +92,11 @@ type evaluator struct {
 
 	// reach caches, per matching baseline, the set of global flip-flops
 	// from which an exposed block is alternating-reachable — exactly the
-	// set on which reverse() can succeed. Sweeps consult it through
-	// reachable() to skip trials whose freed flip-flop provably cannot
-	// re-seat (such a trial cannot lower the cell count), turning the
-	// dominant failing displacement searches on flip-flop-abundant dies
-	// into O(1) lookups. Any matching mutation invalidates the cache;
+	// set on which reseat() succeeds once the flip-flop is freed. Sweeps
+	// consult it through reachable() to skip trials whose freed flip-flop
+	// provably cannot re-seat (such a trial cannot lower the cell count),
+	// turning the dominant failing re-seat searches on
+	// flip-flop-abundant dies into O(1) lookups. Any matching mutation invalidates the cache;
 	// reachGen lets revert restore validity only when no recompute
 	// overwrote the set mid-trial.
 	reach      bitset
@@ -321,31 +321,30 @@ func (e *evaluator) augment(pi, bi int) bool {
 	return false
 }
 
-// reverse searches an augmenting path *ending* at the free flip-flop g:
-// an adjacent exposed block takes g directly, or an adjacent matched block
-// re-points to g once its own flip-flop finds another home.
+// reseat augments the matching once, if any augmenting path exists, after
+// the flip-flop g was freed. Freed from a maximum matching, g ends every
+// augmenting path (one that ends elsewhere was augmenting before), and
+// one augmentation restores the maximum.
 //
-// The search runs in two passes. The exposed pass looks for a direct
-// assignment — it recurses into nothing, so the common repair outcome
-// (the freed flip-flop snaps back to the very block that released it, or
-// to a nearby exposed block) costs one scan instead of a displacement
-// cascade through every matched block the depth-first order happens to
-// visit first. Only when no exposed block can take g does the
-// displacement pass re-point a matched block at g and recurse on its old
-// flip-flop; visit stamps bound that recursion as in the forward search.
+// The direct pass looks for an exposed block that g covers — the common
+// repair outcome (the freed flip-flop snaps back to the very block that
+// released it, or to a nearby exposed block) costs one scan. Candidate
+// blocks are enumerated per home through whichever side is shorter: the
+// flip-flop's adjacency list mapped through the item→block index (a
+// coverable block holds only adjacent items, so each is reached through
+// some item it holds — scarce-edge phases), or the phase's block list
+// itself (abundant flip-flops whose adjacency dwarfs the block count).
+// Blocks reached through several items are re-probed, but the fail-fast
+// cover check keeps that cheap.
 //
-// Candidate blocks are enumerated per home through whichever side is
-// shorter: the flip-flop's adjacency list mapped through the item→block
-// index (a coverable block holds only adjacent items, so each is reached
-// through some item it holds — scarce-edge phases), or the phase's block
-// list itself (abundant flip-flops whose adjacency dwarfs the block
-// count). Blocks reached through several items are re-probed, but the
-// fail-fast cover check keeps that cheap.
-func (e *evaluator) reverse(g int32) bool {
-	if e.visited[g] == e.stamp {
-		return false
-	}
-	e.visited[g] = e.stamp
+// Only when no exposed block can take g directly does the forward pass
+// run: forward augments from the exposed blocks under one shared stamp (a
+// failed search leaves the matching untouched, so its visited flip-flops
+// stay dead for the next), stopping at the first success. Exposed blocks
+// are few where flip-flops are abundant, and each forward search is
+// pruned by the stamps of the ones before it, where a search backwards
+// from g must try every matched block g covers.
+func (e *evaluator) reseat(g int32) {
 	for _, h := range e.p.ffHomes[g] {
 		ph := e.p.phases[h.pi]
 		blocks := e.s.blocks[h.pi]
@@ -354,85 +353,42 @@ func (e *evaluator) reverse(g int32) bool {
 			for _, item := range items {
 				bi := ib[item]
 				if bi < 0 || blocks[bi].ff >= 0 {
-					continue // mid-move item, or matched (displacement pass)
+					continue // mid-move item, or matched
 				}
 				if ph.ffCovers(h.fi, &blocks[bi]) {
 					e.assign(int(h.pi), int(bi), h.fi)
-					return true
+					return
 				}
 			}
 		} else {
 			for bi := range blocks {
-				if blocks[bi].ff >= 0 {
-					continue
-				}
-				if ph.ffCovers(h.fi, &blocks[bi]) {
+				if blocks[bi].ff < 0 && ph.ffCovers(h.fi, &blocks[bi]) {
 					e.assign(int(h.pi), bi, h.fi)
-					return true
+					return
 				}
 			}
 		}
 	}
-	for _, h := range e.p.ffHomes[g] {
-		ph := e.p.phases[h.pi]
-		blocks := e.s.blocks[h.pi]
-		if items := ph.ffs[h.fi].items; len(items) < len(blocks) {
-			ib := e.itemBlock[h.pi]
-			for _, item := range items {
-				bi := ib[item]
-				if bi < 0 || blocks[bi].ff < 0 {
-					continue
-				}
-				if e.reverseVia(h, int(bi), g) {
-					return true
-				}
-			}
-		} else {
-			for bi := range blocks {
-				if blocks[bi].ff < 0 {
-					continue
-				}
-				if e.reverseVia(h, bi, g) {
-					return true
-				}
+	e.stamp++
+	for pi := range e.s.blocks {
+		for bi := range e.s.blocks[pi] {
+			if e.s.blocks[pi][bi].ff < 0 && e.augment(pi, bi) {
+				return
 			}
 		}
 	}
-	return false
-}
-
-// reverseVia tries to route the path through the matched block bi of home
-// h: displace its flip-flop (recursively) and point it at h's flip-flop.
-func (e *evaluator) reverseVia(h ffHome, bi int, g int32) bool {
-	ph := e.p.phases[h.pi]
-	b := &e.s.blocks[h.pi][bi]
-	// Pruning before the cover check keeps the scan cheap: an owner
-	// already visited under this stamp has a failed subtree, so the
-	// recursion would return false anyway.
-	og := ph.ffs[b.ff].global
-	if og == g || e.visited[og] == e.stamp {
-		return false
-	}
-	if !ph.ffCovers(h.fi, b) {
-		return false
-	}
-	if !e.reverse(og) {
-		return false
-	}
-	e.assign(int(h.pi), bi, h.fi)
-	return true
 }
 
 // reachable reports whether freeing phase pi's local flip-flop fi would
-// let it re-seat — whether reverse() on its global index would succeed
-// against the current state. Sweeps call it *before* applying a move that
-// frees the flip-flop: a trial whose freed flip-flop cannot re-seat loses
-// one match for the one block it deletes and therefore cannot lower the
-// cell count, so the sweep skips it without paying the failing
-// displacement search. Sound to consult the pre-move state because the
-// move only deletes the flip-flop's own block, which no reverse() path
-// from that flip-flop can traverse (entering it would displace the
-// search's own root).
+// let it re-seat — whether an augmenting path ending at its global index
+// would exist, which is when reseat() succeeds. Sweeps call it *before*
+// applying a move that frees the flip-flop: a trial whose freed flip-flop
+// cannot re-seat loses one match for the one block it deletes and
+// therefore cannot lower the cell count, so the sweep skips it without
+// paying the failing search. Sound to consult the pre-move state because
+// the move only deletes the flip-flop's own block, which no alternating
+// path ending at that flip-flop can traverse (the block is matched to
+// the path's own end).
 func (e *evaluator) reachable(pi int, fi int32) bool {
 	if !e.reachValid {
 		e.recomputeReach()
@@ -444,9 +400,9 @@ func (e *evaluator) reachable(pi int, fi int32) bool {
 // search from every exposed block over alternating paths. Base: any
 // flip-flop covering an exposed block re-seats directly. Step: once
 // flip-flop og re-seats, its matched block can release it, so every
-// flip-flop covering that block re-seats too. This mirrors reverse()'s
-// search relation exactly, so membership coincides with reverse()'s
-// success on the same state.
+// flip-flop covering that block re-seats too. These are exactly the
+// alternating paths from an exposed block that end at the flip-flop, so
+// membership coincides with reseat()'s success once it is freed.
 func (e *evaluator) recomputeReach() {
 	if e.reach == nil {
 		e.reach = newBitset(len(e.p.ffSigs))
@@ -513,7 +469,10 @@ func (e *evaluator) maximize() {
 
 // repairGrown restores maximality after edges were removed at block
 // (pi, bi) — its mask grew. If the flip-flop still covers, the matching is
-// untouched and remains maximum (the graph only lost edges).
+// untouched and remains maximum (the graph only lost edges). Otherwise the
+// block's flip-flop is released; a forward augment from the block restores
+// the old matching size, which the graph can no longer exceed, and only
+// when it fails does the freed flip-flop need a re-seat.
 func (e *evaluator) repairGrown(pi, bi int) {
 	b := &e.s.blocks[pi][bi]
 	if b.ff < 0 {
@@ -525,15 +484,9 @@ func (e *evaluator) repairGrown(pi, bi int) {
 	}
 	g := e.release(pi, bi)
 	e.stamp++
-	if e.augment(pi, bi) {
-		if !e.s.ffUsed.has(g) {
-			e.stamp++
-			e.reverse(g)
-		}
-		return
+	if !e.augment(pi, bi) {
+		e.reseat(g)
 	}
-	e.stamp++
-	e.reverse(g)
 }
 
 // repairShrunk restores maximality after item `removed` left block
@@ -550,11 +503,10 @@ func (e *evaluator) repairGrown(pi, bi int) {
 // edge). The block's flip-flop is released and the forward search
 // *excludes* it — a free flip-flop cannot sit in a path's interior, so
 // a through-path's tail never uses it, and without the exclusion the
-// search would re-take it trivially and starve the reverse search of
-// the head, leaving the matching one short of maximum (the crossCheck
-// audit caught exactly that drift on b12/1). The reverse search then
-// hunts the head, or — when the forward search failed — re-seats the
-// freed flip-flop.
+// search would re-take it trivially and starve the re-seat of the head,
+// leaving the matching one short of maximum (the crossCheck audit caught
+// exactly that drift on b12/1). The re-seat then hunts the head, or —
+// when the forward search failed — re-seats the freed flip-flop.
 func (e *evaluator) repairShrunk(pi, bi int, removed int32) {
 	b := &e.s.blocks[pi][bi]
 	ph := e.p.phases[pi]
@@ -573,16 +525,9 @@ func (e *evaluator) repairShrunk(pi, bi int, removed int32) {
 	if g >= 0 {
 		e.visited[g] = e.stamp
 	}
-	if e.augment(pi, bi) {
-		if g >= 0 {
-			e.stamp++
-			e.reverse(g)
-		}
-		return
-	}
+	e.augment(pi, bi)
 	if g >= 0 {
-		e.stamp++
-		e.reverse(g)
+		e.reseat(g)
 	}
 }
 
@@ -650,8 +595,8 @@ func (e *evaluator) appendSingleton(pi int, item int32) int {
 // --- moves ---
 
 // merge fuses block bj into bi (caller checked canMerge) and returns the
-// surviving block's index. Two elementary changes: delete left bj (reverse
-// augment from its freed flip-flop), then grow bi's mask (grown repair).
+// surviving block's index. Two elementary changes: delete left bj (re-seat
+// its freed flip-flop), then grow bi's mask (grown repair).
 func (e *evaluator) merge(pi, bi, bj int) int {
 	blocks := e.s.blocks[pi]
 	last := len(blocks) - 1
@@ -661,8 +606,7 @@ func (e *evaluator) merge(pi, bi, bj int) int {
 		bi = bj // bi was swapped into the vacated slot
 	}
 	if g >= 0 {
-		e.stamp++
-		e.reverse(g)
+		e.reseat(g)
 	}
 	a := &e.s.blocks[pi][bi]
 	e.rec(jop{kind: jExtend, pi: int8(pi), a: int32(bi), b: int32(len(a.members))})
@@ -692,8 +636,7 @@ func (e *evaluator) relocate(pi, from, mi, to int) {
 			to = from // target was swapped into the vacated slot
 		}
 		if g >= 0 {
-			e.stamp++
-			e.reverse(g)
+			e.reseat(g)
 		}
 	} else {
 		item = e.takeMember(pi, from, mi)

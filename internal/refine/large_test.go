@@ -2,6 +2,7 @@ package refine_test
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"testing"
 	"time"
@@ -15,11 +16,13 @@ import (
 // TestLargeDieThroughput is the b20-class scalability gate, run in CI with
 // WCM3D_REFINE_LARGE=1 (skipped otherwise — preparing ITC'99 large dies
 // takes seconds, not milliseconds). It pins the property the incremental
-// evaluator exists for: on a ~1000-item die the portfolio must sustain a
-// minimum search rate inside the standard 2 s budget, instead of the
-// clone-and-rematch scoring that managed a few hundred trials and never
-// improved these dies. The -v log doubles as the improvement-table
-// artifact the refine-smoke job uploads.
+// evaluator exists for: on a ~1000-item die the strategies must sustain a
+// minimum search rate, instead of the clone-and-rematch scoring that
+// managed a few hundred trials and never improved these dies. The
+// portfolio itself now stops at the lower bound on these dies within a
+// few dozen steps, so the gate runs every strategy for a fixed step budget
+// with its candidates kept from the arbiter (SearchSteps). The -v log
+// doubles as the improvement-table artifact the refine-smoke job uploads.
 func TestLargeDieThroughput(t *testing.T) {
 	if os.Getenv("WCM3D_REFINE_LARGE") == "" {
 		t.Skip("set WCM3D_REFINE_LARGE=1 to run the b20-class throughput gate")
@@ -28,6 +31,7 @@ func TestLargeDieThroughput(t *testing.T) {
 	// runners must pass, the old full-rematch scoring (~1k trials/s on
 	// this class) must not.
 	const minStepsPerSec = 5000
+	const maxSteps = 20000 // per strategy; lns stops earlier at its fruitless cutoff
 	tight := experiments.Scenario{Name: "performance-optimized", Tight: true}
 	for _, name := range []string{"b20/1", "b21/1"} {
 		p, err := wcm3d.ProfileByName(name)
@@ -44,27 +48,59 @@ func TestLargeDieThroughput(t *testing.T) {
 			t.Fatal(err)
 		}
 		start := time.Now()
-		rr, err := refine.Run(context.Background(), d.Input(), opts, greedy,
-			refine.Options{Budget: 2 * time.Second, Seed: 1})
+		steps, cells, err := refine.SearchSteps(context.Background(), d.Input(), opts, greedy,
+			refine.Options{Seed: 1, MaxSteps: maxSteps})
 		if err != nil {
 			t.Fatal(err)
 		}
 		elapsed := time.Since(start)
-		steps := 0
-		for _, so := range rr.Strategies {
-			steps += so.Steps
-			t.Logf("%s %-6s %d steps, %d proposed, %d admitted, %d rejected (deadline=%v)",
-				name, so.Name, so.Steps, so.Proposed, so.Admitted, so.Rejected, so.Deadline)
-		}
 		rate := float64(steps) / elapsed.Seconds()
-		t.Logf("%s: greedy %d -> refined %d cells (saved %d) — %d steps in %v (%.0f steps/s)",
-			name, rr.GreedyCells, rr.AdditionalCells, rr.CellsSaved, steps, elapsed.Round(time.Millisecond), rate)
-		if rr.AdditionalCells > rr.GreedyCells {
-			t.Errorf("%s: refined plan worse than greedy (%d > %d)", name, rr.AdditionalCells, rr.GreedyCells)
+		t.Logf("%s: greedy %d -> best emitted %d cells — %d steps in %v (%.0f steps/s)",
+			name, greedy.AdditionalCells, cells, steps, elapsed.Round(time.Millisecond), rate)
+		if cells > greedy.AdditionalCells {
+			t.Errorf("%s: refined plan worse than greedy (%d > %d)", name, cells, greedy.AdditionalCells)
 		}
 		if rate < minStepsPerSec {
-			t.Errorf("%s: portfolio searched %.0f steps/s, floor is %d — the incremental evaluator has regressed",
+			t.Errorf("%s: strategies searched %.0f steps/s, floor is %d — the incremental evaluator has regressed",
 				name, rate, minStepsPerSec)
+		}
+	}
+}
+
+// TestCrossCheckPaperDies audits the incremental evaluator on the eight
+// b11/b12 Table II dies, where flip-flops are plentiful next to the TSVs
+// and freed flip-flops re-seat most often: every applied move of every
+// strategy is re-scored against a from-scratch rematch (CrossCheck panics
+// on divergence) for a fixed step budget.
+func TestCrossCheckPaperDies(t *testing.T) {
+	const steps = 2000
+	tight := experiments.Scenario{Name: "performance-optimized", Tight: true}
+	for _, circuit := range []string{"b11", "b12"} {
+		for die := 0; die < 4; die++ {
+			name := fmt.Sprintf("%s/%d", circuit, die)
+			p, err := wcm3d.ProfileByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := wcm3d.PrepareDie(p, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := experiments.OurOptions(d, tight)
+			greedy, err := wcm.Run(d.Input(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rr, err := refine.Run(context.Background(), d.Input(), opts, greedy, refine.Options{
+				Seed: 1, MaxSteps: steps, Budget: time.Minute, CrossCheck: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rr.AdditionalCells > rr.GreedyCells || rr.LowerBound > rr.AdditionalCells {
+				t.Errorf("%s: greedy %d, refined %d, bound %d out of order", name, rr.GreedyCells, rr.AdditionalCells, rr.LowerBound)
+			}
+			t.Logf("%s: greedy %d -> refined %d (bound %d), %d strategies", name, rr.GreedyCells, rr.AdditionalCells, rr.LowerBound, len(rr.Strategies))
 		}
 	}
 }

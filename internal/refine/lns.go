@@ -29,7 +29,7 @@ const (
 	lnsFruitlessCutoff = 400
 )
 
-func (lns) Refine(ctx context.Context, p *Problem, start *Solution, o Options, emit func(*Solution) bool) (int, error) {
+func (lns) Refine(ctx context.Context, p *Problem, start *Solution, o Options, emit func(*Solution)) (int, error) {
 	e := newEvaluator(p, start.clone())
 	e.crossCheck = o.CrossCheck
 	incumbent := start.cells(p)
@@ -42,7 +42,7 @@ func (lns) Refine(ctx context.Context, p *Problem, start *Solution, o Options, e
 	maxSteps := o.maxSteps(unboundedSteps)
 	steps, fail := 0, 0
 	for steps < maxSteps && fail < lnsFruitlessCutoff {
-		if steps%32 == 0 && ctx.Err() != nil {
+		if ctx.Err() != nil {
 			break
 		}
 		steps++

@@ -28,7 +28,7 @@ const localFruitlessRounds = 2
 // annealer's reheat segments): round r draws from Seed + r·stride.
 const restartSeedStride = 1000003
 
-func (localSearch) Refine(ctx context.Context, p *Problem, start *Solution, o Options, emit func(*Solution) bool) (int, error) {
+func (localSearch) Refine(ctx context.Context, p *Problem, start *Solution, o Options, emit func(*Solution)) (int, error) {
 	e := newEvaluator(p, start.clone())
 	e.crossCheck = o.CrossCheck
 	d := &descender{ctx: ctx, p: p, e: e, maxSteps: o.maxSteps(unboundedSteps), incumbent: start.cells(p), emit: emit}
@@ -76,7 +76,7 @@ type descender struct {
 	roundBest  int
 	committed  bool
 	incumbent  int
-	emit       func(*Solution) bool
+	emit       func(*Solution)
 	partnerBuf []int32
 }
 

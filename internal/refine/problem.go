@@ -47,14 +47,18 @@ type Problem struct {
 	ffSigs []netlist.SignalID
 
 	// ffHomes lists, per global flip-flop, every (phase, local index)
-	// that can use it — the reverse of ffIndex.global. The incremental
-	// evaluator's reverse augmenting search walks it to find the blocks
-	// adjacent to a freed flip-flop.
+	// that can use it — the reverse of ffIndex.global. The evaluator's
+	// re-seat walks it to find the exposed blocks a freed flip-flop
+	// covers directly.
 	ffHomes [][]ffHome
 
 	// fixedCells counts the dedicated cells no solution can avoid (both
 	// phases' excluded TSVs).
 	fixedCells int
+
+	// lowerBound is the capacity bound: no solution of this problem
+	// costs fewer cells (see capacityBound).
+	lowerBound int
 
 	// greedyBuffered echoes the greedy plan's BufferedRouting so encoded
 	// candidates claim the same routing contract.
@@ -84,9 +88,9 @@ type ffIndex struct {
 	global int32  // index into Problem.ffSigs
 	adj    bitset // items the flip-flop may share a group with
 	// items lists adj's set bits ascending (the share model's FF adjacency
-	// list, referenced, not copied). The reverse augmenting search walks it
-	// to enumerate candidate blocks through the evaluator's item→block
-	// index instead of scanning every block of the phase.
+	// list, referenced, not copied). The evaluator's re-seat walks it to
+	// enumerate candidate blocks through its item→block index instead of
+	// scanning every block of the phase.
 	items []int32
 }
 
@@ -148,7 +152,40 @@ func newProblem(in wcm.Input, opts wcm.Options, model *wcm.ShareModel, greedy *w
 		p.fixedCells += len(sp.Excluded)
 		p.phases[pi] = ph
 	}
+	p.lowerBound = p.capacityBound()
 	return p, nil
+}
+
+// capacityBound is a lower bound on the cells of every solution. A block
+// holds at most maxLen items, and a block with a flip-flop holds only items
+// adjacent to it, so with M_p matched blocks in phase p at most
+// min(maxLen·M_p, A_p) items sit in matched blocks (A_p: the items adjacent
+// to at least one flip-flop) and the rest fill at least
+// ⌈(n_p − that)/maxLen⌉ exposed blocks. Each global flip-flop serves one
+// block across both phases, so the bound is the minimum over the splits
+// M_0 + M_1 ≤ len(ffSigs) with M_p ≤ the phase's flip-flops, plus the
+// excluded TSVs' fixed cells.
+func (p *Problem) capacityBound() int {
+	var adjacent [2]int
+	for pi, ph := range p.phases {
+		for _, ffs := range ph.itemFFs {
+			if len(ffs) > 0 {
+				adjacent[pi]++
+			}
+		}
+	}
+	exposed := func(pi, m int) int {
+		ph := p.phases[pi]
+		rest := ph.n - min(ph.maxLen*m, adjacent[pi])
+		return (max(rest, 0) + ph.maxLen - 1) / ph.maxLen
+	}
+	ffs := len(p.ffSigs)
+	best := exposed(0, 0) + exposed(1, 0)
+	for m0 := 0; m0 <= min(len(p.phases[0].ffs), ffs); m0++ {
+		m1 := min(len(p.phases[1].ffs), ffs-m0)
+		best = min(best, exposed(0, m0)+exposed(1, m1))
+	}
+	return p.fixedCells + best
 }
 
 // block is one shared group of a candidate plan.
@@ -251,9 +288,9 @@ func (ph *phaseIndex) ffCoversAlso(fi int32, b *block) bool {
 }
 
 // ffCovers reports whether phase-local flip-flop fi may serve block b.
-// This sits on the matching repair's hottest path (the reverse augmenting
-// search probes it for every candidate block), so small blocks take the
-// fail-fast per-member probe instead of the full-width mask scan.
+// This sits on the matching repair's hottest path (the re-seat and the
+// forward searches probe it for every candidate block), so small blocks
+// take the fail-fast per-member probe instead of the full-width mask scan.
 func (ph *phaseIndex) ffCovers(fi int32, b *block) bool {
 	adj := ph.ffs[fi].adj
 	if len(b.members) < len(b.mask) {

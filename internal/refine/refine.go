@@ -26,11 +26,16 @@
 // wall budget.
 //
 // The optimizer never self-certifies: every candidate that beats the
-// incumbent is encoded as a scan.Assignment and must pass the independent
-// referee internal/verify.Plan before it may become the new best. At the
-// deadline the best verified plan wins; if nothing verified better, the
-// greedy plan is returned unchanged — refinement can never make a plan
-// worse. See docs/SOLVERS.md.
+// incumbent is encoded as a scan.Assignment, and the arbiter certifies the
+// pending candidates best-first with the independent referee
+// internal/verify.Plan whenever a strategy ends, a candidate reaches the
+// lower bound, and before Run returns; the first that passes becomes the
+// new best. If nothing verified better, the greedy plan is returned
+// unchanged — refinement can never make a plan worse.
+//
+// Problem carries a capacity lower bound on the model's cells. Once a
+// certified plan reaches it, the plan is optimal on the model: the running
+// strategy ends and later strategies do not start. See docs/SOLVERS.md.
 package refine
 
 import (
@@ -90,13 +95,13 @@ func (o Options) maxSteps(def int) int {
 
 // Refiner is one improvement strategy. Refine searches from start and
 // calls emit with every solution that improves on its local best; emit
-// reports whether the candidate was admitted (verified and better than the
-// portfolio's global best), which strategies may use to bias their search
-// but are free to ignore. Refine returns the steps actually executed and
-// the context's error if the deadline cut the search short.
+// snapshots the solution, so the strategy may keep mutating it. Refine
+// returns the steps actually executed and the context's error if the
+// deadline (or the arbiter, once a plan reached the lower bound) cut the
+// search short.
 type Refiner interface {
 	Name() string
-	Refine(ctx context.Context, p *Problem, start *Solution, o Options, emit func(*Solution) bool) (steps int, err error)
+	Refine(ctx context.Context, p *Problem, start *Solution, o Options, emit func(*Solution)) (steps int, err error)
 }
 
 // StrategyOutcome reports one strategy's run.
@@ -106,13 +111,16 @@ type StrategyOutcome struct {
 	// Steps counts search steps executed before return.
 	Steps int `json:"steps"`
 	// Proposed counts candidates the strategy emitted; Admitted counts
-	// those that passed verification and improved the global best;
-	// Rejected counts candidates the referee refused.
+	// those that passed verification and took the lead; Rejected counts
+	// candidates the referee refused. Certification is lazy (see
+	// arbiter), so a candidate a cheaper one superseded before the next
+	// certification point counts in neither.
 	Proposed int `json:"proposed"`
 	Admitted int `json:"admitted"`
 	Rejected int `json:"rejected"`
-	// Deadline reports whether the strategy's share of the wall clock
-	// cut it short.
+	// Deadline reports whether the wall clock cut the strategy short. A
+	// strategy the lower bound ended is not cut short: it stopped because
+	// nothing better exists on refine's model.
 	Deadline bool `json:"deadline,omitempty"`
 	// Err carries a strategy failure (the portfolio survives it).
 	Err string `json:"err,omitempty"`
@@ -135,7 +143,15 @@ type Result struct {
 	// Strategy names the solver that produced the winning plan ("" when
 	// the greedy plan stood).
 	Strategy string
-	// Strategies reports every solver that ran.
+	// LowerBound is the capacity bound on refine's model: no plan of the
+	// model costs fewer cells, so AdditionalCells − LowerBound bounds how
+	// far the plan is from the model's optimum, and a plan at the bound
+	// is optimal on it. The model prices phase two against the timing
+	// of greedy's phase-one hardware, so the bound holds for that model
+	// only. Zero (trivially true) when refinement never built the model.
+	LowerBound int
+	// Strategies reports every solver that started; strategies the
+	// lower bound made unnecessary do not appear.
 	Strategies []StrategyOutcome
 }
 
@@ -184,10 +200,16 @@ func strategiesFor(names []string) ([]Refiner, error) {
 	return out, nil
 }
 
-// arbiter is the shared admission point: candidates arrive from every
-// strategy in turn, and only a plan that (a) costs strictly fewer cells
-// than the current best and (b) passes the independent verifier may take
-// the lead.
+// arbiter is the shared admission point. Candidates arrive from every
+// strategy in turn; one that costs strictly fewer cells than the best
+// certified or pending plan joins the pending list uncertified. settle
+// certifies the pending list best-first with the independent verifier, and
+// the first candidate that passes takes the lead — every returned plan is
+// certified, but only the candidates that could be returned are paid for.
+// The outcome differs from certifying every candidate on arrival only when
+// a candidate is rejected: a candidate that arrived later than the
+// rejected one without beating it was dropped on arrival, where eager
+// certification would have tried it.
 type arbiter struct {
 	p  *Problem
 	th *wcm.Options
@@ -199,20 +221,19 @@ type arbiter struct {
 	bestCells int
 	best      *scan.Assignment
 	strategy  string
+
+	// pending holds uncertified candidates in arrival order, each
+	// strictly cheaper than the one before it and than best.
+	pending []candidate
 }
 
-// offerVerdict classifies one candidate's fate at the arbiter.
-type offerVerdict int
-
-const (
-	// offerNotBetter: no better than the global best — not worth
-	// encoding or verifying.
-	offerNotBetter offerVerdict = iota
-	// offerRejected: the independent referee refused certification.
-	offerRejected
-	// offerAdmitted: verified and strictly better; now the global best.
-	offerAdmitted
-)
+// candidate is one uncertified plan and the outcome row of the strategy
+// that proposed it.
+type candidate struct {
+	cells int
+	asn   *scan.Assignment
+	out   *StrategyOutcome
+}
 
 func (a *arbiter) certify(asn *scan.Assignment) bool {
 	if a.certifyFn != nil {
@@ -222,25 +243,48 @@ func (a *arbiter) certify(asn *scan.Assignment) bool {
 	return err == nil && vres.OK()
 }
 
-// offer judges one candidate for one strategy.
-func (a *arbiter) offer(strategy string, s *Solution) offerVerdict {
+// offer records one candidate from the strategy reporting into out. A
+// candidate at the lower bound is settled at once, so the search can stop
+// as soon as it is certified.
+func (a *arbiter) offer(out *StrategyOutcome, s *Solution) {
+	out.Proposed++
 	cells := s.cells(a.p)
-	if cells >= a.bestCells {
-		return offerNotBetter
+	floor := a.bestCells
+	if n := len(a.pending); n > 0 {
+		floor = a.pending[n-1].cells
 	}
-	asn := encode(a.p, s)
-	if !a.certify(asn) {
-		return offerRejected
+	if cells >= floor {
+		return
 	}
-	a.bestCells = cells
-	a.best = asn
-	a.strategy = strategy
-	return offerAdmitted
+	a.pending = append(a.pending, candidate{cells: cells, asn: encode(a.p, s), out: out})
+	if cells <= a.p.lowerBound {
+		a.settle()
+	}
 }
 
+// settle certifies the pending candidates best-first. The first that
+// passes takes the lead; the rest are worse and are dropped with it.
+func (a *arbiter) settle() {
+	for i := len(a.pending) - 1; i >= 0; i-- {
+		c := a.pending[i]
+		if a.certify(c.asn) {
+			c.out.Admitted++
+			a.best, a.bestCells, a.strategy = c.asn, c.cells, c.out.Name
+			break
+		}
+		c.out.Rejected++
+	}
+	clear(a.pending)
+	a.pending = a.pending[:0]
+}
+
+// atBound reports whether the certified incumbent is provably optimal on
+// the model.
+func (a *arbiter) atBound() bool { return a.bestCells <= a.p.lowerBound }
+
 // Run runs the solver portfolio over the greedy plan, one strategy after
-// another, and returns the best verified plan found before the deadline —
-// or the greedy plan unchanged.
+// another, and returns the best verified plan found before the deadline or
+// the lower bound — or the greedy plan unchanged.
 // An already-expired context short-circuits: the greedy assignment comes
 // back immediately, untouched. Run only returns an error for malformed
 // inputs; search-side failures degrade to the greedy plan.
@@ -266,40 +310,12 @@ func Run(ctx context.Context, in wcm.Input, opts wcm.Options, greedy *wcm.Result
 	if budget <= 0 {
 		budget = DefaultBudget
 	}
-
-	// The model's second phase prices against the timing the greedy
-	// second phase saw: the analysis refreshed from greedy's first-phase
-	// hardware. Candidates whose own first phase differs are re-derived
-	// from scratch by the verifier at admission, so a mispriced edge can
-	// cost a rejection but never an invalid plan.
-	var second *sta.Result
-	if in.RefreshTiming != nil {
-		partial := &scan.Assignment{}
-		firstInbound := len(greedy.Phases) > 0 && greedy.Phases[0].Inbound
-		if firstInbound {
-			partial.Control = greedy.Assignment.Control
-		} else {
-			partial.Observe = greedy.Assignment.Observe
-		}
-		second, err = in.RefreshTiming(partial)
-		if err != nil {
-			return res, nil // cannot price phase two: keep greedy
-		}
-	}
-	model, err := wcm.BuildShareModel(in, eff, second)
+	p, start, err := newSearch(in, eff, greedy)
 	if err != nil {
 		return nil, err
 	}
-	p, err := newProblem(in, eff, model, greedy)
-	if err != nil {
-		return nil, err
-	}
-	start, err := decodeGreedy(p, greedy)
-	if err != nil {
-		// The greedy plan does not fit the model (defensive: this
-		// would be a model bug, not a caller error) — refuse to
-		// search rather than risk a worse plan.
-		return res, nil
+	if start == nil {
+		return res, nil // the model cannot carry the greedy plan: keep it
 	}
 
 	// The deadline clock starts here, after the timing refresh and model
@@ -309,38 +325,10 @@ func Run(ctx context.Context, in wcm.Input, opts wcm.Options, greedy *wcm.Result
 	// context still caps the whole call, prep included.
 	ctx, cancel := context.WithTimeout(ctx, budget)
 	defer cancel()
-	deadline, _ := ctx.Deadline()
 
+	res.LowerBound = p.lowerBound
 	arb := &arbiter{p: p, th: &eff, bestCells: greedy.AdditionalCells}
-	res.Strategies = make([]StrategyOutcome, len(refiners))
-	for i, r := range refiners {
-		out := &res.Strategies[i]
-		out.Name = r.Name()
-		emit := func(s *Solution) bool {
-			out.Proposed++
-			switch arb.offer(r.Name(), s) {
-			case offerAdmitted:
-				out.Admitted++
-				return true
-			case offerRejected:
-				out.Rejected++
-			}
-			return false
-		}
-		// Strategy i of n gets an even split of the time still left, so
-		// whatever an earlier strategy leaves unused funds the later ones.
-		share := time.Until(deadline) / time.Duration(len(refiners)-i)
-		sctx, scancel := context.WithTimeout(ctx, share)
-		steps, err := r.Refine(sctx, p, start, o, emit)
-		scancel()
-		out.Steps = steps
-		if err == context.DeadlineExceeded || err == context.Canceled {
-			out.Deadline = true
-		} else if err != nil {
-			out.Err = err.Error()
-		}
-	}
-
+	res.Strategies = arb.run(ctx, start, refiners, o)
 	if arb.best != nil && arb.bestCells < res.GreedyCells {
 		res.Assignment = arb.best
 		res.AdditionalCells = arb.bestCells
@@ -350,4 +338,81 @@ func Run(ctx context.Context, in wcm.Input, opts wcm.Options, greedy *wcm.Result
 		res.Strategy = arb.strategy
 	}
 	return res, nil
+}
+
+// newSearch builds the search over the greedy plan: the share model, its
+// Problem and the decoded greedy start. It returns an error only for
+// malformed inputs, and a nil start when the greedy plan must stand
+// unsearched (phase two cannot be priced, or the plan does not fit the
+// model).
+func newSearch(in wcm.Input, eff wcm.Options, greedy *wcm.Result) (*Problem, *Solution, error) {
+	// The model's second phase prices against the timing the greedy
+	// second phase saw: the analysis refreshed from greedy's first-phase
+	// hardware. Candidates whose own first phase differs are re-derived
+	// from scratch by the verifier at certification, so a mispriced edge
+	// can cost a rejection but never an invalid plan.
+	var second *sta.Result
+	if in.RefreshTiming != nil {
+		partial := &scan.Assignment{}
+		firstInbound := len(greedy.Phases) > 0 && greedy.Phases[0].Inbound
+		if firstInbound {
+			partial.Control = greedy.Assignment.Control
+		} else {
+			partial.Observe = greedy.Assignment.Observe
+		}
+		var err error
+		if second, err = in.RefreshTiming(partial); err != nil {
+			return nil, nil, nil // cannot price phase two: keep greedy
+		}
+	}
+	model, err := wcm.BuildShareModel(in, eff, second)
+	if err != nil {
+		return nil, nil, err
+	}
+	p, err := newProblem(in, eff, model, greedy)
+	if err != nil {
+		return nil, nil, err
+	}
+	// A decode failure would be a model bug, not a caller error: refuse
+	// to search rather than risk a worse plan.
+	start, _ := decodeGreedy(p, greedy)
+	return p, start, nil
+}
+
+// run drives the strategies one after another until the context expires or
+// the certified incumbent reaches the lower bound, and returns the outcome
+// of every strategy that started.
+func (a *arbiter) run(ctx context.Context, start *Solution, refiners []Refiner, o Options) []StrategyOutcome {
+	deadline, _ := ctx.Deadline()
+	// Outcome rows are appended as strategies start; the capacity keeps
+	// the pending candidates' row pointers valid.
+	outs := make([]StrategyOutcome, 0, len(refiners))
+	for i, r := range refiners {
+		if a.atBound() {
+			break // the incumbent is optimal on the model
+		}
+		outs = append(outs, StrategyOutcome{Name: r.Name()})
+		out := &outs[i]
+		// Strategy i of n gets an even split of the time still left, so
+		// whatever an earlier strategy leaves unused funds the later ones.
+		share := time.Until(deadline) / time.Duration(len(refiners)-i)
+		sctx, scancel := context.WithTimeout(ctx, share)
+		emit := func(s *Solution) {
+			a.offer(out, s)
+			if a.atBound() {
+				scancel()
+			}
+		}
+		steps, err := r.Refine(sctx, a.p, start, o, emit)
+		scancel()
+		a.settle()
+		out.Steps = steps
+		switch {
+		case err == context.DeadlineExceeded || err == context.Canceled:
+			out.Deadline = !a.atBound()
+		case err != nil:
+			out.Err = err.Error()
+		}
+	}
+	return outs
 }

@@ -155,6 +155,13 @@ type RefineReport struct {
 	CellsSaved      int    `json:"cells_saved"`
 	ReusedFFs       int    `json:"reused_ffs"`
 	Strategy        string `json:"strategy,omitempty"`
+	// LowerBound is the capacity bound on refine's model (phase two
+	// priced from greedy's phase-one hardware): no plan of that model
+	// needs fewer cells. Gap is AdditionalCells − LowerBound; zero means
+	// the plan is optimal on the model. The bound is 0 when the stage
+	// skipped.
+	LowerBound int `json:"lower_bound"`
+	Gap        int `json:"gap"`
 	// Skipped reports that the stage never ran: the job reached refine
 	// with less than the minimum worthwhile budget remaining (see
 	// service.MinRefineBudget). FundedMS is the wall budget the stage
@@ -162,7 +169,7 @@ type RefineReport struct {
 	// skipped, the real search budget otherwise.
 	Skipped  bool  `json:"skipped,omitempty"`
 	FundedMS int64 `json:"funded_ms,omitempty"`
-	// Strategies reports every solver that ran: steps searched,
+	// Strategies reports every solver that started: steps searched,
 	// candidates proposed/admitted/rejected, and whether its share of
 	// the deadline cut the run short.
 	Strategies []RefineStrategyReport `json:"strategies,omitempty"`
@@ -188,6 +195,8 @@ func EncodeRefine(rr *wcm3d.RefineResult) *RefineReport {
 		CellsSaved:      rr.CellsSaved,
 		ReusedFFs:       rr.ReusedFFs,
 		Strategy:        rr.Strategy,
+		LowerBound:      rr.LowerBound,
+		Gap:             rr.AdditionalCells - rr.LowerBound,
 	}
 	for _, so := range rr.Strategies {
 		r.Strategies = append(r.Strategies, RefineStrategyReport{

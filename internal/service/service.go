@@ -897,6 +897,7 @@ func (s *Service) execute(ctx context.Context, j *job, spec DieSpec, row *BatchD
 				GreedyCells:     res.AdditionalCells,
 				AdditionalCells: res.AdditionalCells,
 				ReusedFFs:       res.ReusedFFs,
+				Gap:             res.AdditionalCells,
 			}
 		} else {
 			start = time.Now()
