@@ -23,6 +23,7 @@ import (
 	"wcm3d/internal/faultsim"
 	"wcm3d/internal/netgen"
 	"wcm3d/internal/place"
+	"wcm3d/internal/scan"
 	"wcm3d/internal/sta"
 	"wcm3d/internal/wcm"
 )
@@ -273,7 +274,10 @@ func BenchmarkSTA(b *testing.B) {
 }
 
 // BenchmarkFaultSim measures bit-parallel fault simulation: one 64-pattern
-// block against the full collapsed fault list of a b11-scale die.
+// block against the full collapsed fault list of a b11-scale die. Each
+// iteration grades a freshly simulated block, since an engine shares work
+// between the faults of one block; the good-machine simulation is not
+// timed.
 func BenchmarkFaultSim(b *testing.B) {
 	n, err := netgen.Generate(netgen.ITC99Circuit("b11")[1], 1)
 	if err != nil {
@@ -286,13 +290,15 @@ func BenchmarkFaultSim(b *testing.B) {
 	for i := range pats {
 		pats[i] = sim.RandomPattern(rng)
 	}
-	block, err := sim.GoodSim(pats)
-	if err != nil {
-		b.Fatal(err)
-	}
 	list := faults.CollapsedList(n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		block, err := sim.GoodSim(pats)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 		for _, f := range list {
 			eng.Detects(f, block)
 		}
@@ -338,6 +344,42 @@ func BenchmarkTransitionATPG(b *testing.B) {
 	}
 	b.ReportMetric(100*res.TestCoverage(), "test-coverage-%")
 	b.ReportMetric(float64(res.PatternCount()), "patterns")
+}
+
+// BenchmarkStuckAtServiceDies is service-mix's ATPG stage: stuck-at ATPG
+// at the reduced budget over the ours/tight plans of the eight b11 and
+// b12 dies at die seeds 2-5, 32 runs per iteration. Preparing and
+// solving the dies is setup.
+func BenchmarkStuckAtServiceDies(b *testing.B) {
+	type job struct {
+		d    *experiments.Die
+		asn  *scan.Assignment
+		seed int64
+	}
+	var jobs []job
+	for _, c := range []string{"b11", "b12"} {
+		for _, p := range netgen.ITC99Circuit(c) {
+			for seed := int64(2); seed <= 5; seed++ {
+				d, err := experiments.PrepareDie(p, seed)
+				if err != nil {
+					b.Fatal(err)
+				}
+				res, err := wcm.Run(d.Input(), experiments.OurOptions(d, experiments.Scenario{Tight: true}))
+				if err != nil {
+					b.Fatal(err)
+				}
+				jobs = append(jobs, job{d, res.Assignment, seed})
+			}
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, j := range jobs {
+			if _, err := experiments.EvaluateStuckAt(j.d, j.asn, experiments.ReducedBudget(j.seed)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }
 
 // BenchmarkWCM measures the minimization engine itself (graph construction

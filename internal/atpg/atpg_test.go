@@ -2,6 +2,7 @@ package atpg
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"wcm3d/internal/faults"
@@ -44,9 +45,12 @@ OUTPUT(g_or)
 OUTPUT(g_xor)
 OUTPUT(g_nand)
 `)
-	eval3 := func(s string, fn func(int) V) V {
+	a, _ := n.SignalByName("a")
+	b, _ := n.SignalByName("b")
+	val := make([]V, n.NumGates())
+	eval := func(s string) V {
 		i, _ := n.SignalByName(s)
-		return evalGate3(n.TypeOf(i), n.Graph().FaninOf(i), fn)
+		return eval3(n.TypeOf(i), n.Graph().FaninOf(i), val)
 	}
 	cases := []struct {
 		a, b                V
@@ -59,22 +63,17 @@ OUTPUT(g_nand)
 		{VX, VX, VX, VX, VX, VX},
 	}
 	for _, c := range cases {
-		in := func(pin int) V {
-			if pin == 0 {
-				return c.a
-			}
-			return c.b
-		}
-		if got := eval3("g_and", in); got != c.and {
+		val[a], val[b] = c.a, c.b
+		if got := eval("g_and"); got != c.and {
 			t.Errorf("AND(%v,%v) = %v, want %v", c.a, c.b, got, c.and)
 		}
-		if got := eval3("g_or", in); got != c.or {
+		if got := eval("g_or"); got != c.or {
 			t.Errorf("OR(%v,%v) = %v, want %v", c.a, c.b, got, c.or)
 		}
-		if got := eval3("g_xor", in); got != c.xor {
+		if got := eval("g_xor"); got != c.xor {
 			t.Errorf("XOR(%v,%v) = %v, want %v", c.a, c.b, got, c.xor)
 		}
-		if got := eval3("g_nand", in); got != c.nand_ {
+		if got := eval("g_nand"); got != c.nand_ {
 			t.Errorf("NAND(%v,%v) = %v, want %v", c.a, c.b, got, c.nand_)
 		}
 	}
@@ -84,8 +83,10 @@ func TestEvalGate3Mux(t *testing.T) {
 	n := mk(t, "INPUT(s)\nINPUT(a)\nINPUT(b)\nm = MUX(s, a, b)\nOUTPUT(m)\n")
 	mID, _ := n.SignalByName("m")
 	fanin := n.Graph().FaninOf(mID)
+	val := make([]V, n.NumGates())
 	eval := func(s, a, b V) V {
-		return evalGate3(netlist.GateMux2, fanin, func(pin int) V { return [3]V{s, a, b}[pin] })
+		val[fanin[0]], val[fanin[1]], val[fanin[2]] = s, a, b
+		return eval3(netlist.GateMux2, fanin, val)
 	}
 	if eval(V0, V1, V0) != V1 || eval(V1, V1, V0) != V0 {
 		t.Error("mux select wrong")
@@ -96,6 +97,90 @@ func TestEvalGate3Mux(t *testing.T) {
 	if eval(VX, V1, V0) != VX {
 		t.Error("mux with X select and different inputs must be X")
 	}
+}
+
+// TestEval3MatchesCompletions: for every gate type and width, eval3 is the
+// exact three-valued function — a known output exactly when every way of
+// filling in the X inputs gives the same Boolean value.
+func TestEval3MatchesCompletions(t *testing.T) {
+	boolEval := func(ty netlist.GateType, in []bool) bool {
+		switch ty {
+		case netlist.GateBuf:
+			return in[0]
+		case netlist.GateNot:
+			return !in[0]
+		case netlist.GateMux2:
+			if in[0] {
+				return in[2]
+			}
+			return in[1]
+		}
+		and, or, xor := true, false, false
+		for _, b := range in {
+			and, or, xor = and && b, or || b, xor != b
+		}
+		switch ty {
+		case netlist.GateAnd:
+			return and
+		case netlist.GateNand:
+			return !and
+		case netlist.GateOr:
+			return or
+		case netlist.GateNor:
+			return !or
+		case netlist.GateXor:
+			return xor
+		default:
+			return !xor
+		}
+	}
+	types := []netlist.GateType{netlist.GateBuf, netlist.GateNot, netlist.GateAnd, netlist.GateNand,
+		netlist.GateOr, netlist.GateNor, netlist.GateXor, netlist.GateXnor, netlist.GateMux2}
+	for _, ty := range types {
+		for width := max(ty.MinFanin(), 1); width <= 4; width++ {
+			if mx := ty.MaxFanin(); mx >= 0 && width > mx {
+				break
+			}
+			fanin := make([]netlist.SignalID, width)
+			for i := range fanin {
+				fanin[i] = netlist.SignalID(i)
+			}
+			val := make([]V, width)
+			for code := 0; code < pow3(width); code++ {
+				c := code
+				for i := range val {
+					val[i] = V(c % 3)
+					c /= 3
+				}
+				// Fold every completion of the X inputs.
+				want, seen := VX, false
+				for fill := 0; fill < 1<<width; fill++ {
+					in := make([]bool, width)
+					for i, v := range val {
+						in[i] = v == V1 || (v == VX && fill&(1<<i) != 0)
+					}
+					out := FromBool(boolEval(ty, in))
+					switch {
+					case !seen:
+						want, seen = out, true
+					case want != out:
+						want = VX
+					}
+				}
+				if got := eval3(ty, fanin, val); got != want {
+					t.Errorf("%v%v = %v, want %v", ty, val, got, want)
+				}
+			}
+		}
+	}
+}
+
+func pow3(n int) int {
+	p := 1
+	for ; n > 0; n-- {
+		p *= 3
+	}
+	return p
 }
 
 func TestScoapBasics(t *testing.T) {
@@ -300,6 +385,63 @@ func TestPodemAllFaultsOnRandomCircuit(t *testing.T) {
 	}
 	if float64(found) < 0.55*float64(len(list)) {
 		t.Errorf("PODEM found tests for only %d/%d faults", found, len(list))
+	}
+}
+
+// TestResetMatchesFreshPodem: rolling the trail back must leave exactly
+// the state a freshly built podem reaches for the same target: good and
+// faulty values, the observed-effect count and the effect list, in order.
+// The reused podem runs each fault's full search first, so the rollback
+// starts from whatever the search left.
+func TestResetMatchesFreshPodem(t *testing.T) {
+	random, err := netgen.Random(netgen.RandomOptions{Gates: 150, FFs: 10, PIs: 5, POs: 3, InboundTSVs: 4, Seed: 41})
+	if err != nil {
+		t.Fatal(err)
+	}
+	consts := mk(t, `
+INPUT(a)
+INPUT(b)
+TSV_IN(t)
+z0 = CONST0()
+z1 = CONST1()
+g1 = AND(a, z1)
+g2 = OR(b, z0)
+g3 = XOR(g1, g2)
+g4 = MUX(t, g3, z1)
+g5 = NAND(g4, a)
+q = DFF(g5)
+g6 = NOR(q, z0)
+OUTPUT(g3)
+OUTPUT(g6)
+`)
+	for _, n := range []*netlist.Netlist{random, consts} {
+		sim := faultsim.New(n)
+		sc := computeScoap(n,
+			func(s netlist.SignalID) bool { _, ok := sim.SourceIndex(s); return ok },
+			sim.Observed)
+		reused := newPodem(n, sim, sc, 20)
+		rng := rand.New(rand.NewSource(3))
+		check := func(what string, prime func(pd *podem)) {
+			t.Helper()
+			fresh := newPodem(n, sim, sc, 20)
+			prime(reused)
+			prime(fresh)
+			if !slices.Equal(reused.gv, fresh.gv) || !slices.Equal(reused.fv, fresh.fv) {
+				t.Fatalf("%s: values after rollback differ from a fresh podem's", what)
+			}
+			if reused.nObsDiffs != fresh.nObsDiffs || !slices.Equal(reused.diffList, fresh.diffList) {
+				t.Fatalf("%s: effects after rollback (%d observed, %v) differ from a fresh podem's (%d, %v)",
+					what, reused.nObsDiffs, reused.diffList, fresh.nObsDiffs, fresh.diffList)
+			}
+		}
+		for i, f := range faults.CollapsedList(n) {
+			check(f.Describe(n), func(pd *podem) { pd.reset(f) })
+			if i%5 == 0 {
+				sig := f.Gate
+				check("justify "+n.NameOf(sig), func(pd *podem) { pd.resetJustify(sig, V1) })
+			}
+			reused.generate(f, rng)
+		}
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 	"wcm3d/internal/netlist"
 )
 
-// podem is the per-fault search state. It is reused across faults (Reset)
+// podem is the per-fault search state. It is reused across faults (reset)
 // so allocations amortize.
 type podem struct {
 	g   *netlist.Graph
@@ -16,7 +16,9 @@ type podem struct {
 	sc  *scoap
 
 	gv, fv []V // good / faulty three-valued state
-	trail  []trailEntry
+	// trail records every change to gv/fv since both were all-X, so
+	// undo(0) restores the all-X state.
+	trail []trailEntry
 
 	// diffList holds signals that at some point carried a fault effect
 	// (D or D'); entries may be stale and are validated on read.
@@ -25,10 +27,19 @@ type podem struct {
 	// fault effect; > 0 means the fault is detected.
 	nObsDiffs int
 
-	buckets  [][]netlist.SignalID
-	inQueue  []uint32
-	epoch    uint32
-	maxLevel int
+	buckets [][]netlist.SignalID
+	inQueue []uint32
+	epoch   uint32
+	// lo..hi is the window of levels that may hold queued gates; lo > hi
+	// when the queue is empty.
+	lo, hi int
+
+	// consts are the constant gates in gate order, with their values.
+	consts []constGate
+	// pins is the identity fanin 0, 1, ... of the widest gate, and
+	// pinVals holds a pin-fault site's faulty fanin values pin by pin.
+	pins    []netlist.SignalID
+	pinVals []V
 
 	fault      faults.Fault
 	faultPin   int // fault.Pin as int, or -1
@@ -50,22 +61,42 @@ type trailEntry struct {
 	g, f V
 }
 
+type constGate struct {
+	sig netlist.SignalID
+	v   V
+}
+
 func newPodem(n *netlist.Netlist, sim *faultsim.Simulator, sc *scoap, maxBacktracks int) *podem {
 	g := n.Graph()
 	ng := g.NumGates()
 	maxLvl := g.MaxLevel()
-	return &podem{
-		g:        g,
-		sim:      sim,
-		sc:       sc,
-		gv:       make([]V, ng),
-		fv:       make([]V, ng),
-		buckets:  make([][]netlist.SignalID, maxLvl+1),
-		inQueue:  make([]uint32, ng),
-		epoch:    1,
-		maxLevel: maxLvl,
-		maxBT:    maxBacktracks,
+	p := &podem{
+		g:       g,
+		sim:     sim,
+		sc:      sc,
+		gv:      make([]V, ng),
+		fv:      make([]V, ng),
+		buckets: make([][]netlist.SignalID, maxLvl+1),
+		inQueue: make([]uint32, ng),
+		epoch:   1,
+		lo:      maxLvl + 1,
+		hi:      -1,
+		maxBT:   maxBacktracks,
 	}
+	for i, t := range g.Types {
+		id := netlist.SignalID(i)
+		switch t {
+		case netlist.GateConst0:
+			p.consts = append(p.consts, constGate{id, V0})
+		case netlist.GateConst1:
+			p.consts = append(p.consts, constGate{id, V1})
+		}
+		for k := len(p.pins); k < len(g.FaninOf(id)); k++ {
+			p.pins = append(p.pins, netlist.SignalID(k))
+		}
+	}
+	p.pinVals = make([]V, len(p.pins))
+	return p
 }
 
 func (p *podem) controllable(sig netlist.SignalID) bool {
@@ -73,34 +104,13 @@ func (p *podem) controllable(sig netlist.SignalID) bool {
 	return ok
 }
 
-// reset prepares the state for a new target fault: clears all values,
-// injects the fault, and propagates constants.
+// reset prepares the state for a new target fault: rolls every value
+// back to X, injects the fault, and propagates constants.
 func (p *podem) reset(f faults.Fault) {
-	for i := range p.gv {
-		p.gv[i] = VX
-		p.fv[i] = VX
-	}
-	p.trail = p.trail[:0]
-	p.diffList = p.diffList[:0]
-	p.nObsDiffs = 0
-	p.backtracks = 0
-	p.aborted = false
 	p.fault = f
 	p.faultPin = int(f.Pin)
 	p.justifyMode = false
-
-	// Constants are known from the start.
-	for i, t := range p.g.Types {
-		id := netlist.SignalID(i)
-		switch t {
-		case netlist.GateConst0:
-			p.setValue(id, V0, p.faultyOf(id, V0))
-			p.enqueueFanouts(id)
-		case netlist.GateConst1:
-			p.setValue(id, V1, p.faultyOf(id, V1))
-			p.enqueueFanouts(id)
-		}
-	}
+	p.restart()
 	// Inject the fault so the faulty machine knows the stuck value even
 	// before activation.
 	stuck := FromBool(f.StuckAt == 1)
@@ -116,32 +126,27 @@ func (p *podem) reset(f faults.Fault) {
 // resetJustify prepares a pure justification problem: drive sig to v with
 // no fault injected.
 func (p *podem) resetJustify(sig netlist.SignalID, v V) {
-	for i := range p.gv {
-		p.gv[i] = VX
-		p.fv[i] = VX
-	}
-	p.trail = p.trail[:0]
-	p.diffList = p.diffList[:0]
-	p.nObsDiffs = 0
-	p.backtracks = 0
-	p.aborted = false
 	p.fault = faults.Fault{Gate: netlist.InvalidSignal, Pin: faults.OutputPin}
 	p.faultPin = faults.OutputPin
 	p.justifyMode = true
 	p.justifySig = sig
 	p.justifyVal = v
-	for i, t := range p.g.Types {
-		id := netlist.SignalID(i)
-		switch t {
-		case netlist.GateConst0:
-			p.setValue(id, V0, V0)
-			p.enqueueFanouts(id)
-		case netlist.GateConst1:
-			p.setValue(id, V1, V1)
-			p.enqueueFanouts(id)
-		}
-	}
+	p.restart()
 	p.propagate()
+}
+
+// restart undoes the whole trail, back to all-X, clears the search
+// counters, and sets the constants, which are known from the start, for
+// the current fault. The caller propagates.
+func (p *podem) restart() {
+	p.undo(0)
+	p.diffList = p.diffList[:0]
+	p.backtracks = 0
+	p.aborted = false
+	for _, c := range p.consts {
+		p.setValue(c.sig, c.v, p.faultyOf(c.sig, c.v))
+		p.enqueueFanouts(c.sig)
+	}
 }
 
 // success reports whether the current assignment achieves the goal.
@@ -209,8 +214,10 @@ func (p *podem) enqueue(sig netlist.SignalID) {
 		return
 	}
 	p.inQueue[sig] = p.epoch
-	lvl := p.g.Level[sig]
+	lvl := int(p.g.Level[sig])
 	p.buckets[lvl] = append(p.buckets[lvl], sig)
+	p.lo = min(p.lo, lvl)
+	p.hi = max(p.hi, lvl)
 }
 
 func (p *podem) enqueueFanouts(sig netlist.SignalID) {
@@ -222,44 +229,50 @@ func (p *podem) enqueueFanouts(sig netlist.SignalID) {
 	}
 }
 
-// propagate drains the event queue in level order, recomputing gate values.
+// propagate drains the event queue in level order, recomputing gate
+// values. The faulty machine is evaluated only at the fault site and
+// where a fanin's faulty value differs from its good one; elsewhere it
+// equals the good machine.
 func (p *podem) propagate() {
-	for lvl := 0; lvl <= p.maxLevel; lvl++ {
+	for lvl := p.lo; lvl <= p.hi; lvl++ {
 		bucket := p.buckets[lvl]
-		for bi := 0; bi < len(bucket); bi++ {
-			id := bucket[bi]
+		for _, id := range bucket {
 			t, fanin := p.g.Types[id], p.g.FaninOf(id)
 			if !t.IsCombinational() {
 				continue
 			}
-			ng := evalGate3(t, fanin, func(pin int) V { return p.gv[fanin[pin]] })
-			var nf V
-			if id == p.fault.Gate && p.faultPin != faults.OutputPin {
+			ng := eval3(t, fanin, p.gv)
+			nf := ng
+			if id == p.fault.Gate {
 				stuck := FromBool(p.fault.StuckAt == 1)
-				nf = evalGate3(t, fanin, func(pin int) V {
-					if pin == p.faultPin {
-						return stuck
+				if p.faultPin == faults.OutputPin {
+					nf = stuck
+				} else {
+					vals := p.pinVals[:len(fanin)]
+					for pin, src := range fanin {
+						vals[pin] = p.fv[src]
 					}
-					return p.fv[fanin[pin]]
-				})
+					vals[p.faultPin] = stuck
+					nf = eval3(t, p.pins[:len(fanin)], vals)
+				}
 			} else {
-				nf = evalGate3(t, fanin, func(pin int) V { return p.fv[fanin[pin]] })
-				nf = p.faultyOf(id, nf)
+				for _, src := range fanin {
+					if p.fv[src] != p.gv[src] {
+						nf = eval3(t, fanin, p.fv)
+						break
+					}
+				}
 			}
-			ng2 := p.faultyGoodOf(id, ng)
-			if ng2 != p.gv[id] || nf != p.fv[id] {
-				p.setValue(id, ng2, nf)
+			if ng != p.gv[id] || nf != p.fv[id] {
+				p.setValue(id, ng, nf)
 				p.enqueueFanouts(id)
 			}
 		}
 		p.buckets[lvl] = bucket[:0]
 	}
+	p.lo, p.hi = len(p.buckets), -1
 	p.epoch++
 }
-
-// faultyGoodOf is the identity — the good machine never sees the fault —
-// but kept as a named hook to make the injection asymmetry explicit.
-func (p *podem) faultyGoodOf(_ netlist.SignalID, g V) V { return g }
 
 // assign sets a controllable source and propagates.
 func (p *podem) assign(src netlist.SignalID, v V) {
@@ -594,12 +607,12 @@ func (p *podem) generate(f faults.Fault, rng *rand.Rand) (faultsim.Pattern, genO
 		}
 		return faultsim.Pattern{}, genUntestable
 	}
-	p.reset(f)
 	// Structural screen: no path from the fault site to any observation
 	// point means untestable regardless of values.
 	if !p.structurallyObservable(f) {
 		return faultsim.Pattern{}, genUntestable
 	}
+	p.reset(f)
 	if p.search() {
 		return p.extractPattern(rng), genFound
 	}

@@ -5,8 +5,10 @@
 //  1. a random-pattern phase with bit-parallel fault simulation and fault
 //     dropping (internal/faultsim) picks off the easy faults;
 //  2. a PODEM (path-oriented decision making) phase targets each remaining
-//     fault with SCOAP-guided backtrace, event-driven five-valued
-//     implication, and a backtrack budget;
+//     fault with SCOAP-guided backtrace, a backtrack budget, and
+//     event-driven implication over two three-valued machines, the good
+//     one and the faulty one (a signal carries a fault effect where both
+//     are known and differ, the D and D' of the five-valued calculus);
 //  3. an optional reverse-order compaction pass re-simulates the pattern
 //     set with dropping and discards patterns that detect nothing new.
 //
@@ -21,7 +23,9 @@ import "wcm3d/internal/netlist"
 type V uint8
 
 // Three-valued constants. VX must be the zero value: fresh assignment
-// arrays start all-X.
+// arrays start all-X. V0 and V1 are one bit each, which the evaluators
+// use: the AND of values is V1 only if all are V1, and the OR of their
+// V0 bits is set if any is V0.
 const (
 	VX V = iota // unknown / unassigned
 	V0
@@ -41,16 +45,7 @@ func (v V) String() string {
 }
 
 // Neg returns the complement; X stays X.
-func (v V) Neg() V {
-	switch v {
-	case V0:
-		return V1
-	case V1:
-		return V0
-	default:
-		return VX
-	}
-}
+func (v V) Neg() V { return (v&V0)<<1 | v>>1 }
 
 // FromBool converts a concrete bit.
 func FromBool(b bool) V {
@@ -60,75 +55,66 @@ func FromBool(b bool) V {
 	return V0
 }
 
-// evalGate3 computes the three-valued output of a gate of type t with the
-// given fanin, reading fanin values through fn(pin).
-func evalGate3(t netlist.GateType, fanin []netlist.SignalID, fn func(int) V) V {
+// eval3 computes the three-valued output of a gate of type t from the
+// values of its fanin signals in val.
+func eval3(t netlist.GateType, fanin []netlist.SignalID, val []V) V {
 	switch t {
 	case netlist.GateBuf:
-		return fn(0)
+		return val[fanin[0]]
 	case netlist.GateNot:
-		return fn(0).Neg()
+		return val[fanin[0]].Neg()
 	case netlist.GateConst0:
 		return V0
 	case netlist.GateConst1:
 		return V1
 	case netlist.GateAnd, netlist.GateNand:
-		out := V1
-		for i := range fanin {
-			switch fn(i) {
-			case V0:
-				out = V0
-			case VX:
-				if out == V1 {
-					out = VX
-				}
-			}
-			if out == V0 {
-				break
-			}
+		// Any 0 gives 0; otherwise all 1 gives 1, and an X gives X.
+		any0, all1 := VX, V1
+		for _, f := range fanin {
+			v := val[f]
+			any0 |= v & V0
+			all1 &= v
+		}
+		out := all1
+		if any0 != VX {
+			out = V0
 		}
 		if t == netlist.GateNand {
 			return out.Neg()
 		}
 		return out
 	case netlist.GateOr, netlist.GateNor:
-		out := V0
-		for i := range fanin {
-			switch fn(i) {
-			case V1:
-				out = V1
-			case VX:
-				if out == V0 {
-					out = VX
-				}
-			}
-			if out == V1 {
-				break
-			}
+		// Any 1 gives 1; otherwise all 0 gives 0, and an X gives X.
+		any1, all0 := VX, V0
+		for _, f := range fanin {
+			v := val[f]
+			any1 |= v & V1
+			all0 &= v
+		}
+		out := all0
+		if any1 != VX {
+			out = V1
 		}
 		if t == netlist.GateNor {
 			return out.Neg()
 		}
 		return out
 	case netlist.GateXor, netlist.GateXnor:
-		out := V0
-		for i := range fanin {
-			in := fn(i)
-			if in == VX {
+		var odd V // parity of the 1 inputs, as 0 or 1
+		for _, f := range fanin {
+			v := val[f]
+			if v == VX {
 				return VX
 			}
-			if in == V1 {
-				out = out.Neg()
-			}
+			odd ^= v >> 1
 		}
 		if t == netlist.GateXnor {
-			return out.Neg()
+			odd ^= 1
 		}
-		return out
+		return V0 + odd
 	case netlist.GateMux2:
-		sel := fn(0)
-		a, b := fn(1), fn(2)
-		switch sel {
+		a, b := val[fanin[1]], val[fanin[2]]
+		switch val[fanin[0]] {
 		case V0:
 			return a
 		case V1:

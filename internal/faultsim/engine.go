@@ -5,92 +5,111 @@ import (
 	"wcm3d/internal/netlist"
 )
 
-// Engine performs single-fault, event-driven faulty-machine propagation
-// against a good-circuit block. It keeps scratch state keyed by an epoch
-// counter so consecutive faults reuse the same allocations; create one
-// engine per goroutine.
+// Engine grades single faults against good-circuit blocks. It keeps
+// scratch state that consecutive faults reuse, so create one engine per
+// goroutine.
 type Engine struct {
 	s *Simulator
 
+	// fval/fknown mirror the good words of block seq. A propagation
+	// writes faulty words into them and restores the touched signals
+	// before it returns.
 	fval, fknown []uint64
-	touchEpoch   []uint32
-	epoch        uint32
+	seq          uint64
 	touched      []netlist.SignalID
 
+	// stemDet[s] memoizes stemDetects(s) for block stemSeq[s].
+	stemSeq []uint64
+	stemDet []uint64
+
 	// bucket queue by combinational level
-	buckets  [][]netlist.SignalID
-	inQueue  []uint32 // epoch-stamped "already queued" marker
-	maxLevel int
+	buckets [][]netlist.SignalID
+	inQueue []uint32 // epoch-stamped "already queued" marker
+	epoch   uint32
+	queued  int
+
+	// pinV/pinK hold a pin-fault site's fanin words, pin by pin.
+	pinV, pinK []uint64
 }
 
 // NewEngine allocates propagation scratch space for the simulator's
 // netlist.
 func (s *Simulator) NewEngine() *Engine {
 	ng := s.N.NumGates()
-	maxLvl := s.g.MaxLevel()
 	return &Engine{
-		s:          s,
-		fval:       make([]uint64, ng),
-		fknown:     make([]uint64, ng),
-		touchEpoch: make([]uint32, ng),
-		buckets:    make([][]netlist.SignalID, maxLvl+1),
-		inQueue:    make([]uint32, ng),
-		maxLevel:   maxLvl,
+		s:       s,
+		fval:    make([]uint64, ng),
+		fknown:  make([]uint64, ng),
+		stemSeq: make([]uint64, ng),
+		stemDet: make([]uint64, ng),
+		buckets: make([][]netlist.SignalID, s.g.MaxLevel()+1),
+		inQueue: make([]uint32, ng),
+		pinV:    make([]uint64, len(s.pins)),
+		pinK:    make([]uint64, len(s.pins)),
 	}
 }
 
-// faultyVal reads a signal's value in the faulty machine: the propagated
-// faulty value if this signal was touched this epoch, otherwise the good
-// value.
-func (e *Engine) faultyVal(b *Block, sig netlist.SignalID) (uint64, uint64) {
-	if e.touchEpoch[sig] == e.epoch {
-		return e.fval[sig], e.fknown[sig]
+// enqueueFanouts schedules sig's combinational fanouts for re-evaluation.
+// A DFF fanout is skipped: the effect is captured there, and its D-pin
+// driver is the observed signal.
+func (e *Engine) enqueueFanouts(sig netlist.SignalID) {
+	g := e.s.g
+	for _, fo := range g.FanoutOf(sig) {
+		if g.Types[fo] == netlist.GateDFF || e.inQueue[fo] == e.epoch {
+			continue
+		}
+		e.inQueue[fo] = e.epoch
+		lvl := g.Level[fo]
+		e.buckets[lvl] = append(e.buckets[lvl], fo)
+		e.queued++
 	}
-	return b.val[sig], b.known[sig]
-}
-
-// setFaulty records a signal's faulty value and remembers it was touched.
-func (e *Engine) setFaulty(sig netlist.SignalID, v, k uint64) {
-	if e.touchEpoch[sig] != e.epoch {
-		e.touchEpoch[sig] = e.epoch
-		e.touched = append(e.touched, sig)
-	}
-	e.fval[sig] = v
-	e.fknown[sig] = k
-}
-
-// enqueue schedules a gate for re-evaluation.
-func (e *Engine) enqueue(sig netlist.SignalID) {
-	if e.inQueue[sig] == e.epoch {
-		return
-	}
-	e.inQueue[sig] = e.epoch
-	lvl := e.s.g.Level[sig]
-	e.buckets[lvl] = append(e.buckets[lvl], sig)
 }
 
 // Detects simulates one stuck-at fault against the block and returns the
 // word of patterns that detect it (bit k set = pattern k detects). A
 // pattern detects the fault when good and faulty values are both known and
 // differ at at least one observation point.
+//
+// The effect is graded once per fanout-free region. From the fault site
+// it walks the simulator's next links, each gate evaluated with the
+// faulty word substituted for its one affected fanin signal, up to the
+// region's stem s. Let flip be the patterns where the faulty word at s
+// is known, the good word is known, and they differ. Then the result is
+// flip & stemDetects(s), where stemDetects propagates the complemented
+// good word from s and is shared by every fault of the region. This is
+// exact, pattern by pattern:
+//
+//   - every operation is bitwise per pattern;
+//   - a signal with a next link is unobserved and feeds nothing else, so
+//     the effect leaves the region only through s;
+//   - where flip is set, the faulty word at s equals the seed of
+//     stemDetects;
+//   - where flip is clear, the good and faulty values at s agree
+//     wherever both are known. The three-valued evaluators are monotone,
+//     so that agreement holds at every signal downstream and the pattern
+//     detects nothing.
+//
+// The last point also ends the walk early: once flip is clear on every
+// pattern, the fault is undetected by the block.
 func (e *Engine) Detects(f faults.Fault, good *Block) uint64 {
 	s := e.s
 	g := s.g
-	e.epoch++
-	e.touched = e.touched[:0]
+	if e.seq != good.seq {
+		copy(e.fval, good.val)
+		copy(e.fknown, good.known)
+		e.seq = good.seq
+	}
 
 	stuck := uint64(0)
 	if f.StuckAt == 1 {
 		stuck = good.mask
 	}
 
-	site := f.Gate
-	var seedV, seedK uint64
-	if f.Pin == faults.OutputPin {
-		seedV, seedK = stuck, good.mask
-	} else {
-		fanin := g.FaninOf(site)
-		if g.Types[site] == netlist.GateDFF {
+	sig := f.Gate
+	v, k := stuck, good.mask
+	if f.Pin != faults.OutputPin {
+		fanin := g.FaninOf(sig)
+		if g.Types[sig] == netlist.GateDFF {
 			// A branch fault on the D pin corrupts only what the
 			// flip-flop captures; the scan chain observes the capture
 			// directly. Detected wherever the good D value is known
@@ -98,65 +117,75 @@ func (e *Engine) Detects(f faults.Fault, good *Block) uint64 {
 			d := fanin[f.Pin]
 			return good.known[d] & (good.val[d] ^ stuck) & good.mask
 		}
-		fp := int(f.Pin)
-		seedV, seedK = evalWordWith(g.Types[site], fanin, func(pin int, src netlist.SignalID) (uint64, uint64) {
-			if pin == fp {
-				return stuck, good.mask
-			}
-			return good.val[src], good.known[src]
-		})
-		seedV &= good.mask
-		seedK &= good.mask
-	}
-
-	// No observable difference at the site → no propagation. A
-	// difference exists for a pattern when either value is known and
-	// they disagree, or knownness changed.
-	diff := (seedK | good.known[site]) & ((seedV & seedK) ^ (good.val[site] & good.known[site]))
-	diff |= seedK ^ good.known[site]
-	if diff&good.mask == 0 {
-		return 0
-	}
-	e.setFaulty(site, seedV, seedK)
-	for _, fo := range g.FanoutOf(site) {
-		if g.Types[fo] == netlist.GateDFF {
-			continue // effect is captured; D-pin driver is the observed signal
+		for pin, src := range fanin {
+			e.pinV[pin], e.pinK[pin] = good.val[src], good.known[src]
 		}
-		e.enqueue(fo)
+		e.pinV[f.Pin], e.pinK[f.Pin] = stuck, good.mask
+		v, k = evalWord(g.Types[sig], s.pins[:len(fanin)], e.pinV, e.pinK)
+		v &= good.mask
+		k &= good.mask
 	}
 
-	for lvl := 0; lvl <= e.maxLevel; lvl++ {
+	for {
+		flip := good.known[sig] & k & (good.val[sig] ^ v)
+		if flip == 0 {
+			return 0
+		}
+		nx := s.next[sig]
+		if nx == netlist.InvalidSignal {
+			return flip & e.stemDetects(sig, good)
+		}
+		e.fval[sig], e.fknown[sig] = v, k
+		v, k = evalWord(g.Types[nx], g.FaninOf(nx), e.fval, e.fknown)
+		e.fval[sig], e.fknown[sig] = good.val[sig], good.known[sig]
+		v &= good.mask
+		k &= good.mask
+		sig = nx
+	}
+}
+
+// stemDetects returns the patterns that detect a flip of the stem's good
+// value: the stem carries its complemented good word, and the change
+// propagates event-driven in level order until the queue drains. The
+// result is memoized per stem for the mirrored block.
+func (e *Engine) stemDetects(stem netlist.SignalID, good *Block) uint64 {
+	if e.stemSeq[stem] == good.seq {
+		return e.stemDet[stem]
+	}
+	s := e.s
+	g := s.g
+	mask := good.mask
+	e.epoch++
+	e.touched = append(e.touched[:0], stem)
+	e.fval[stem] = ^good.val[stem] & mask
+	e.enqueueFanouts(stem)
+	for lvl := int(g.Level[stem]) + 1; e.queued > 0; lvl++ {
 		bucket := e.buckets[lvl]
-		for bi := 0; bi < len(bucket); bi++ {
-			id := bucket[bi]
-			v, k := evalWordWith(g.Types[id], g.FaninOf(id), func(_ int, src netlist.SignalID) (uint64, uint64) {
-				return e.faultyVal(good, src)
-			})
-			v &= good.mask
-			k &= good.mask
-			curV, curK := e.faultyVal(good, id)
-			if v == curV && k == curK {
+		for _, id := range bucket {
+			v, k := evalWord(g.Types[id], g.FaninOf(id), e.fval, e.fknown)
+			v &= mask
+			k &= mask
+			if v == e.fval[id] && k == e.fknown[id] {
 				continue
 			}
-			e.setFaulty(id, v, k)
-			for _, fo := range g.FanoutOf(id) {
-				if g.Types[fo] == netlist.GateDFF {
-					continue
-				}
-				e.enqueue(fo)
-			}
+			e.fval[id], e.fknown[id] = v, k
+			e.touched = append(e.touched, id)
+			e.enqueueFanouts(id)
 		}
+		e.queued -= len(bucket)
 		e.buckets[lvl] = bucket[:0]
 	}
 
 	var det uint64
 	for _, sig := range e.touched {
-		if !s.observed[sig] {
-			continue
+		if s.observed[sig] {
+			det |= good.known[sig] & e.fknown[sig] & (good.val[sig] ^ e.fval[sig])
 		}
-		det |= good.known[sig] & e.fknown[sig] & (good.val[sig] ^ e.fval[sig])
+		e.fval[sig], e.fknown[sig] = good.val[sig], good.known[sig]
 	}
-	return det & good.mask
+	det &= mask
+	e.stemSeq[stem], e.stemDet[stem] = good.seq, det
+	return det
 }
 
 // Campaign fault-simulates a pattern set against a fault list with fault

@@ -19,6 +19,7 @@ package faultsim
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 
 	"wcm3d/internal/netlist"
 )
@@ -57,10 +58,17 @@ type Simulator struct {
 	N *netlist.Netlist
 	// Sources are the controllable signals in ascending SignalID order.
 	Sources []netlist.SignalID
-	// sourceIdx maps a controllable SignalID to its index in Sources.
-	sourceIdx map[netlist.SignalID]int
+	// sourceIdx[sig] is sig's index in Sources, or -1.
+	sourceIdx []int32
 	// observed[sig] reports whether the signal is an observation point.
 	observed []bool
+	// next[sig] is the only gate a fault effect on sig can reach: the
+	// single fanout entry of an unobserved signal. It is InvalidSignal
+	// for a stem, the root of a fanout-free region.
+	next []netlist.SignalID
+	// pins is the identity fanin 0, 1, ... of the widest gate; a pin-fault
+	// seed evaluates the site gate over per-pin words through it.
+	pins []netlist.SignalID
 	// g is N's flat connectivity, which every simulation walks.
 	g *netlist.Graph
 }
@@ -68,18 +76,25 @@ type Simulator struct {
 // New builds a simulator with the standard pre-bond test view described in
 // the package comment.
 func New(n *netlist.Netlist) *Simulator {
+	ng := n.NumGates()
 	s := &Simulator{
 		N:         n,
-		sourceIdx: make(map[netlist.SignalID]int),
-		observed:  make([]bool, n.NumGates()),
+		sourceIdx: make([]int32, ng),
+		observed:  make([]bool, ng),
+		next:      make([]netlist.SignalID, ng),
 		g:         n.Graph(),
 	}
-	for i, t := range s.g.Types {
+	g := s.g
+	for i, t := range g.Types {
 		id := netlist.SignalID(i)
+		s.sourceIdx[i] = -1
 		switch t {
 		case netlist.GateInput, netlist.GateDFF:
-			s.sourceIdx[id] = len(s.Sources)
+			s.sourceIdx[i] = int32(len(s.Sources))
 			s.Sources = append(s.Sources, id)
+		}
+		for k := len(s.pins); k < len(g.FaninOf(id)); k++ {
+			s.pins = append(s.pins, netlist.SignalID(k))
 		}
 	}
 	for _, o := range n.Outputs {
@@ -90,6 +105,14 @@ func New(n *netlist.Netlist) *Simulator {
 	for _, ff := range n.FlipFlops() {
 		s.observed[n.Gate(ff).Fanin[0]] = true
 	}
+	// An unobserved signal drives no D pin, so all its fanout entries
+	// are combinational.
+	for i := range s.next {
+		s.next[i] = netlist.InvalidSignal
+		if fo := g.FanoutOf(netlist.SignalID(i)); !s.observed[i] && len(fo) == 1 {
+			s.next[i] = fo[0]
+		}
+	}
 	return s
 }
 
@@ -98,8 +121,11 @@ func (s *Simulator) NumSources() int { return len(s.Sources) }
 
 // SourceIndex returns the pattern-bit index of a controllable signal.
 func (s *Simulator) SourceIndex(sig netlist.SignalID) (int, bool) {
-	i, ok := s.sourceIdx[sig]
-	return i, ok
+	if sig < 0 || int(sig) >= len(s.sourceIdx) {
+		return 0, false
+	}
+	i := s.sourceIdx[sig]
+	return int(i), i >= 0
 }
 
 // Observed reports whether the signal is an observation point.
@@ -121,7 +147,13 @@ type Block struct {
 	// NPat is the number of live patterns (low bits).
 	NPat int
 	mask uint64 // low-NPat bits
+	// seq identifies the block to an Engine's per-block state; GoodSim
+	// numbers blocks from 1.
+	seq uint64
 }
+
+// blockSeq numbers the blocks GoodSim builds.
+var blockSeq atomic.Uint64
 
 // Val returns (value, known) of a signal for pattern k.
 func (b *Block) Val(sig netlist.SignalID, k int) (bool, bool) {
@@ -140,6 +172,7 @@ func (s *Simulator) GoodSim(patterns []Pattern) (*Block, error) {
 		val:   make([]uint64, ng),
 		known: make([]uint64, ng),
 		NPat:  len(patterns),
+		seq:   blockSeq.Add(1),
 	}
 	if b.NPat == 64 {
 		b.mask = ^uint64(0)
@@ -177,32 +210,22 @@ func (s *Simulator) GoodSim(patterns []Pattern) (*Block, error) {
 	return b, nil
 }
 
-// evalWord computes the three-valued output of a gate of type t from
-// fanin words.
+// evalWord computes the three-valued output of a gate of type t from the
+// words of its fanin signals. Source and sequential types yield (0, 0).
 func evalWord(t netlist.GateType, fanin []netlist.SignalID, val, known []uint64) (uint64, uint64) {
-	return evalWordWith(t, fanin, func(_ int, f netlist.SignalID) (uint64, uint64) {
-		return val[f], known[f]
-	})
-}
-
-// evalWordWith computes the output of a gate of type t with the given
-// fanin, fetching fanin values through fn(pin, signal); the faulty-machine
-// propagation passes a reader that substitutes faulty values inside the
-// affected region (and a forced value on the faulted pin).
-func evalWordWith(t netlist.GateType, fanin []netlist.SignalID, pinFn func(int, netlist.SignalID) (uint64, uint64)) (uint64, uint64) {
-	fn := func(pin int) (uint64, uint64) { return pinFn(pin, fanin[pin]) }
 	switch t {
 	case netlist.GateBuf:
-		return fn(0)
+		f := fanin[0]
+		return val[f], known[f]
 	case netlist.GateNot:
-		v, k := fn(0)
-		return ^v, k
+		f := fanin[0]
+		return ^val[f], known[f]
 	case netlist.GateAnd, netlist.GateNand:
 		v := ^uint64(0)
 		known1 := ^uint64(0) // all fanins known
 		known0 := uint64(0)  // any fanin known-0
-		for pin := range fanin {
-			fv, fk := fn(pin)
+		for _, f := range fanin {
+			fv, fk := val[f], known[f]
 			v &= fv
 			known1 &= fk
 			known0 |= fk &^ fv
@@ -216,8 +239,8 @@ func evalWordWith(t netlist.GateType, fanin []netlist.SignalID, pinFn func(int, 
 		v := uint64(0)
 		known1 := ^uint64(0)
 		known0 := uint64(0) // any fanin known-1 forces output
-		for pin := range fanin {
-			fv, fk := fn(pin)
+		for _, f := range fanin {
+			fv, fk := val[f], known[f]
 			v |= fv
 			known1 &= fk
 			known0 |= fk & fv
@@ -230,19 +253,19 @@ func evalWordWith(t netlist.GateType, fanin []netlist.SignalID, pinFn func(int, 
 	case netlist.GateXor, netlist.GateXnor:
 		v := uint64(0)
 		kn := ^uint64(0)
-		for pin := range fanin {
-			fv, fk := fn(pin)
-			v ^= fv
-			kn &= fk
+		for _, f := range fanin {
+			v ^= val[f]
+			kn &= known[f]
 		}
 		if t == netlist.GateXnor {
 			return ^v, kn
 		}
 		return v, kn
 	case netlist.GateMux2:
-		sv, sk := fn(0)
-		av, ak := fn(1)
-		bv, bk := fn(2)
+		s, a, b := fanin[0], fanin[1], fanin[2]
+		sv, sk := val[s], known[s]
+		av, ak := val[a], known[a]
+		bv, bk := val[b], known[b]
 		v := (^sv & av) | (sv & bv)
 		// Known when: sel known and the selected input known, or both
 		// inputs known and equal.
