@@ -171,9 +171,14 @@ func TestOptionBuildersExposed(t *testing.T) {
 	if res.TotalOverlapEdges() != 0 {
 		t.Error("overlap disabled but overlap edges counted")
 	}
-	agr := wcm3d.AgrawalOptions(d, wcm3d.LooseTiming)
-	if agr.AllowOverlap {
-		t.Error("Agrawal options must not allow overlap")
+	agr, ok := wcm3d.MethodOptions(d, wcm3d.MethodAgrawal, wcm3d.LooseTiming)
+	if !ok || agr.AllowOverlap {
+		t.Errorf("Agrawal options: ok=%v AllowOverlap=%v, want options without overlap", ok, agr.AllowOverlap)
+	}
+	for _, m := range []wcm3d.Method{wcm3d.MethodLi, wcm3d.MethodFullWrap} {
+		if _, ok := wcm3d.MethodOptions(d, m, wcm3d.TightTiming); ok {
+			t.Errorf("%v has no threshold contract, yet MethodOptions reports options", m)
+		}
 	}
 }
 

@@ -157,7 +157,7 @@ func BenchmarkAblation_Ordering(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cells = 0
 				for _, d := range dies {
-					opts := experiments.OurOptions(d, experiments.Scenario{Tight: true})
+					opts := experiments.OurOptions(d, true)
 					opts.Order = order
 					res, err := wcm.Run(d.Input(), opts)
 					if err != nil {
@@ -182,7 +182,7 @@ func BenchmarkAblation_WireDelay(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				viol = 0
 				for _, d := range dies {
-					opts := experiments.OurOptions(d, experiments.Scenario{Tight: true})
+					opts := experiments.OurOptions(d, true)
 					opts.Timing = timing
 					res, err := wcm.Run(d.Input(), opts)
 					if err != nil {
@@ -212,7 +212,7 @@ func BenchmarkAblation_MergePolicy(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cells = 0
 				for _, d := range dies {
-					opts := experiments.OurOptions(d, experiments.Scenario{Tight: true})
+					opts := experiments.OurOptions(d, true)
 					opts.Merge = policy
 					res, err := wcm.Run(d.Input(), opts)
 					if err != nil {
@@ -364,7 +364,7 @@ func BenchmarkStuckAtServiceDies(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := wcm.Run(d.Input(), experiments.OurOptions(d, experiments.Scenario{Tight: true}))
+				res, err := wcm.Run(d.Input(), experiments.OurOptions(d, true))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -393,7 +393,7 @@ func BenchmarkWCM(b *testing.B) {
 	b.ResetTimer()
 	var res *wcm.Result
 	for i := 0; i < b.N; i++ {
-		res, err = wcm.Run(d.Input(), experiments.OurOptions(d, experiments.Scenario{Tight: true}))
+		res, err = wcm.Run(d.Input(), experiments.OurOptions(d, true))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -420,7 +420,7 @@ func BenchmarkRunLargestDie(b *testing.B) {
 			b.ReportAllocs()
 			var res *wcm.Result
 			for i := 0; i < b.N; i++ {
-				opts := experiments.OurOptions(d, experiments.Scenario{Tight: true})
+				opts := experiments.OurOptions(d, true)
 				opts.Workers = bc.workers
 				res, err = wcm.Run(d.Input(), opts)
 				if err != nil {

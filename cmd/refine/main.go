@@ -78,13 +78,8 @@ func run(w io.Writer, profile, netPath, methodName, timingName string, ro wcm3d.
 	if err != nil {
 		return err
 	}
-	var opts wcm3d.MinimizeOptions
-	switch m {
-	case wcm3d.MethodOurs:
-		opts = wcm3d.OurOptions(die, mode)
-	case wcm3d.MethodAgrawal:
-		opts = wcm3d.AgrawalOptions(die, mode)
-	default:
+	opts, ok := wcm3d.MethodOptions(die, m, mode)
+	if !ok {
 		return fmt.Errorf("method %v carries no threshold contract to refine against", m)
 	}
 	res, err := wcm3d.MinimizeWith(die, opts)

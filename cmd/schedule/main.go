@@ -13,12 +13,13 @@
 //	schedule -circuit b12 -widths 16,32,64       # width sweep
 //	schedule -circuit b12 -width 32 -json        # machine-readable output
 //
-// With -json the output is an array of schedule reports in the same schema
-// the wcmd daemon's POST /v1/schedules returns (internal/service), so CLI
-// and service output stay in lockstep.
+// The dies are wrapped and graded by the wcmd daemon's own stack stage
+// (service.StackDies), so with -json the output is an array of exactly the
+// reports POST /v1/schedules returns for the same stack and width.
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -77,22 +78,11 @@ func run(w io.Writer, circuit, profileList string, width int, widthList, methodN
 	if err != nil {
 		return err
 	}
-	stack := make([]wcm3d.StackDie, len(dies))
-	for i, d := range dies {
-		res, err := wcm3d.Minimize(d, m, mode)
-		if err != nil {
-			return fmt.Errorf("%s: %w", profiles[i].Name(), err)
-		}
-		tb, err := wcm3d.EvaluateStuckAt(d, res.Assignment, bud)
-		if err != nil {
-			return fmt.Errorf("%s: %w", profiles[i].Name(), err)
-		}
-		stack[i] = wcm3d.StackDie{
-			Name:       profiles[i].Name(),
-			Die:        d,
-			Assignment: res.Assignment,
-			Patterns:   tb.Patterns,
-		}
+	stack, err := service.StackDies(context.Background(), len(dies), func(i int) (string, *wcm3d.Die, error) {
+		return profiles[i].Name(), dies[i], nil
+	}, m, mode, bud)
+	if err != nil {
+		return err
 	}
 
 	var reports []*service.ScheduleReport

@@ -481,7 +481,7 @@ func replanSweepRows(profiles []netgen.Profile, seed int64) ([]tsvrepair.Speedup
 		if err != nil {
 			return nil, fmt.Errorf("die %s: %w", p.Name(), err)
 		}
-		opts := experiments.OurOptions(d, experiments.Scenario{Name: "tight", Tight: true})
+		opts := experiments.OurOptions(d, true)
 		row, err := tsvrepair.MeasureSpeedup(d, opts, trials)
 		if err != nil {
 			return nil, err

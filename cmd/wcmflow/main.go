@@ -11,12 +11,13 @@
 //	wcmflow -profile b12/1 -compare             # all methods side by side
 //	wcmflow -profile b12/1 -json                # machine-readable output
 //
-// With -json the output is an array of reports in the same schema the wcmd
-// daemon returns for job results (internal/service), so CLI and service
-// output stay in lockstep.
+// Each method runs through the wcmd daemon's own per-die stage
+// (service.RunDie), so with -json the output is an array of exactly the
+// reports the daemon returns as job results for the same die.
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -53,50 +54,18 @@ func run(w io.Writer, profile, netPath, methodName, timingName string, seed int6
 	if err != nil {
 		return err
 	}
-	mode, err := wcm3d.ParseTimingMode(timingName)
-	if err != nil {
-		return err
-	}
-	bud, err := wcm3d.ParseBudget(budgetName, seed)
-	if err != nil {
-		return err
-	}
-
-	var methods []wcm3d.Method
+	methods := []string{methodName}
 	if compare {
-		methods = []wcm3d.Method{wcm3d.MethodFullWrap, wcm3d.MethodLi, wcm3d.MethodAgrawal, wcm3d.MethodOurs}
-	} else {
-		m, err := wcm3d.ParseMethod(methodName)
-		if err != nil {
-			return err
-		}
-		methods = []wcm3d.Method{m}
+		methods = []string{"fullwrap", "li", "agrawal", "ours"}
 	}
-
-	info := service.DescribeDie(name, seed, die)
+	// Each method runs through the daemon's own per-die stage, as a job
+	// request would.
 	var reports []*service.Report
 	for _, m := range methods {
-		res, err := wcm3d.Minimize(die, m, mode)
+		req := service.JobRequest{Seed: seed, Method: m, Timing: timingName, ATPG: runATPG, Budget: budgetName}
+		rep, err := service.RunDie(context.Background(), req, name, die, nil)
 		if err != nil {
-			return fmt.Errorf("%v: %w", m, err)
-		}
-		rep := service.EncodeResult(info, m, mode, res, die.Lib)
-		viol, wns, err := wcm3d.CheckTiming(die, res.Assignment)
-		if err != nil {
-			return err
-		}
-		rep.SetSignoff(viol, wns)
-		if runATPG {
-			tb, err := wcm3d.EvaluateStuckAt(die, res.Assignment, bud)
-			if err != nil {
-				return err
-			}
-			// Tester time under a 4-chain scan architecture.
-			chains, err := wcm3d.BuildScanChains(die, res.Assignment, 4)
-			if err != nil {
-				return err
-			}
-			rep.SetStuckAt(tb, chains.TestCycles(tb.Patterns))
+			return fmt.Errorf("%s: %w", m, err)
 		}
 		reports = append(reports, rep)
 	}
@@ -105,7 +74,7 @@ func run(w io.Writer, profile, netPath, methodName, timingName string, seed int6
 		enc.SetIndent("", "  ")
 		return enc.Encode(reports)
 	}
-	return renderText(w, die, info, reports)
+	return renderText(w, die, reports[0].Die, reports)
 }
 
 func renderText(w io.Writer, die *wcm3d.Die, info service.DieInfo, reports []*service.Report) error {

@@ -140,7 +140,6 @@ func TestATPGOutputsPinned(t *testing.T) {
 			t.Errorf("%s holds %d entries, want %d", golden, len(want), atpgPinEntries)
 		}
 	}
-	tight := Scenario{Name: "tight", Tight: true}
 	got := map[string]pinnedATPG{}
 	for _, c := range atpgPinCases() {
 		d, err := PrepareDie(c.profile, 1)
@@ -152,9 +151,9 @@ func TestATPGOutputsPinned(t *testing.T) {
 			methods = append(methods, "agrawal")
 		}
 		for _, m := range methods {
-			opts := OurOptions(d, tight)
+			opts := OurOptions(d, true)
 			if m == "agrawal" {
-				opts = AgrawalOptions(d, tight)
+				opts = AgrawalOptions(d, true)
 			}
 			res, err := wcm.Run(d.Input(), opts)
 			if err != nil {

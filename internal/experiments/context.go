@@ -239,29 +239,13 @@ func PrepareSuite(profiles []netgen.Profile, seed int64) ([]*Die, error) {
 	return dies, nil
 }
 
-// Scenario is one timing regime of the paper's §V.A.
-type Scenario struct {
-	// Name labels the scenario ("area-optimized", "performance-optimized").
-	Name string
-	// Tight reports whether timing thresholds are derived from the die
-	// margin (performance-optimized) or disabled (area-optimized).
-	Tight bool
-}
-
-// Scenarios returns the paper's two timing regimes.
-func Scenarios() []Scenario {
-	return []Scenario{
-		{Name: "area-optimized", Tight: false},
-		{Name: "performance-optimized", Tight: true},
-	}
-}
-
-// AgrawalOptions builds the baseline's configuration for a die under a
-// scenario: inbound-first, capacitance-only, no overlapped cones. Under
-// the tight scenario the capacitance threshold is derived from the die's
-// timing margin — but, being blind to wire, the method will happily pick
-// distant flip-flops whose wire load blows that margin.
-func AgrawalOptions(d *Die, sc Scenario) wcm.Options {
+// AgrawalOptions builds the configuration of the Agrawal TCAD'15 baseline
+// for a die: inbound-first, capacitance-only (no distance threshold), no
+// overlapped cones. tight selects the paper's performance-optimized
+// scenario (§V.A), which tightens the capacitance threshold — but, being
+// blind to wire, the method will happily pick distant flip-flops whose
+// wire load blows the die's margin; otherwise it is the area-optimized one.
+func AgrawalOptions(d *Die, tight bool) wcm.Options {
 	opts := wcm.Options{
 		CapThFF:      libraryCapThFF,
 		SlackThPS:    negInf(),
@@ -270,7 +254,7 @@ func AgrawalOptions(d *Die, sc Scenario) wcm.Options {
 		Order:        wcm.OrderInboundFirst,
 		Timing:       wcm.TimingCapOnly,
 	}
-	if sc.Tight {
+	if tight {
 		// "Agrawal's method tries to use more hardware resources to
 		// meet the rigid timing requirements": it tightens the only
 		// knob its model has — the capacitance threshold — but stays
@@ -287,8 +271,10 @@ const libraryCapThFF = 150
 
 // OurOptions builds the paper's configuration: larger-set-first, wire-aware
 // timing, overlapped cones under cov_th = 0.5% / p_th = 10. Under the
-// tight scenario cap/slack/distance thresholds all derive from the margin.
-func OurOptions(d *Die, sc Scenario) wcm.Options {
+// tight (performance-optimized) scenario the slack and distance thresholds
+// derive from the die's margin; the loose (area-optimized) one polices no
+// timing.
+func OurOptions(d *Die, tight bool) wcm.Options {
 	opts := wcm.Options{
 		CapThFF:        libraryCapThFF,
 		SlackThPS:      negInf(),
@@ -300,7 +286,7 @@ func OurOptions(d *Die, sc Scenario) wcm.Options {
 		Timing:         wcm.TimingCapWire,
 		SlackSpendFrac: posInf(), // area-optimized: no timing policing
 	}
-	if sc.Tight {
+	if tight {
 		opts.SlackSpendFrac = 0.20
 		// cap_th stays the library drivability bound (the paper sources
 		// it "from the cell library"); the wire-aware model's per-FF

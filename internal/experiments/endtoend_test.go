@@ -34,28 +34,28 @@ func TestEndToEndShapeB11(t *testing.T) {
 
 		// 2. Ours, both scenarios: valid covering plan, fewer cells than
 		// full wrap, zero violations.
-		for _, sc := range Scenarios() {
-			res, err := wcm.Run(d.Input(), OurOptions(d, sc))
+		for _, tight := range []bool{false, true} {
+			res, err := wcm.Run(d.Input(), OurOptions(d, tight))
 			if err != nil {
-				t.Fatalf("%s %s: %v", name, sc.Name, err)
+				t.Fatalf("%s tight=%v: %v", name, tight, err)
 			}
 			if err := res.Assignment.Validate(d.Netlist); err != nil {
-				t.Fatalf("%s %s: invalid plan: %v", name, sc.Name, err)
+				t.Fatalf("%s tight=%v: invalid plan: %v", name, tight, err)
 			}
 			if !res.Assignment.Covered(d.Netlist) {
-				t.Errorf("%s %s: not covered", name, sc.Name)
+				t.Errorf("%s tight=%v: not covered", name, tight)
 			}
 			if res.AdditionalCells >= nTSVs {
-				t.Errorf("%s %s: no reduction (%d cells for %d TSVs)",
-					name, sc.Name, res.AdditionalCells, nTSVs)
+				t.Errorf("%s tight=%v: no reduction (%d cells for %d TSVs)",
+					name, tight, res.AdditionalCells, nTSVs)
 			}
 			if viol, wns, err := CheckTiming(d, res.Assignment); err != nil || viol {
-				t.Errorf("%s %s: viol=%v wns=%.1f err=%v", name, sc.Name, viol, wns, err)
+				t.Errorf("%s tight=%v: viol=%v wns=%.1f err=%v", name, tight, viol, wns, err)
 			}
 		}
 
 		// 3. Testability: wrapped die grades far above the bare die.
-		our, err := wcm.Run(d.Input(), OurOptions(d, Scenario{Tight: true}))
+		our, err := wcm.Run(d.Input(), OurOptions(d, true))
 		if err != nil {
 			t.Fatal(err)
 		}

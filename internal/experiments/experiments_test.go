@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -73,7 +74,7 @@ func TestOursNeverViolatesTight(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := wcm.Run(d.Input(), OurOptions(d, Scenario{Tight: true}))
+			res, err := wcm.Run(d.Input(), OurOptions(d, true))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,6 +91,24 @@ func TestOursNeverViolatesTight(t *testing.T) {
 
 func TestTable1RunsAndRenders(t *testing.T) {
 	dies := prepB12(t)[:2]
+	// Table I runs Agrawal's method; its configuration is the TCAD'15
+	// shape in both scenarios: inbound-first, cap-only timing, no distance
+	// threshold, and no overlapped cones (so no overlap edges).
+	for _, tight := range []bool{false, true} {
+		opts := AgrawalOptions(dies[0], tight)
+		if opts.Order != wcm.OrderInboundFirst || opts.Timing != wcm.TimingCapOnly ||
+			opts.AllowOverlap || !math.IsInf(opts.DistThUM, 1) {
+			t.Errorf("tight=%v: Agrawal options %+v, want inbound-first, cap-only, no overlap, no d_th", tight, opts)
+		}
+		res, err := wcm.Run(dies[0].Input(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Phases[0].Inbound || res.TotalOverlapEdges() != 0 {
+			t.Errorf("tight=%v: first phase inbound=%v, %d overlap edges; want inbound first and none",
+				tight, res.Phases[0].Inbound, res.TotalOverlapEdges())
+		}
+	}
 	rows, err := Table1(dies, ReducedBudget(1))
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +253,7 @@ func TestFlowDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := wcm.Run(d.Input(), OurOptions(d, Scenario{Tight: true}))
+		res, err := wcm.Run(d.Input(), OurOptions(d, true))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -104,12 +104,12 @@ func TestTimeFunctionalModeMatchesMaterialized(t *testing.T) {
 			t.Errorf("%s: clock %v, the materialized probe gives %v", p.Name(), d.ClockPS, clock)
 		}
 
-		for _, sc := range Scenarios() {
+		for _, tight := range []bool{false, true} {
 			for _, m := range []struct {
 				name string
 				opts wcm.Options
-			}{{"agrawal", AgrawalOptions(d, sc)}, {"ours", OurOptions(d, sc)}} {
-				label := m.name + "/" + sc.Name
+			}{{"agrawal", AgrawalOptions(d, tight)}, {"ours", OurOptions(d, tight)}} {
+				label := fmt.Sprintf("%s/tight=%v", m.name, tight)
 				in := d.Input()
 				refresh := in.RefreshTiming
 				partials := 0

@@ -38,10 +38,9 @@ type RefineGapRow struct {
 // the independent verifier, and a fruitless search hands greedy back
 // unchanged.
 func RefineGap(dies []*Die, budget time.Duration, seed int64) ([]RefineGapRow, error) {
-	tight := Scenario{Name: "performance-optimized", Tight: true}
 	rows := make([]RefineGapRow, 0, len(dies))
 	for _, d := range dies {
-		opts := OurOptions(d, tight)
+		opts := OurOptions(d, true)
 		res, err := wcm.Run(d.Input(), opts)
 		if err != nil {
 			return nil, fmt.Errorf("refine gap %s: %w", d.Profile.Name(), err)

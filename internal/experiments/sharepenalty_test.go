@@ -29,7 +29,6 @@ func TestEstimatorAgainstExactATPG(t *testing.T) {
 			sourceMask.Set(id)
 		}
 	}
-	est := wcm.StructuralEstimator{}
 	budget := ReducedBudget(1)
 
 	var disjoint, overlapped [][2]netlist.SignalID
@@ -63,7 +62,7 @@ func TestEstimatorAgainstExactATPG(t *testing.T) {
 	}
 	for _, p := range overlapped {
 		ov := cones.Fanout(p[0]).IntersectCountExcluding(cones.Fanout(p[1]), sourceMask)
-		estCov, estPat := est.SharePenalty(n, ov)
+		estCov, estPat := wcm.SharePenalty(n, ov)
 		if estCov <= 0 || estPat <= 0 {
 			t.Errorf("estimator claims overlapped pair (%d gates shared) is free", ov)
 		}

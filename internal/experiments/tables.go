@@ -31,14 +31,13 @@ type Table1Row struct {
 func Table1(dies []*Die, budget ATPGBudget) ([]Table1Row, error) {
 	var rows []Table1Row
 	for _, d := range dies {
-		sc := Scenario{Name: "area-optimized", Tight: false}
 		row := Table1Row{
 			Die:      d.Profile.Name(),
 			Inbound:  d.Profile.InboundTSVs,
 			Outbound: d.Profile.OutboundTSVs,
 		}
 		for _, order := range []wcm.OrderPolicy{wcm.OrderInboundFirst, wcm.OrderOutboundFirst} {
-			opts := AgrawalOptions(d, sc)
+			opts := AgrawalOptions(d, false)
 			opts.Order = order
 			res, err := wcm.Run(d.Input(), opts)
 			if err != nil {
@@ -152,13 +151,11 @@ func Table3(dies []*Die) ([]Table3Row, error) {
 			cells     *int
 			violation *bool
 		}
-		loose := Scenario{Name: "area-optimized", Tight: false}
-		tight := Scenario{Name: "performance-optimized", Tight: true}
 		cfgs := []cfg{
-			{AgrawalOptions(d, loose), &row.AgrLooseReused, &row.AgrLooseCells, nil},
-			{OurOptions(d, loose), &row.OurLooseReused, &row.OurLooseCells, nil},
-			{AgrawalOptions(d, tight), &row.AgrTightReused, &row.AgrTightCells, &row.AgrTightViolation},
-			{OurOptions(d, tight), &row.OurTightReused, &row.OurTightCells, &row.OurTightViolation},
+			{AgrawalOptions(d, false), &row.AgrLooseReused, &row.AgrLooseCells, nil},
+			{OurOptions(d, false), &row.OurLooseReused, &row.OurLooseCells, nil},
+			{AgrawalOptions(d, true), &row.AgrTightReused, &row.AgrTightCells, &row.AgrTightViolation},
+			{OurOptions(d, true), &row.OurTightReused, &row.OurTightCells, &row.OurTightViolation},
 		}
 		for _, c := range cfgs {
 			res, err := wcm.Run(d.Input(), c.opts)
@@ -282,16 +279,15 @@ type Table4Row struct {
 
 // Table4 evaluates coverage and pattern counts.
 func Table4(dies []*Die, budget ATPGBudget) ([]Table4Row, error) {
-	tight := Scenario{Name: "performance-optimized", Tight: true}
 	rows := make([]Table4Row, len(dies))
 	err := par.ForEachIndex(context.Background(), len(dies), func(_ context.Context, di int) error {
 		d := dies[di]
 		row := Table4Row{Die: d.Profile.Name()}
-		agr, err := wcm.Run(d.Input(), AgrawalOptions(d, tight))
+		agr, err := wcm.Run(d.Input(), AgrawalOptions(d, true))
 		if err != nil {
 			return fmt.Errorf("table4 %s agrawal: %w", d.Profile.Name(), err)
 		}
-		our, err := wcm.Run(d.Input(), OurOptions(d, tight))
+		our, err := wcm.Run(d.Input(), OurOptions(d, true))
 		if err != nil {
 			return fmt.Errorf("table4 %s ours: %w", d.Profile.Name(), err)
 		}
@@ -354,13 +350,12 @@ type Table5Row struct {
 
 // Table5 runs ours with AllowOverlap off and on.
 func Table5(dies []*Die, budget ATPGBudget) ([]Table5Row, error) {
-	tight := Scenario{Name: "performance-optimized", Tight: true}
 	rows := make([]Table5Row, len(dies))
 	err := par.ForEachIndex(context.Background(), len(dies), func(_ context.Context, di int) error {
 		d := dies[di]
 		row := Table5Row{Die: d.Profile.Name()}
 		for _, allow := range []bool{false, true} {
-			opts := OurOptions(d, tight)
+			opts := OurOptions(d, true)
 			opts.AllowOverlap = allow
 			res, err := wcm.Run(d.Input(), opts)
 			if err != nil {
@@ -426,13 +421,12 @@ type Figure7Row struct {
 
 // Figure7 measures solution-space expansion from overlapped-cone edges.
 func Figure7(dies []*Die) ([]Figure7Row, error) {
-	tight := Scenario{Name: "performance-optimized", Tight: true}
 	rows := make([]Figure7Row, len(dies))
 	err := par.ForEachIndex(context.Background(), len(dies), func(_ context.Context, di int) error {
 		d := dies[di]
 		var edges [2]int
 		for i, allow := range []bool{false, true} {
-			opts := OurOptions(d, tight)
+			opts := OurOptions(d, true)
 			opts.AllowOverlap = allow
 			res, err := wcm.Run(d.Input(), opts)
 			if err != nil {

@@ -54,7 +54,6 @@ func TAMWidths(dies []*Die, widths []int, budget ATPGBudget) ([]TAMRow, error) {
 			maxWidth = w
 		}
 	}
-	tight := Scenario{Name: "performance-optimized", Tight: true}
 	type wrapped struct {
 		name    string
 		designs []tam.Design
@@ -62,7 +61,7 @@ func TAMWidths(dies []*Die, widths []int, budget ATPGBudget) ([]TAMRow, error) {
 	ws := make([]wrapped, len(dies))
 	err := par.ForEachIndex(context.Background(), len(dies), func(_ context.Context, di int) error {
 		d := dies[di]
-		res, err := wcm.Run(d.Input(), OurOptions(d, tight))
+		res, err := wcm.Run(d.Input(), OurOptions(d, true))
 		if err != nil {
 			return fmt.Errorf("tam %s: %w", d.Profile.Name(), err)
 		}

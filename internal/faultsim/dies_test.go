@@ -24,13 +24,12 @@ func TestDetectsMatchesReferenceOnDies(t *testing.T) {
 	if os.Getenv("WCM3D_FULL_EQUIV") != "" {
 		profiles = netgen.ITC99Profiles()
 	}
-	tight := experiments.Scenario{Name: "tight", Tight: true}
 	for _, p := range profiles {
 		d, err := experiments.PrepareDie(p, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name(), err)
 		}
-		res, err := wcm.Run(d.Input(), experiments.OurOptions(d, tight))
+		res, err := wcm.Run(d.Input(), experiments.OurOptions(d, true))
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name(), err)
 		}

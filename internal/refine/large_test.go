@@ -32,7 +32,6 @@ func TestLargeDieThroughput(t *testing.T) {
 	// this class) must not.
 	const minStepsPerSec = 5000
 	const maxSteps = 20000 // per strategy; lns stops earlier at its fruitless cutoff
-	tight := experiments.Scenario{Name: "performance-optimized", Tight: true}
 	for _, name := range []string{"b20/1", "b21/1"} {
 		p, err := wcm3d.ProfileByName(name)
 		if err != nil {
@@ -42,7 +41,7 @@ func TestLargeDieThroughput(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := experiments.OurOptions(d, tight)
+		opts := experiments.OurOptions(d, true)
 		greedy, err := wcm.Run(d.Input(), opts)
 		if err != nil {
 			t.Fatal(err)
@@ -74,7 +73,6 @@ func TestLargeDieThroughput(t *testing.T) {
 // on divergence) for a fixed step budget.
 func TestCrossCheckPaperDies(t *testing.T) {
 	const steps = 2000
-	tight := experiments.Scenario{Name: "performance-optimized", Tight: true}
 	for _, circuit := range []string{"b11", "b12"} {
 		for die := 0; die < 4; die++ {
 			name := fmt.Sprintf("%s/%d", circuit, die)
@@ -86,7 +84,7 @@ func TestCrossCheckPaperDies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts := experiments.OurOptions(d, tight)
+			opts := experiments.OurOptions(d, true)
 			greedy, err := wcm.Run(d.Input(), opts)
 			if err != nil {
 				t.Fatal(err)

@@ -78,9 +78,6 @@ func (s *Service) Replan(id string, req ReplanRequest) (ReplanStatus, error) {
 	if state != StateDone {
 		return ReplanStatus{}, fmt.Errorf("%w (state %s)", ErrReplanJobNotDone, state)
 	}
-	if j.method != wcm3d.MethodOurs && j.method != wcm3d.MethodAgrawal {
-		return ReplanStatus{}, fmt.Errorf("%w (method %q)", ErrReplanUnsupported, j.req.Method)
-	}
 	if j.req.selectsDies() {
 		return ReplanStatus{}, fmt.Errorf("%w (multi-die job)", ErrReplanUnsupported)
 	}
@@ -136,9 +133,10 @@ func (s *Service) replanLocked(j *job, req ReplanRequest) (ReplanStatus, error) 
 // plannerFor returns the job's planner, building it on first use: the
 // prepared die is peeked from the LRU cache (never re-prepared — a replan
 // is a lightweight operation and must not hide a multi-second prepare),
-// the baseline is planned, and the job's recorded delta history is
-// replayed so the planner resumes exactly where the last process left
-// off. Callers hold j.replanMu.
+// the baseline is planned with the method's options (a method without
+// any, li or fullwrap, has no planner: ErrReplanUnsupported), and the
+// job's recorded delta history is replayed so the planner resumes exactly
+// where the last process left off. Callers hold j.replanMu.
 func (s *Service) plannerFor(j *job) (*wcm3d.ReplanPlanner, error) {
 	if j.planner != nil {
 		return j.planner, nil
@@ -147,14 +145,9 @@ func (s *Service) plannerFor(j *job) (*wcm3d.ReplanPlanner, error) {
 	if !ok {
 		return nil, ErrDieEvicted
 	}
-	var opts wcm3d.MinimizeOptions
-	switch j.method {
-	case wcm3d.MethodOurs:
-		opts = wcm3d.OurOptions(die, j.mode)
-	case wcm3d.MethodAgrawal:
-		opts = wcm3d.AgrawalOptions(die, j.mode)
-	default:
-		return nil, ErrReplanUnsupported
+	opts, ok := wcm3d.MethodOptions(die, j.method, j.mode)
+	if !ok {
+		return nil, fmt.Errorf("%w (method %q)", ErrReplanUnsupported, j.req.Method)
 	}
 	p, err := wcm3d.NewReplanPlanner(die, opts)
 	if err != nil {

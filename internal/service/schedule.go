@@ -107,33 +107,19 @@ func (s *Service) ScheduleStack(ctx context.Context, req ScheduleRequest) (*Sche
 	}
 }
 
+// buildSchedule prepares the stack's dies through the die cache, one at a
+// time as StackDies reaches them, and packs them at width wires.
 func (s *Service) buildSchedule(ctx context.Context, j *job, width int) (*ScheduleReport, error) {
-	stack := make([]wcm3d.StackDie, 0, len(j.specs))
-	for _, spec := range j.specs {
+	stack, err := StackDies(ctx, len(j.specs), func(i int) (string, *wcm3d.Die, error) {
+		spec := j.specs[i]
 		die, err := s.dies.get(ctx, DieKey{Name: spec.Name, Seed: spec.Seed}, s.preparer(spec))
 		if err != nil {
-			return nil, fmt.Errorf("prepare %s: %w", spec.Name, err)
+			return "", nil, fmt.Errorf("prepare %s: %w", spec.Name, err)
 		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		res, err := wcm3d.Minimize(die, j.method, j.mode)
-		if err != nil {
-			return nil, fmt.Errorf("minimize %s: %w", spec.Name, err)
-		}
-		tb, err := wcm3d.EvaluateStuckAt(die, res.Assignment, j.budget)
-		if err != nil {
-			return nil, fmt.Errorf("atpg %s: %w", spec.Name, err)
-		}
-		stack = append(stack, wcm3d.StackDie{
-			Name:       spec.Name,
-			Die:        die,
-			Assignment: res.Assignment,
-			Patterns:   tb.Patterns,
-		})
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+		return spec.Name, die, nil
+	}, j.method, j.mode, j.budget)
+	if err != nil {
+		return nil, err
 	}
 	stackName := j.req.Circuit
 	if stackName == "" {

@@ -391,25 +391,8 @@ func (s *Service) resolve(req JobRequest) (*job, error) {
 		j.specs[i].Seed = req.Seed
 		j.dies[i] = BatchDie{Die: j.specs[i].Name, Seed: req.Seed, State: BatchDiePending}
 	}
-	m := req.Method
-	if m == "" {
-		m = "ours"
-	}
-	method, err := wcm3d.ParseMethod(m)
-	if err != nil {
-		return nil, err
-	}
-	j.method = method
-	tm := req.Timing
-	if tm == "" {
-		tm = "tight"
-	}
-	mode, err := wcm3d.ParseTimingMode(tm)
-	if err != nil {
-		return nil, err
-	}
-	j.mode = mode
-	if j.budget, err = wcm3d.ParseBudget(req.Budget, req.Seed); err != nil {
+	var err error
+	if j.method, j.mode, j.budget, err = req.settings(); err != nil {
 		return nil, err
 	}
 	if req.TimeoutMS < 0 {
@@ -825,35 +808,9 @@ func (s *Service) preparer(spec DieSpec) func(context.Context) (*wcm3d.Die, erro
 	}
 }
 
-// MinRefineBudget is the smallest portfolio budget worth starting: below
-// it the solvers cannot finish a meaningful sweep even on a mid-size die,
-// so the refine stage skips explicitly (RefineReport.Skipped, the
-// refine.skipped counter) instead of pretending to search.
-const MinRefineBudget = 50 * time.Millisecond
-
-// refineFunding computes the refine stage's budget — half the job's
-// remaining clamped deadline — and whether it clears MinRefineBudget.
-// Without a deadline the portfolio's default budget stands.
-func refineFunding(ctx context.Context) (time.Duration, bool) {
-	dl, ok := ctx.Deadline()
-	if !ok {
-		return wcm3d.DefaultRefineBudget, true
-	}
-	funded := time.Until(dl) / 2
-	if funded < MinRefineBudget {
-		if funded < 0 {
-			funded = 0
-		}
-		return funded, false
-	}
-	return funded, true
-}
-
-// execute runs the minimize pipeline on one of j's dies, checking ctx
-// between stages so per-job cancellation, job deadlines and shutdown
-// deadlines take effect at stage boundaries. Every stage records its
-// latency whatever the outcome; the time spent getting the prepared die
-// also lands in row.PrepareMS.
+// execute prepares one of j's dies through the die cache and runs it
+// through RunDie. Every stage records its latency whatever the outcome;
+// the time spent getting the prepared die also lands in row.PrepareMS.
 func (s *Service) execute(ctx context.Context, j *job, spec DieSpec, row *BatchDie) (*Report, error) {
 	start := time.Now()
 	die, err := s.dies.get(ctx, DieKey{Name: spec.Name, Seed: spec.Seed}, s.preparer(spec))
@@ -864,106 +821,5 @@ func (s *Service) execute(ctx context.Context, j *job, spec DieSpec, row *BatchD
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-
-	start = time.Now()
-	res, err := wcm3d.Minimize(die, j.method, j.mode)
-	s.metrics.ObserveOutcome(StageMinimize, time.Since(start), err)
-	if err != nil {
-		return nil, fmt.Errorf("minimize: %w", err)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	var refineRep *RefineReport
-	if j.req.Refine && res.Options.Order != 0 {
-		// Half the job's remaining deadline goes to the portfolio (the
-		// signoff/verify/ATPG stages still need their share); a longer
-		// timeout_ms therefore buys a deeper search. Methods without a
-		// threshold contract (li, fullwrap) have no sharing model to
-		// refine and skip the stage. A job that queued long (or asked
-		// for a small timeout_ms) can arrive here with almost nothing
-		// left: funding the portfolio with a zero or negative budget
-		// used to fall through to the 2 s default and overrun the
-		// deadline, while a near-zero one silently no-oped yet still
-		// attached a normal-looking RefineReport. Below the floor the
-		// stage now skips explicitly and says so.
-		funded, ok := refineFunding(ctx)
-		if !ok {
-			s.metrics.RefineSkipped.Add(1)
-			refineRep = &RefineReport{
-				Skipped:         true,
-				FundedMS:        funded.Milliseconds(),
-				GreedyCells:     res.AdditionalCells,
-				AdditionalCells: res.AdditionalCells,
-				ReusedFFs:       res.ReusedFFs,
-				Gap:             res.AdditionalCells,
-			}
-		} else {
-			start = time.Now()
-			ro := wcm3d.RefineOptions{Seed: spec.Seed, Budget: funded}
-			rr, err := wcm3d.Refine(ctx, die, res.Options, res, ro)
-			s.metrics.ObserveOutcome(StageRefine, time.Since(start), err)
-			if err != nil {
-				return nil, fmt.Errorf("refine: %w", err)
-			}
-			if rr.Improved {
-				res.Assignment = rr.Assignment
-				res.AdditionalCells = rr.AdditionalCells
-				res.ReusedFFs = rr.ReusedFFs
-				s.metrics.RefineImproved.Add(1)
-				s.metrics.RefineCellsSaved.Add(int64(rr.CellsSaved))
-			}
-			refineRep = EncodeRefine(rr)
-			refineRep.FundedMS = funded.Milliseconds()
-		}
-	}
-	rep := EncodeResult(DescribeDie(spec.Name, spec.Seed, die), j.method, j.mode, res, die.Lib)
-	rep.Refine = refineRep
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	start = time.Now()
-	viol, wns, err := wcm3d.CheckTiming(die, res.Assignment)
-	s.metrics.ObserveOutcome(StageSignoff, time.Since(start), err)
-	if err != nil {
-		return nil, fmt.Errorf("signoff: %w", err)
-	}
-	rep.SetSignoff(viol, wns)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	if j.req.Verify {
-		start = time.Now()
-		vres, err := wcm3d.VerifyPlan(die, res, wcm3d.VerifyOptions{})
-		s.metrics.ObserveOutcome(StageVerify, time.Since(start), err)
-		if err != nil {
-			return nil, fmt.Errorf("verify: %w", err)
-		}
-		rep.Verify = EncodeVerify(vres)
-		if !vres.OK() {
-			s.metrics.VerifyFailures.Add(1)
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-
-	if j.req.ATPG {
-		start = time.Now()
-		tb, err := wcm3d.EvaluateStuckAt(die, res.Assignment, j.budget)
-		if err != nil {
-			s.metrics.ObserveOutcome(StageATPG, time.Since(start), err)
-			return nil, fmt.Errorf("atpg: %w", err)
-		}
-		chains, err := wcm3d.BuildScanChains(die, res.Assignment, 4)
-		s.metrics.ObserveOutcome(StageATPG, time.Since(start), err)
-		if err != nil {
-			return nil, fmt.Errorf("scan chains: %w", err)
-		}
-		rep.SetStuckAt(tb, chains.TestCycles(tb.Patterns))
-	}
-	return rep, nil
+	return RunDie(ctx, j.req, spec.Name, die, s.metrics)
 }

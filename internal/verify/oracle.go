@@ -286,7 +286,7 @@ func oraclePairOK(in wcm.Input, opts wcm.Options, a, b *oracleMember) bool {
 	if !opts.AllowOverlap {
 		return false
 	}
-	covLoss, patInc := opts.Testability.SharePenalty(in.Netlist, shared)
+	covLoss, patInc := wcm.SharePenalty(in.Netlist, shared)
 	return covLoss < opts.CovThFrac && patInc < opts.PatThCount
 }
 

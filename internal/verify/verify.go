@@ -500,7 +500,7 @@ func (c *checker) checkOverlap(where, pair string, shared int) {
 			Detail: fmt.Sprintf("%s share %d combinational gates with overlap disabled", pair, shared)})
 		return
 	}
-	covLoss, patInc := c.th.Testability.SharePenalty(c.n, shared)
+	covLoss, patInc := wcm.SharePenalty(c.n, shared)
 	if !(covLoss < c.th.CovThFrac && patInc < c.th.PatThCount) {
 		c.add(Violation{Code: CodeConeOverlap, Where: where,
 			Got: covLoss, Limit: c.th.CovThFrac,

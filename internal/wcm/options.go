@@ -19,8 +19,9 @@
 //     cell.
 //
 // Setting Order to inbound-first, Timing to capacitance-only, and
-// AllowOverlap to false reproduces Agrawal et al. (TCAD'15) — packaged as
-// wcm/agrawal — which the paper (and this reproduction) compares against.
+// AllowOverlap to false reproduces Agrawal et al. (TCAD'15) — built by
+// experiments.AgrawalOptions — which the paper (and this reproduction)
+// compares against.
 package wcm
 
 import (
@@ -134,12 +135,6 @@ type Options struct {
 	// Merge picks the pair-selection heuristic of the clique
 	// partitioner (ablation knob; the paper uses minimum degree).
 	Merge MergePolicy
-	// Testability estimates the cost of overlapped-cone sharing; nil
-	// defaults to the structural estimator. When Workers permits
-	// parallelism the evaluator is called from multiple goroutines at
-	// once, so a custom implementation must be safe for concurrent use
-	// (the default structural estimator is).
-	Testability Evaluator
 	// Workers bounds the worker pool a single Run uses for cone and edge
 	// construction. 0 (or negative) means GOMAXPROCS; 1 forces the fully
 	// serial path. The produced plan and statistics are bit-identical at
@@ -208,9 +203,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Timing == 0 {
 		o.Timing = TimingCapWire
-	}
-	if o.Testability == nil {
-		o.Testability = StructuralEstimator{}
 	}
 	if o.SlackSpendFrac == 0 {
 		o.SlackSpendFrac = 0.20

@@ -544,7 +544,7 @@ func (ph *phaseRunner) edgeAllowed(a, b int) (ok, overlap bool) {
 	if !ph.opts.AllowOverlap {
 		return false, false
 	}
-	covLoss, patInc := ph.opts.Testability.SharePenalty(ph.in.Netlist, shared)
+	covLoss, patInc := SharePenalty(ph.in.Netlist, shared)
 	if covLoss < ph.opts.CovThFrac && patInc < ph.opts.PatThCount {
 		return true, true
 	}

@@ -79,7 +79,7 @@ func tableIIProfiles() []netgen.Profile {
 // ourTightOptions is the paper's own method under the tight timing
 // scenario — the configuration behind Table II.
 func ourTightOptions(d *experiments.Die) wcm.Options {
-	return experiments.OurOptions(d, experiments.Scenario{Name: "tight", Tight: true})
+	return experiments.OurOptions(d, true)
 }
 
 // TestTableIIPlansPinned pins the plan of every Table II die at seed 1 —

@@ -266,10 +266,9 @@ func TestStructuralEstimatorMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := StructuralEstimator{}
-	cov0, pat0 := e.SharePenalty(n, 0)
-	covS, patS := e.SharePenalty(n, 4)
-	covB, patB := e.SharePenalty(n, 40)
+	cov0, pat0 := SharePenalty(n, 0)
+	covS, patS := SharePenalty(n, 4)
+	covB, patB := SharePenalty(n, 40)
 	if cov0 != 0 || pat0 != 0 {
 		t.Error("disjoint cones must cost nothing")
 	}

@@ -188,10 +188,6 @@ func ParseTimingMode(s string) (TimingMode, error) {
 	}
 }
 
-func (t TimingMode) scenario() experiments.Scenario {
-	return experiments.Scenario{Name: t.String(), Tight: t == TightTiming}
-}
-
 // ITC99Profiles returns the 24 benchmark die profiles of the paper's
 // Table II (six ITC'99 circuits × four dies).
 func ITC99Profiles() []Profile { return netgen.ITC99Profiles() }
@@ -241,18 +237,33 @@ func PrepareSuite(profiles []Profile, seed int64) ([]*Die, error) {
 // DefaultLibrary returns the generic 45 nm technology library.
 func DefaultLibrary() *Library { return cells.Default45nm() }
 
+// MethodOptions maps a method to its WCM engine configuration for die d
+// under a timing scenario — the paper's method × scenario grid in one
+// place. It reports false for the methods with no threshold contract: Li's
+// one-TSV-per-FF matching and full wrap never run the engine, so there is
+// nothing to refine or replan against.
+func MethodOptions(d *Die, m Method, mode TimingMode) (MinimizeOptions, bool) {
+	switch m {
+	case MethodOurs:
+		return experiments.OurOptions(d, mode == TightTiming), true
+	case MethodAgrawal:
+		return experiments.AgrawalOptions(d, mode == TightTiming), true
+	default:
+		return MinimizeOptions{}, false
+	}
+}
+
 // Minimize runs a wrapper-cell minimization method on a prepared die under
 // a timing scenario.
 func Minimize(d *Die, m Method, mode TimingMode) (*MinimizeResult, error) {
-	sc := mode.scenario()
+	if opts, ok := MethodOptions(d, m, mode); ok {
+		return wcm.Run(d.Input(), opts)
+	}
 	switch m {
-	case MethodOurs:
-		return wcm.Run(d.Input(), experiments.OurOptions(d, sc))
-	case MethodAgrawal:
-		return wcm.Run(d.Input(), experiments.AgrawalOptions(d, sc))
 	case MethodLi:
-		capTh := experiments.AgrawalOptions(d, sc).CapThFF
-		return li.Run(d.Input(), capTh)
+		// Li matches under Agrawal's capacitance threshold.
+		agr, _ := MethodOptions(d, MethodAgrawal, mode)
+		return li.Run(d.Input(), agr.CapThFF)
 	case MethodFullWrap:
 		asn := scan.FullWrap(d.Netlist)
 		return &wcm.Result{
@@ -301,15 +312,11 @@ func Refine(ctx context.Context, d *Die, opts MinimizeOptions, res *MinimizeResu
 	return refine.Run(ctx, d.Input(), opts, res, ro)
 }
 
-// AgrawalOptions exposes the baseline configuration for a die/scenario so
-// callers can modify single knobs (ablations).
-func AgrawalOptions(d *Die, mode TimingMode) MinimizeOptions {
-	return experiments.AgrawalOptions(d, mode.scenario())
-}
-
-// OurOptions exposes the paper's configuration for a die/scenario.
+// OurOptions exposes the paper's configuration for a die/scenario so
+// callers can modify single knobs (ablations); MethodOptions covers every
+// method.
 func OurOptions(d *Die, mode TimingMode) MinimizeOptions {
-	return experiments.OurOptions(d, mode.scenario())
+	return experiments.OurOptions(d, mode == TightTiming)
 }
 
 // CheckTiming reports whether the plan's physical test hardware violates
