@@ -80,8 +80,8 @@ func (b *BitSet) IntersectCountExcluding(o, excl *BitSet) int {
 // ascending word order. The WCM edge sweep keeps every source-masked cone
 // this way: on the large Table II dies such a cone holds about nine
 // nonzero words, yet they lie spread over ~86% of the netlist's width, so
-// a pair test that merges two short word lists costs what the cones hold
-// instead of what the die spans.
+// a sweep row scattered into a dense Row tests each partner set in what
+// the partner holds instead of what the die spans.
 type SparseSet struct {
 	words []sparseWord
 }
@@ -110,22 +110,45 @@ func (b *BitSet) SparseAndNot(excl *BitSet) SparseSet {
 	return s
 }
 
-// IntersectCount returns the number of shared members: a merge of the two
-// ascending word lists that ANDs only the words both sets hold.
-func (s SparseSet) IntersectCount(o SparseSet) int {
-	a, b := s.words, o.words
-	c, i, j := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i].idx < b[j].idx:
-			i++
-		case a[i].idx > b[j].idx:
-			j++
-		default:
-			c += bits.OnesCount64(a[i].bits & b[j].bits)
-			i++
-			j++
-		}
+// Row is a dense copy of one SparseSet: a scratch word row as wide as the
+// sets' capacity, all zero except the words of the set last loaded. A
+// pair test against the loaded set then indexes the row at the partner's
+// words only — one AND and popcount per partner word, with no merge and
+// no branch per word. Rows are scratch space, owned by one goroutine.
+type Row struct {
+	words  []uint64
+	loaded SparseSet
+}
+
+// NewRow returns an all-zero row for sets able to hold n signals.
+func NewRow(n int) *Row {
+	return &Row{words: make([]uint64, (n+63)/64)}
+}
+
+// Load scatters s into the row. The row must be clear: Load writes only
+// the words s holds, so bits of a set loaded earlier and not cleared would
+// stay behind.
+func (r *Row) Load(s SparseSet) {
+	for _, w := range s.words {
+		r.words[w.idx] = w.bits
+	}
+	r.loaded = s
+}
+
+// Clear zeroes the words the last Load wrote, leaving the row all zero.
+func (r *Row) Clear() {
+	for _, w := range r.loaded.words {
+		r.words[w.idx] = 0
+	}
+	r.loaded = SparseSet{}
+}
+
+// IntersectCount returns the number of members s shares with the loaded
+// set.
+func (r *Row) IntersectCount(s SparseSet) int {
+	c := 0
+	for _, w := range s.words {
+		c += bits.OnesCount64(r.words[w.idx] & w.bits)
 	}
 	return c
 }

@@ -275,13 +275,15 @@ func names(n *Netlist, b *BitSet) []string {
 	return out
 }
 
-// TestSparseSetMatchesFullWidth pins the sparse merge kernel to the
+// TestSparseSetMatchesFullWidth pins the dense-row kernel to the
 // full-width masked scans it replaces in the WCM edge sweep: for random
-// sets a, b and mask excl, (a &^ excl) ∩ (b &^ excl) taken over the sparse
-// forms must agree with IntersectsExcluding / IntersectCountExcluding on
-// the dense sets. Sizes cover an empty capacity, a single word, a
-// partial last word and multi-word sets; densities cover empty sets,
-// identical sets and a fully masked set.
+// sets a, b and mask excl, (a &^ excl) ∩ (b &^ excl) taken by loading one
+// sparse form into a Row and counting the other against it must agree
+// with IntersectsExcluding / IntersectCountExcluding on the dense sets.
+// Sizes cover an empty capacity, a single word, a partial last word and
+// multi-word sets; densities cover empty sets, identical sets and a fully
+// masked set. One row per capacity serves every check, as one row serves
+// a sweep worker's rows.
 func TestSparseSetMatchesFullWidth(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	random := func(n int, density float64) *BitSet {
@@ -292,6 +294,13 @@ func TestSparseSetMatchesFullWidth(t *testing.T) {
 			}
 		}
 		return b
+	}
+	var row *Row
+	count := func(loaded, probe SparseSet) int {
+		row.Load(loaded)
+		c := row.IntersectCount(probe)
+		row.Clear()
+		return c
 	}
 	check := func(name string, a, b, excl *BitSet) {
 		t.Helper()
@@ -305,17 +314,18 @@ func TestSparseSetMatchesFullWidth(t *testing.T) {
 		if len(sa.words) != nz {
 			t.Fatalf("%s: sparse form holds %d words, dense has %d nonzero", name, len(sa.words), nz)
 		}
-		if got, want := sa.IntersectCount(sb) > 0, a.IntersectsExcluding(b, excl); got != want {
+		if got, want := count(sa, sb) > 0, a.IntersectsExcluding(b, excl); got != want {
 			t.Fatalf("%s: intersects = %v, full-width %v", name, got, want)
 		}
-		if got, want := sa.IntersectCount(sb), a.IntersectCountExcluding(b, excl); got != want {
+		if got, want := count(sa, sb), a.IntersectCountExcluding(b, excl); got != want {
 			t.Fatalf("%s: IntersectCount = %d, full-width %d", name, got, want)
 		}
-		if got, want := sb.IntersectCount(sa), b.IntersectCountExcluding(a, excl); got != want {
+		if got, want := count(sb, sa), b.IntersectCountExcluding(a, excl); got != want {
 			t.Fatalf("%s: IntersectCount (swapped) = %d, full-width %d", name, got, want)
 		}
 	}
 	for _, n := range []int{0, 1, 64, 130, 1000} {
+		row = NewRow(n)
 		empty := NewBitSet(n)
 		full := random(n, 1)
 		check("empty", empty, empty, empty)
@@ -328,6 +338,47 @@ func TestSparseSetMatchesFullWidth(t *testing.T) {
 			check("random", a, b, excl)
 			check("identical", a, a.Clone(), excl)
 			check("unmasked", a, b, empty)
+		}
+	}
+}
+
+// TestRowReuseLeavesNoStaleBits reuses one Row across loads of different
+// sets, as a sweep worker does across its rows. Stale bits are the
+// kernel's one failure mode of its own: a word a previous set wrote and
+// Clear missed would count as shared with every later probe. After each
+// Clear the row must be all zero, and while a set is loaded the row must
+// hold exactly that set's words.
+func TestRowReuseLeavesNoStaleBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const n = 700
+	none := NewBitSet(n)
+	row := NewRow(n)
+	for trial := 0; trial < 200; trial++ {
+		b := NewBitSet(n)
+		density := []float64{0, 0.002, 0.02, 0.5, 1}[trial%5]
+		for i := 0; i < n; i++ {
+			if rng.Float64() < density {
+				b.Set(SignalID(i))
+			}
+		}
+		s := b.SparseAndNot(none)
+		row.Load(s)
+		for i, w := range row.words {
+			if w != b.words[i] {
+				t.Fatalf("trial %d: loaded row word %d = %#x, set holds %#x", trial, i, w, b.words[i])
+			}
+		}
+		if got, want := row.IntersectCount(s), b.Count(); got != want {
+			t.Fatalf("trial %d: self count %d, want %d", trial, got, want)
+		}
+		row.Clear()
+		for i, w := range row.words {
+			if w != 0 {
+				t.Fatalf("trial %d: word %d = %#x after Clear", trial, i, w)
+			}
+		}
+		if got := row.IntersectCount(s); got != 0 {
+			t.Fatalf("trial %d: cleared row still shares %d members", trial, got)
 		}
 	}
 }

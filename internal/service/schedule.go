@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"wcm3d"
-	"wcm3d/internal/tam"
 )
 
 // ScheduleRequest is the body of POST /v1/schedules: a pre-bond stack to
@@ -128,39 +127,29 @@ func (s *Service) buildSchedule(ctx context.Context, j *job, width int) (*Schedu
 	return EncodeSchedule(stackName, j.method, j.mode, j.req.Seed, stack, width)
 }
 
-// EncodeSchedule enumerates each stacked die's Pareto wrapper designs,
-// packs them into the width-wire TAM plane, and builds the shared report —
-// the common tail of POST /v1/schedules and cmd/schedule, so daemon and
-// CLI output stay in lockstep.
+// EncodeSchedule packs the stacked dies into the width-wire TAM plane
+// (wcm3d.ScheduleDesigns) and builds the shared report from the schedule
+// and the designs it packed — the common tail of POST /v1/schedules and
+// cmd/schedule, so daemon and CLI output stay in lockstep.
 func EncodeSchedule(stackName string, method wcm3d.Method, mode wcm3d.TimingMode, seed int64, stack []wcm3d.StackDie, width int) (*ScheduleReport, error) {
-	rep := &ScheduleReport{
-		Stack:  stackName,
-		Method: method.String(),
-		Timing: mode.String(),
-		Seed:   seed,
-	}
-	specs := make([]tam.DieSpec, 0, len(stack))
-	for _, sd := range stack {
-		name := sd.Name
-		if name == "" {
-			name = sd.Die.Profile.Name()
-		}
-		designs, err := wcm3d.EnumerateWrapperDesigns(sd.Die, sd.Assignment, sd.Patterns, width)
-		if err != nil {
-			return nil, fmt.Errorf("enumerate %s: %w", name, err)
-		}
-		rep.Dies = append(rep.Dies, ScheduleDieReport{
-			Die:      DescribeDie(name, seed, sd.Die),
-			Patterns: sd.Patterns,
-			Designs:  designs,
-		})
-		specs = append(specs, tam.DieSpec{Name: name, Designs: designs})
-	}
-	sched, err := tam.Pack(specs, width)
+	sched, packed, err := wcm3d.ScheduleDesigns(stack, width)
 	if err != nil {
 		return nil, err
 	}
-	rep.Schedule = sched
-	rep.Utilization = sched.Utilization()
+	rep := &ScheduleReport{
+		Stack:       stackName,
+		Method:      method.String(),
+		Timing:      mode.String(),
+		Seed:        seed,
+		Schedule:    sched,
+		Utilization: sched.Utilization(),
+	}
+	for i, sd := range stack {
+		rep.Dies = append(rep.Dies, ScheduleDieReport{
+			Die:      DescribeDie(packed[i].Name, seed, sd.Die),
+			Patterns: sd.Patterns,
+			Designs:  packed[i].Designs,
+		})
+	}
 	return rep, nil
 }

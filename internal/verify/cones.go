@@ -1,86 +1,107 @@
 package verify
 
-import "wcm3d/internal/netlist"
+import (
+	"slices"
 
-// The cone walks below intentionally share nothing with the optimizer's
-// BitSet/ConeSet machinery: plain map sets, explicit stacks, the traversal
-// rules transcribed from the paper rather than from internal/netlist's
-// indexes. They are slower — that is the price of an independent opinion.
+	"wcm3d/internal/netlist"
+)
+
+// The cone walks below share nothing with the optimizer's BitSet/ConeSet
+// machinery: a breadth-first walk over the netlist's gates into a sorted
+// signal list instead of bit vectors, a merge instead of word algebra, and
+// the traversal rules transcribed from the paper rather than from
+// internal/netlist's cone code. An error in the optimizer's masks, word
+// indexes or dense rows therefore cannot repeat itself here. The walks are
+// still cheap: one visited slice, as long as the netlist, serves every walk
+// of a run — each walk unmarks what it marked — so a cone costs what it
+// holds, not a fresh set per member.
 
 // naiveFaninCone collects every signal that can influence the anchor
-// through combinational logic. The walk expands backwards through gate
-// fan-ins and stops at sources (primary inputs, TSV pads, constants) and at
-// flip-flop outputs other than the anchor itself — those are the sequential
-// and interface boundaries of the cone; the boundary signals themselves are
-// part of the cone.
-func naiveFaninCone(n *netlist.Netlist, anchor netlist.SignalID) map[netlist.SignalID]bool {
-	cone := map[netlist.SignalID]bool{anchor: true}
-	stack := []netlist.SignalID{anchor}
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+// through combinational logic, in ascending order. The walk expands
+// backwards through gate fan-ins and stops at sources (primary inputs, TSV
+// pads, constants) and at flip-flop outputs other than the anchor itself —
+// those are the sequential and interface boundaries of the cone; the
+// boundary signals themselves are part of the cone. seen must be all false
+// and is left so.
+func naiveFaninCone(n *netlist.Netlist, anchor netlist.SignalID, seen []bool) []netlist.SignalID {
+	cone := []netlist.SignalID{anchor}
+	seen[anchor] = true
+	for i := 0; i < len(cone); i++ { // cone doubles as the walk's queue
+		s := cone[i]
 		t := n.TypeOf(s)
 		if t.IsSource() || (t == netlist.GateDFF && s != anchor) {
 			continue
 		}
 		for _, f := range n.Gate(s).Fanin {
-			if !cone[f] {
-				cone[f] = true
-				stack = append(stack, f)
+			if !seen[f] {
+				seen[f] = true
+				cone = append(cone, f)
 			}
 		}
 	}
-	return cone
+	return sortAndUnmark(cone, seen)
 }
 
 // naiveFanoutCone collects every signal the anchor can influence through
-// combinational logic. The walk expands forward through fan-outs and stops
-// at flip-flops other than the anchor (the flip-flop itself is included as
-// the capture boundary).
-func naiveFanoutCone(n *netlist.Netlist, anchor netlist.SignalID) map[netlist.SignalID]bool {
+// combinational logic, in ascending order. The walk expands forward
+// through fan-outs and stops at flip-flops other than the anchor (the
+// flip-flop itself is included as the capture boundary). seen must be all
+// false and is left so.
+func naiveFanoutCone(n *netlist.Netlist, anchor netlist.SignalID, seen []bool) []netlist.SignalID {
 	graph := n.Graph()
-	cone := map[netlist.SignalID]bool{anchor: true}
-	stack := []netlist.SignalID{anchor}
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	cone := []netlist.SignalID{anchor}
+	seen[anchor] = true
+	for i := 0; i < len(cone); i++ {
+		s := cone[i]
 		if n.TypeOf(s) == netlist.GateDFF && s != anchor {
 			continue
 		}
 		for _, f := range graph.FanoutOf(s) {
-			if !cone[f] {
-				cone[f] = true
-				stack = append(stack, f)
+			if !seen[f] {
+				seen[f] = true
+				cone = append(cone, f)
 			}
 		}
 	}
+	return sortAndUnmark(cone, seen)
+}
+
+// sortAndUnmark clears the walk's marks and sorts its cone.
+func sortAndUnmark(cone []netlist.SignalID, seen []bool) []netlist.SignalID {
+	for _, s := range cone {
+		seen[s] = false
+	}
+	slices.Sort(cone)
 	return cone
 }
 
-// maskedOverlap counts the shared members of two cones after masking out
-// sources and flip-flops — the same masking Algorithm 1 applies before its
-// disjointness test: a shared primary input or a shared upstream flip-flop
-// is a fan-out point of the circuit, not shared *combinational* logic, and
-// does not alias test responses. Every shared gate is also recorded in
-// collect so deep mode can build its fault list from the union of all
-// overlaps.
-func maskedOverlap(n *netlist.Netlist, a, b map[netlist.SignalID]bool, collect map[netlist.SignalID]bool) int {
-	small, large := a, b
-	if len(b) < len(a) {
-		small, large = b, a
-	}
+// maskedOverlap counts the shared members of two ascending cones after
+// masking out sources and flip-flops — the same masking Algorithm 1
+// applies before its disjointness test: a shared primary input or a shared
+// upstream flip-flop is a fan-out point of the circuit, not shared
+// *combinational* logic, and does not alias test responses. Every shared
+// gate is also recorded in collect so deep mode can build its fault list
+// from the union of all overlaps.
+func maskedOverlap(n *netlist.Netlist, a, b []netlist.SignalID, collect map[netlist.SignalID]bool) int {
 	shared := 0
-	for s := range small {
-		if !large[s] {
-			continue
-		}
-		t := n.TypeOf(s)
-		if t.IsSource() || t == netlist.GateDFF {
-			continue
-		}
-		shared++
-		if collect != nil {
-			collect[s] = true
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			s := a[i]
+			i++
+			j++
+			t := n.TypeOf(s)
+			if t.IsSource() || t == netlist.GateDFF {
+				continue
+			}
+			shared++
+			if collect != nil {
+				collect[s] = true
+			}
 		}
 	}
 	return shared

@@ -129,7 +129,7 @@ type oracleMember struct {
 	sig    netlist.SignalID
 	anchor netlist.SignalID
 	port   int
-	cone   map[netlist.SignalID]bool
+	cone   []netlist.SignalID // ascending
 	pos    place.Point
 	load   float64
 }
@@ -139,6 +139,7 @@ type oracleMember struct {
 func oraclePhase(in wcm.Input, opts wcm.Options, inbound bool, available map[netlist.SignalID]bool, maxItems int, asn *scan.Assignment) (OraclePhase, []netlist.SignalID, error) {
 	n, lib := in.Netlist, in.Lib
 	ph := OraclePhase{Inbound: inbound}
+	seen := make([]bool, n.NumGates())
 
 	// Item collection and node filters — the same admission rules wcm.Run
 	// applies, recomputed from the paper's formulas over naive cones.
@@ -155,7 +156,7 @@ func oraclePhase(in wcm.Input, opts wcm.Options, inbound bool, available map[net
 				excluded = append(excluded, it)
 				continue
 			}
-			it.cone = naiveFanoutCone(n, t)
+			it.cone = naiveFanoutCone(n, t, seen)
 			it.load = lib.TSVCapFF + muxCap
 			if in.Placement != nil {
 				it.pos = in.Placement.Coords[t]
@@ -171,7 +172,7 @@ func oraclePhase(in wcm.Input, opts wcm.Options, inbound bool, available map[net
 				excluded = append(excluded, it)
 				continue
 			}
-			it.cone = naiveFaninCone(n, sig)
+			it.cone = naiveFaninCone(n, sig, seen)
 			it.load = lib.TSVCapFF + xorCap
 			if in.Placement != nil {
 				it.pos = in.Placement.Coords[sig]
@@ -193,10 +194,10 @@ func oraclePhase(in wcm.Input, opts wcm.Options, inbound bool, available map[net
 		}
 		m := oracleMember{sig: ff, anchor: ff, port: -1}
 		if inbound {
-			m.cone = naiveFanoutCone(n, ff)
+			m.cone = naiveFanoutCone(n, ff, seen)
 		} else {
 			m.anchor = n.Gate(ff).Fanin[0]
-			m.cone = naiveFaninCone(n, m.anchor)
+			m.cone = naiveFaninCone(n, m.anchor, seen)
 		}
 		if in.Placement != nil {
 			m.pos = in.Placement.Coords[ff]

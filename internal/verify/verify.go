@@ -8,7 +8,7 @@
 // Violations.
 //
 // The point of the package is trust, not speed: it shares no code with the
-// optimizer's hot path. Cones are walked with a plain map-based DFS instead
+// optimizer's hot path. Cones are walked into sorted signal lists instead
 // of the precomputed BitSet ConeSet, pair conditions are re-evaluated from
 // the paper's formulas rather than replayed from graph state, and phase-two
 // slacks are re-derived through internal/sta via the input's RefreshTiming
@@ -172,6 +172,29 @@ func (r *Result) Summary() string {
 // an error return means the verifier itself could not run (missing netlist,
 // failed timing re-derivation), not that the plan is bad.
 func Plan(in wcm.Input, asn *scan.Assignment, vo Options) (*Result, error) {
+	c, err := newChecker(in, asn, vo)
+	if err != nil {
+		return nil, err
+	}
+	if err := c.structural(asn); err != nil {
+		return nil, err
+	}
+	if vo.Signoff {
+		if err := c.signoff(asn); err != nil {
+			return nil, err
+		}
+	}
+	if vo.Deep {
+		if err := c.deep(asn); err != nil {
+			return nil, err
+		}
+	}
+	return c.res, nil
+}
+
+// newChecker validates Plan's arguments and sets up a run on the cone
+// walks of cones.go.
+func newChecker(in wcm.Input, asn *scan.Assignment, vo Options) (*checker, error) {
 	if in.Netlist == nil || in.Lib == nil {
 		return nil, fmt.Errorf("verify: netlist and library are required")
 	}
@@ -186,35 +209,36 @@ func Plan(in wcm.Input, asn *scan.Assignment, vo Options) (*Result, error) {
 			return nil, fmt.Errorf("verify: threshold checks need the base timing analysis")
 		}
 	}
-	res := &Result{SignoffWNSPS: math.NaN()}
-	c := &checker{
+	n := in.Netlist
+	seen := make([]bool, n.NumGates())
+	return &checker{
 		in:          in,
-		n:           in.Netlist,
+		n:           n,
 		lib:         in.Lib,
 		th:          th,
-		res:         res,
-		graph:       in.Netlist.Graph(),
+		res:         &Result{SignoffWNSPS: math.NaN()},
+		graph:       n.Graph(),
 		sharedGates: make(map[netlist.SignalID]bool),
-	}
+		fanin:       func(s netlist.SignalID) []netlist.SignalID { return naiveFaninCone(n, s, seen) },
+		fanout:      func(s netlist.SignalID) []netlist.SignalID { return naiveFanoutCone(n, s, seen) },
+		overlap: func(a, b []netlist.SignalID, collect map[netlist.SignalID]bool) int {
+			return maskedOverlap(n, a, b, collect)
+		},
+	}, nil
+}
+
+// structural runs every check but signoff and deep mode: membership,
+// pairwise clique conditions, budgets, timing admission and coverage.
+func (c *checker) structural(asn *scan.Assignment) error {
 	ctlTiming, obsTiming, err := c.phaseTimings(asn)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	c.checkControl(asn, ctlTiming)
 	c.checkObserve(asn, obsTiming)
 	c.checkCoverage(asn)
-	res.ReusedFFs = asn.ReusedFFs()
-	if vo.Signoff {
-		if err := c.signoff(asn); err != nil {
-			return nil, err
-		}
-	}
-	if vo.Deep {
-		if err := c.deep(asn); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+	c.res.ReusedFFs = asn.ReusedFFs()
+	return nil
 }
 
 // checker carries one verification run.
@@ -236,6 +260,12 @@ type checker struct {
 	// Overlap bookkeeping for deep mode.
 	overlapPairs int
 	sharedGates  map[netlist.SignalID]bool
+
+	// fanin, fanout and overlap are the cone primitives the pair checks
+	// read: the walks of cones.go, which the differential test swaps for
+	// its map-based reference.
+	fanin, fanout func(netlist.SignalID) []netlist.SignalID
+	overlap       func(a, b []netlist.SignalID, collect map[netlist.SignalID]bool) int
 }
 
 func (c *checker) add(v Violation) { c.res.Violations = append(c.res.Violations, v) }
@@ -247,7 +277,7 @@ func (c *checker) warn(v Violation) { c.res.Warnings = append(c.res.Warnings, v)
 type member struct {
 	label  string
 	anchor netlist.SignalID
-	cone   map[netlist.SignalID]bool
+	cone   []netlist.SignalID // ascending
 	pos    place.Point
 	load2  float64
 	isFF   bool
@@ -357,7 +387,7 @@ func (c *checker) checkControl(asn *scan.Assignment, timing *sta.Result) {
 			m := member{
 				label:  c.n.NameOf(t),
 				anchor: t,
-				cone:   naiveFanoutCone(c.n, t),
+				cone:   c.fanout(t),
 				load2:  c.lib.TSVCapFF + c.lib.Of(netlist.GateMux2).InputCapFF,
 				sig:    t,
 			}
@@ -371,7 +401,7 @@ func (c *checker) checkControl(asn *scan.Assignment, timing *sta.Result) {
 				m := member{
 					label:  c.n.NameOf(g.ReusedFF),
 					anchor: g.ReusedFF,
-					cone:   naiveFanoutCone(c.n, g.ReusedFF),
+					cone:   c.fanout(g.ReusedFF),
 					isFF:   true,
 					sig:    netlist.InvalidSignal,
 				}
@@ -421,7 +451,7 @@ func (c *checker) checkObserve(asn *scan.Assignment, timing *sta.Result) {
 			m := member{
 				label:  c.n.Outputs[p].Name,
 				anchor: sig,
-				cone:   naiveFaninCone(c.n, sig),
+				cone:   c.fanin(sig),
 				load2:  c.lib.TSVCapFF + c.lib.Of(netlist.GateXor).InputCapFF,
 				sig:    sig,
 			}
@@ -436,7 +466,7 @@ func (c *checker) checkObserve(asn *scan.Assignment, timing *sta.Result) {
 				m := member{
 					label:  c.n.NameOf(g.ReusedFF),
 					anchor: d,
-					cone:   naiveFaninCone(c.n, d),
+					cone:   c.fanin(d),
 					isFF:   true,
 					sig:    netlist.InvalidSignal,
 				}
@@ -467,16 +497,15 @@ func (c *checker) checkPairs(where string, ms []member) {
 		for j := i + 1; j < len(ms); j++ {
 			a, b := &ms[i], &ms[j]
 			c.res.Pairs++
-			pair := fmt.Sprintf("%s: %s × %s", where, a.label, b.label)
 			if a.anchor == b.anchor {
 				c.add(Violation{Code: CodeAnchorAlias, Where: where, Signal: c.n.NameOf(a.anchor),
 					Detail: fmt.Sprintf("%s and %s anchor on the same signal; XOR folding cancels", a.label, b.label)})
 				continue
 			}
-			shared := maskedOverlap(c.n, a.cone, b.cone, c.sharedGates)
+			shared := c.overlap(a.cone, b.cone, c.sharedGates)
 			if shared > 0 {
 				c.overlapPairs++
-				c.checkOverlap(where, pair, shared)
+				c.checkOverlap(where, a, b, shared)
 			}
 			if c.th != nil && c.in.Placement != nil && !math.IsInf(c.th.DistThUM, 1) {
 				if d := a.pos.ManhattanTo(b.pos); d >= c.th.DistThUM {
@@ -489,15 +518,18 @@ func (c *checker) checkPairs(where string, ms []member) {
 }
 
 // checkOverlap judges one overlapping pair against the testability budget.
-func (c *checker) checkOverlap(where, pair string, shared int) {
+// The pair's label is built only for a violation: certified plans hold
+// thousands of pairs and report none.
+func (c *checker) checkOverlap(where string, a, b *member, shared int) {
+	pair := func() string { return fmt.Sprintf("%s: %s × %s", where, a.label, b.label) }
 	if c.th == nil {
 		c.add(Violation{Code: CodeConeOverlap, Where: where, Got: float64(shared),
-			Detail: fmt.Sprintf("%s share %d combinational gates but the plan claims no overlap budget", pair, shared)})
+			Detail: fmt.Sprintf("%s share %d combinational gates but the plan claims no overlap budget", pair(), shared)})
 		return
 	}
 	if !c.th.AllowOverlap {
 		c.add(Violation{Code: CodeConeOverlap, Where: where, Got: float64(shared),
-			Detail: fmt.Sprintf("%s share %d combinational gates with overlap disabled", pair, shared)})
+			Detail: fmt.Sprintf("%s share %d combinational gates with overlap disabled", pair(), shared)})
 		return
 	}
 	covLoss, patInc := wcm.SharePenalty(c.n, shared)
@@ -505,7 +537,7 @@ func (c *checker) checkOverlap(where, pair string, shared int) {
 		c.add(Violation{Code: CodeConeOverlap, Where: where,
 			Got: covLoss, Limit: c.th.CovThFrac,
 			Detail: fmt.Sprintf("%s share %d gates: estimated coverage loss %.4f (cov_th %.4f), pattern increase %d (p_th %d)",
-				pair, shared, covLoss, c.th.CovThFrac, patInc, c.th.PatThCount)})
+				pair(), shared, covLoss, c.th.CovThFrac, patInc, c.th.PatThCount)})
 	}
 }
 

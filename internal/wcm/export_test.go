@@ -10,7 +10,8 @@ import (
 // SweepKernelCheck runs the WCM flow on in phase by phase, as Run does,
 // and before each phase rebuilds that phase's sharing graph on a twin
 // runner with the same membership. On every pair the twin's edge sweep
-// visits, the sparse masked-cone kernel must agree with the full-width
+// visits, the production dense-row kernel — one reused row per phase, as
+// a sweep worker holds — must agree with the full-width
 // IntersectsExcluding / IntersectCountExcluding scans over the unmasked
 // cones and the source mask. It returns the number of pairs checked.
 func SweepKernelCheck(in Input, opts Options) (pairs int, err error) {
@@ -41,11 +42,13 @@ func SweepKernelCheck(in Input, opts Options) (pairs int, err error) {
 		for id := range cones {
 			cones[id] = tw.coneOf(id)
 		}
+		dense := tw.sweepRows(len(items))[0]
 		for a := 0; a < len(items); a++ {
 			ca := cones[a]
+			r := tw.newSweepRow(a, dense)
 			for b := a + 1; b < nNodes; b++ {
 				cb := cones[b]
-				got := tw.nodeMasked[a].IntersectCount(tw.nodeMasked[b])
+				got := tw.shared(&r, b)
 				// A full-width miss means a full-width count of zero, so
 				// the count scan only runs when either side intersects.
 				want := 0
@@ -59,6 +62,7 @@ func SweepKernelCheck(in Input, opts Options) (pairs int, err error) {
 				}
 				pairs++
 			}
+			r.done()
 		}
 		ph := &phaseRunner{in: in, opts: opts, inbound: inbound, available: available}
 		if _, err := ph.run(asn); err != nil {

@@ -130,10 +130,11 @@ type phaseRunner struct {
 	// anchor signal by graph node id, so the O(n²) edge sweep does two
 	// array loads per pair instead of map lookups. nodeMasked is the cone
 	// with shared-source signals stripped (cone &^ sourceMask), kept as
-	// its nonzero words only: the pair test merges two short word lists
-	// instead of scanning the die's width, with bit-identical answers.
-	// Valid for the initial (pre-merge) nodes only — exactly the ones the
-	// sweep visits.
+	// its nonzero words only. Each sweep row scatters its node's set into
+	// a dense netlist.Row, and every pair of the row then costs what the
+	// partner's set holds instead of what the die spans, with
+	// bit-identical answers. Valid for the initial (pre-merge) nodes only
+	// — exactly the ones the sweep visits.
 	nodeMasked []netlist.SparseSet
 	nodeAnchor []netlist.SignalID
 	// nodeSlot maps graph node id to the session memo slot (memo != nil).
@@ -276,9 +277,11 @@ func (ph *phaseRunner) buildGraph(stats *PhaseStats) (items, excluded []int, err
 	// over the precomputed cones and node fields — so rows are striped
 	// across a worker pool, each worker writing verdicts into its rows of
 	// a flat buffer: the pair (a, b), a < b, a an item, sits at
-	// offs[a]+b-a-1. The graph's adjacency rows are then loaded straight
-	// from the buffer, so the graph and the stats come out byte-identical
-	// at every worker count.
+	// offs[a]+b-a-1. Each worker owns one dense netlist.Row, ⌈gates/64⌉
+	// words, that row a's masked cone is scattered into for the length of
+	// its b loop (see sweepRow). The graph's adjacency rows are then
+	// loaded straight from the buffer, so the graph and the stats come
+	// out byte-identical at every worker count.
 	nItems, nNodes := len(items), len(items)+len(ffs)
 	ph.nodeAnchor = make([]netlist.SignalID, nNodes)
 	for id := 0; id < nNodes; id++ {
@@ -319,12 +322,15 @@ func (ph *phaseRunner) buildGraph(stats *PhaseStats) (items, excluded []int, err
 	}
 	verdicts := make([]uint8, offs[nItems])
 	if ph.memo == nil {
-		par.Do(ph.opts.Workers, nItems, func(_, a int) {
+		rows := ph.sweepRows(nItems)
+		par.Do(ph.opts.Workers, nItems, func(worker, a int) {
+			r := ph.newSweepRow(a, rows[worker])
 			k := offs[a]
 			for b := a + 1; b < nNodes; b++ {
-				verdicts[k] = ph.edgeVerdict(a, b)
+				verdicts[k] = ph.edgeVerdict(&r, b)
 				k++
 			}
+			r.done()
 		})
 	} else {
 		ph.memoVerdicts(verdicts, offs, nNodes)
@@ -343,7 +349,9 @@ func (ph *phaseRunner) memoVerdicts(verdicts []uint8, offs []int, nNodes int) {
 	memo := ph.memo
 	nItems := len(offs) - 1
 	fresh := make([]bool, nItems)
-	par.Do(ph.opts.Workers, nItems, func(_, a int) {
+	rows := ph.sweepRows(nItems)
+	par.Do(ph.opts.Workers, nItems, func(worker, a int) {
+		r := ph.newSweepRow(a, rows[worker])
 		sa := ph.nodeSlot[a]
 		k := offs[a]
 		for b := a + 1; b < nNodes; b++ {
@@ -352,13 +360,14 @@ func (ph *phaseRunner) memoVerdicts(verdicts []uint8, offs []int, nNodes int) {
 			v := edgeNone
 			if sb := ph.nodeSlot[b]; sa != sb {
 				if v = memo.verd.get(sa, sb); v == verdUnknown {
-					v = ph.edgeVerdict(a, b)
+					v = ph.edgeVerdict(&r, b)
 					fresh[a] = true
 				}
 			}
 			verdicts[k] = v
 			k++
 		}
+		r.done()
 	})
 	for a := 0; a < nItems; a++ {
 		if !fresh[a] {
@@ -499,9 +508,56 @@ const (
 	edgeOverlap
 )
 
-// edgeVerdict evaluates one pair for the parallel sweep.
-func (ph *phaseRunner) edgeVerdict(a, b int) uint8 {
-	ok, overlap := ph.edgeAllowed(a, b)
+// sweepRows allocates one dense row per sweep worker over nItems rows.
+func (ph *phaseRunner) sweepRows(nItems int) []*netlist.Row {
+	rows := make([]*netlist.Row, par.Workers(ph.opts.Workers, nItems))
+	for w := range rows {
+		rows[w] = netlist.NewRow(ph.in.Netlist.NumGates())
+	}
+	return rows
+}
+
+// sweepRow is row a of the edge sweep: node a's reads that stay constant
+// across its b loop (a copy of the node — its bounding box, load and
+// budget — its anchor and whether d_th applies), and the worker's dense
+// row that holds a's masked cone. The cone is scattered on the row's
+// first cone test, so a replan row whose every cell the memo prices never
+// writes it, and done clears exactly the words the scatter wrote.
+type sweepRow struct {
+	a        int
+	na       wcmgraph.Node
+	anchor   netlist.SignalID
+	distTest bool // the d_th test applies
+	dense    *netlist.Row
+	loaded   bool
+}
+
+func (ph *phaseRunner) newSweepRow(a int, dense *netlist.Row) sweepRow {
+	return sweepRow{
+		a:        a,
+		na:       *ph.graph.Node(a),
+		anchor:   ph.nodeAnchor[a],
+		distTest: !math.IsInf(ph.opts.DistThUM, 1) && ph.in.Placement != nil,
+		dense:    dense,
+	}
+}
+
+// shared counts the combinational gates node b's masked cone shares with
+// row a's.
+func (ph *phaseRunner) shared(r *sweepRow, b int) int {
+	if !r.loaded {
+		r.dense.Load(ph.nodeMasked[r.a])
+		r.loaded = true
+	}
+	return r.dense.IntersectCount(ph.nodeMasked[b])
+}
+
+// done leaves the worker's dense row all zero for its next sweep row.
+func (r *sweepRow) done() { r.dense.Clear() }
+
+// edgeVerdict evaluates pair (r.a, b) for the parallel sweep.
+func (ph *phaseRunner) edgeVerdict(r *sweepRow, b int) uint8 {
+	ok, overlap := ph.edgeAllowed(r, b)
 	switch {
 	case !ok:
 		return edgeNone
@@ -512,14 +568,15 @@ func (ph *phaseRunner) edgeVerdict(a, b int) uint8 {
 	}
 }
 
-// edgeAllowed evaluates Algorithm 1's edge conditions for two graph nodes.
-// It performs only reads (graph nodes, precomputed cones, the netlist), so
-// the edge sweep may call it from many workers at once.
-func (ph *phaseRunner) edgeAllowed(a, b int) (ok, overlap bool) {
-	na, nb := ph.graph.Node(a), ph.graph.Node(b)
+// edgeAllowed evaluates Algorithm 1's edge conditions for row r's node
+// and node b. Apart from r's own dense row it performs only reads (graph
+// nodes, precomputed cones, the netlist), so the edge sweep may call it
+// from many workers at once, each with its own row.
+func (ph *phaseRunner) edgeAllowed(r *sweepRow, b int) (ok, overlap bool) {
+	na, nb := &r.na, ph.graph.Node(b)
 	// Distance threshold: the merged clique's span must stay within d_th
 	// so no member's test wiring runs farther than that.
-	if !math.IsInf(ph.opts.DistThUM, 1) && ph.in.Placement != nil {
+	if r.distTest {
 		if wcmgraph.BBoxUnionDiameter(na, nb) >= ph.opts.DistThUM {
 			return false, false
 		}
@@ -530,14 +587,14 @@ func (ph *phaseRunner) edgeAllowed(a, b int) (ok, overlap bool) {
 		return false, false
 	}
 	// Cone conditions.
-	if ph.nodeAnchor[a] == ph.nodeAnchor[b] {
+	if r.anchor == ph.nodeAnchor[b] {
 		return false, false // identical signal: XOR folding would cancel
 	}
 	// Overlap means shared combinational logic; shared sources (a PI
 	// feeding both cones, a flip-flop read by both) are independently
 	// controllable and do not make sharing unsafe by themselves — the
 	// precomputed masked cones have sources already stripped.
-	shared := ph.nodeMasked[a].IntersectCount(ph.nodeMasked[b])
+	shared := ph.shared(r, b)
 	if shared == 0 {
 		return true, false
 	}

@@ -450,6 +450,11 @@ func EnumerateWrapperDesigns(d *Die, asn *Assignment, patterns, maxWidth int) ([
 	return tam.Enumerate(d.Netlist, d.Placement, asn, patterns, maxWidth)
 }
 
+// DieDesigns is one stack entry as Schedule packed it: its name (the
+// die's profile name when StackDie.Name is empty) and its Pareto wrapper
+// designs.
+type DieDesigns = tam.DieSpec
+
 // Schedule performs wrapper/TAM co-optimization for a pre-bond stack: it
 // enumerates each die's Pareto wrapper designs and packs one rectangle per
 // die into a (totalWidth × time) plane with a best-fit-decreasing
@@ -457,10 +462,17 @@ func EnumerateWrapperDesigns(d *Die, asn *Assignment, patterns, maxWidth int) ([
 // overlap-free, never exceeds totalWidth, and its makespan never exceeds
 // serial one-die-at-a-time testing.
 func Schedule(stack []StackDie, totalWidth int) (*TestSchedule, error) {
-	specs := make([]tam.DieSpec, len(stack))
+	sched, _, err := ScheduleDesigns(stack, totalWidth)
+	return sched, err
+}
+
+// ScheduleDesigns is Schedule that also returns what it packed: one
+// DieDesigns per stack entry, in stack order.
+func ScheduleDesigns(stack []StackDie, totalWidth int) (*TestSchedule, []DieDesigns, error) {
+	specs := make([]DieDesigns, len(stack))
 	for i, sd := range stack {
 		if sd.Die == nil {
-			return nil, fmt.Errorf("wcm3d: stack entry %d has no die", i)
+			return nil, nil, fmt.Errorf("wcm3d: stack entry %d has no die", i)
 		}
 		name := sd.Name
 		if name == "" {
@@ -468,11 +480,15 @@ func Schedule(stack []StackDie, totalWidth int) (*TestSchedule, error) {
 		}
 		designs, err := tam.Enumerate(sd.Die.Netlist, sd.Die.Placement, sd.Assignment, sd.Patterns, totalWidth)
 		if err != nil {
-			return nil, fmt.Errorf("wcm3d: enumerating %s: %w", name, err)
+			return nil, nil, fmt.Errorf("wcm3d: enumerating %s: %w", name, err)
 		}
-		specs[i] = tam.DieSpec{Name: name, Designs: designs}
+		specs[i] = DieDesigns{Name: name, Designs: designs}
 	}
-	return tam.Pack(specs, totalWidth)
+	sched, err := tam.Pack(specs, totalWidth)
+	if err != nil {
+		return nil, nil, err
+	}
+	return sched, specs, nil
 }
 
 // Syndrome is a tester observation: which applied patterns failed.
