@@ -186,8 +186,13 @@ func (n *Netlist) FaninCone(id SignalID) *BitSet {
 // must have run ensureDerived already — the walk reads the flat
 // struct-of-arrays layout, not the Gate structs.
 func (n *Netlist) faninCone(id SignalID, stack []SignalID) (*BitSet, []SignalID) {
-	types, off, fanin := n.graph.Types, n.graph.FaninOff, n.graph.Fanin
 	cone := NewBitSet(len(n.Gates))
+	return cone, n.faninInto(id, cone, stack)
+}
+
+// faninInto walks id's fan-in cone into cone, which must be empty.
+func (n *Netlist) faninInto(id SignalID, cone *BitSet, stack []SignalID) []SignalID {
+	types, off, fanin := n.graph.Types, n.graph.FaninOff, n.graph.Fanin
 	stack = append(stack[:0], id)
 	cone.Set(id)
 	for len(stack) > 0 {
@@ -204,7 +209,7 @@ func (n *Netlist) faninCone(id SignalID, stack []SignalID) (*BitSet, []SignalID)
 			}
 		}
 	}
-	return cone, stack
+	return stack
 }
 
 // FanoutCone returns the combinational fan-out cone of a signal: the signal
@@ -220,8 +225,13 @@ func (n *Netlist) FanoutCone(id SignalID) *BitSet {
 // fanoutCone is FanoutCone with a caller-owned DFS stack (see faninCone).
 // The caller must have run ensureDerived already.
 func (n *Netlist) fanoutCone(id SignalID, stack []SignalID) (*BitSet, []SignalID) {
-	types, off, fanout := n.graph.Types, n.graph.FanoutOff, n.graph.Fanout
 	cone := NewBitSet(len(n.Gates))
+	return cone, n.fanoutInto(id, cone, stack)
+}
+
+// fanoutInto walks id's fan-out cone into cone, which must be empty.
+func (n *Netlist) fanoutInto(id SignalID, cone *BitSet, stack []SignalID) []SignalID {
+	types, off, fanout := n.graph.Types, n.graph.FanoutOff, n.graph.Fanout
 	stack = append(stack[:0], id)
 	cone.Set(id)
 	for len(stack) > 0 {
@@ -237,7 +247,39 @@ func (n *Netlist) fanoutCone(id SignalID, stack []SignalID) (*BitSet, []SignalID
 			}
 		}
 	}
-	return cone, stack
+	return stack
+}
+
+// ConeWalker walks cones into one reused set and DFS stack, for a caller
+// that is done with each cone before it walks the next (the WCM edge sweep
+// masks every cone into a SparseSet and drops it). A walker belongs to one
+// goroutine.
+type ConeWalker struct {
+	n     *Netlist
+	cone  *BitSet
+	stack []SignalID
+}
+
+// NewConeWalker returns a walker over the netlist's cones.
+func (n *Netlist) NewConeWalker() *ConeWalker {
+	n.ensureDerived()
+	return &ConeWalker{n: n, cone: NewBitSet(len(n.Gates))}
+}
+
+// Fanin returns FaninCone(id) in the walker's set, valid until its next
+// walk.
+func (w *ConeWalker) Fanin(id SignalID) *BitSet {
+	clear(w.cone.words)
+	w.stack = w.n.faninInto(id, w.cone, w.stack)
+	return w.cone
+}
+
+// Fanout returns FanoutCone(id) in the walker's set, valid until its next
+// walk.
+func (w *ConeWalker) Fanout(id SignalID) *BitSet {
+	clear(w.cone.words)
+	w.stack = w.n.fanoutInto(id, w.cone, w.stack)
+	return w.cone
 }
 
 // ConeSet holds the precomputed fan-in and fan-out cones for the signals

@@ -2,6 +2,7 @@ package netlist
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -379,6 +380,27 @@ func TestRowReuseLeavesNoStaleBits(t *testing.T) {
 		}
 		if got := row.IntersectCount(s); got != 0 {
 			t.Fatalf("trial %d: cleared row still shares %d members", trial, got)
+		}
+	}
+}
+
+// TestConeWalkerMatchesCones walks every signal's fan-in and fan-out cone
+// through one reused walker, alternating directions, and requires each
+// walk to equal the freshly allocated FaninCone/FanoutCone: a reused set
+// must carry no bit of an earlier walk.
+func TestConeWalkerMatchesCones(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 10; trial++ {
+		n := randomDAG(rng, 60)
+		w := n.NewConeWalker()
+		for g := 0; g < n.NumGates(); g++ {
+			id := SignalID(g)
+			if got, want := w.Fanin(id).Members(), n.FaninCone(id).Members(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d signal %d: walker fan-in %v, FaninCone %v", trial, g, got, want)
+			}
+			if got, want := w.Fanout(id).Members(), n.FanoutCone(id).Members(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d signal %d: walker fan-out %v, FanoutCone %v", trial, g, got, want)
+			}
 		}
 	}
 }

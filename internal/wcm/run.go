@@ -288,15 +288,19 @@ func (ph *phaseRunner) buildGraph(stats *PhaseStats) (items, excluded []int, err
 		ph.nodeAnchor[id] = ph.anchor(id)
 	}
 	ph.nodeMasked = make([]netlist.SparseSet, nNodes)
-	// Each node's cone is traversed, masked and dropped in one go, so no
-	// more dense cones are alive at once than there are workers. The
-	// traversals only read the netlist's graph, derived here first.
-	n.Graph()
+	// Each node's cone is walked into its worker's one dense set, masked
+	// into a SparseSet and dropped, so the phase allocates no dense cone
+	// per node.
 	if ph.memo == nil {
-		par.Do(ph.opts.Workers, nNodes, func(_, id int) {
-			ph.nodeMasked[id] = ph.coneOf(id).SparseAndNot(ph.sourceMask)
+		walkers := make([]*netlist.ConeWalker, par.Workers(ph.opts.Workers, nNodes))
+		for w := range walkers {
+			walkers[w] = n.NewConeWalker()
+		}
+		par.Do(ph.opts.Workers, nNodes, func(worker, id int) {
+			ph.nodeMasked[id] = ph.coneOf(walkers[worker], id).SparseAndNot(ph.sourceMask)
 		})
 	} else {
+		walker := n.NewConeWalker()
 		ph.nodeSlot = make([]int32, nNodes)
 		for id := 0; id < nNodes; id++ {
 			var key slotKey
@@ -310,7 +314,7 @@ func (ph *phaseRunner) buildGraph(stats *PhaseStats) (items, excluded []int, err
 			// A session run only traverses cones its memo has never
 			// seen.
 			if !hit {
-				ph.memo.masked[slot] = ph.coneOf(id).SparseAndNot(ph.sourceMask)
+				ph.memo.masked[slot] = ph.coneOf(walker, id).SparseAndNot(ph.sourceMask)
 			}
 			ph.nodeMasked[id] = ph.memo.masked[slot]
 		}
@@ -608,14 +612,14 @@ func (ph *phaseRunner) edgeAllowed(r *sweepRow, b int) (ok, overlap bool) {
 	return false, false
 }
 
-// coneOf traverses the sharing-relevant cone of a (non-merged) graph node:
-// the fan-out cone of its anchor for control sharing, the fan-in cone for
-// observation sharing.
-func (ph *phaseRunner) coneOf(id int) *netlist.BitSet {
+// coneOf walks the sharing-relevant cone of a (non-merged) graph node into
+// w's set: the fan-out cone of its anchor for control sharing, the fan-in
+// cone for observation sharing.
+func (ph *phaseRunner) coneOf(w *netlist.ConeWalker, id int) *netlist.BitSet {
 	if ph.inbound {
-		return ph.in.Netlist.FanoutCone(ph.nodeAnchor[id])
+		return w.Fanout(ph.nodeAnchor[id])
 	}
-	return ph.in.Netlist.FaninCone(ph.nodeAnchor[id])
+	return w.Fanin(ph.nodeAnchor[id])
 }
 
 // anchor returns the signal a node anchors on. Two nodes can share an
@@ -635,16 +639,15 @@ func (ph *phaseRunner) anchor(id int) netlist.SignalID {
 // partition runs paper Algorithm 2: repeatedly take the minimum-degree
 // node and its minimum-degree neighbor; merge them when the combined cost
 // fits the budget, otherwise delete the edge; stop when no edges remain.
-func (ph *phaseRunner) partition(stats *PhaseStats) error {
+// The MergeFirstEdge ablation takes an arbitrary edge instead.
+func (ph *phaseRunner) partition(stats *PhaseStats) (err error) {
 	g := ph.graph
+	if ph.opts.Merge != MergeFirstEdge {
+		stats.Merges, stats.EdgeDeletes, err = g.Partition(ph.mergeFits)
+		return err
+	}
 	for {
-		var n1, n2 int
-		var ok bool
-		if ph.opts.Merge == MergeFirstEdge {
-			n1, n2, ok = g.FirstEdgePair()
-		} else {
-			n1, n2, ok = g.MinDegreePair()
-		}
+		n1, n2, ok := g.FirstEdgePair()
 		if !ok {
 			return nil
 		}

@@ -34,7 +34,7 @@ func makeSpec(nodes int, density float64, seed int64) *graphSpec {
 func (sp *graphSpec) build() *Graph {
 	g := New(sp.nodes)
 	for i := 0; i < sp.nodes; i++ {
-		node := Node{Budget: 1e18, Budget2: 1e18}
+		node := Node{Budget: 1e18, Load2: 1, Budget2: 4}
 		if sp.ff[i] {
 			node.HasFF = true
 			node.FF = int32(i)
@@ -53,43 +53,30 @@ func (sp *graphSpec) build() *Graph {
 	return g
 }
 
-// partitionLoop mimics Algorithm 2's consumption pattern: take the
-// selected pair, merge it three times out of four, delete the edge
-// otherwise. Selection order is identical for both pickers (pinned by the
-// equivalence tests), so the mutation work is the same and the benchmark
-// difference is the selection cost alone.
-func partitionLoop(b *testing.B, g *Graph, pick func() (int, int, bool)) int {
-	steps := 0
-	for {
-		n1, n2, ok := pick()
-		if !ok {
-			return steps
-		}
-		if steps%4 == 3 {
-			g.DeleteEdge(n1, n2)
-		} else if _, err := g.Merge(n1, n2, 0); err != nil {
-			b.Fatal(err)
-		}
-		steps++
-	}
-}
-
-// BenchmarkPartition compares min-degree pair selection via the
-// degree-bucket index against the linear-scan reference on a 2k-node
-// sharing graph — the Algorithm 2 bottleneck this PR attacks.
+// BenchmarkPartition compares the batched Partition against
+// PartitionScan, Algorithm 2 one pick at a time over the linear-scan
+// reference, on a sparse 2k-node graph whose cliques stop fitting at three
+// nodes. BenchmarkPartitionB22Die2 (package wcm) times a real phase graph.
 func BenchmarkPartition(b *testing.B) {
 	sp := makeSpec(2048, 0.004, 1)
+	fits := func(a, b *Node) bool { return a.Load2+b.Load2 < minF(a.Budget2, b.Budget2) }
 	b.Logf("graph: %d nodes, %d edges", sp.nodes, len(sp.edges))
-	b.Run("indexed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			g := sp.build()
-			partitionLoop(b, g, g.MinDegreePair)
-		}
-	})
-	b.Run("scan", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			g := sp.build()
-			partitionLoop(b, g, g.minDegreePairScan)
-		}
-	})
+	for _, bc := range []struct {
+		name string
+		run  func(*Graph) (int, int, error)
+	}{
+		{"batched", func(g *Graph) (int, int, error) { return g.Partition(fits) }},
+		{"scan", func(g *Graph) (int, int, error) { return g.PartitionScan(fits) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				g := sp.build()
+				b.StartTimer()
+				if _, _, err := bc.run(g); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

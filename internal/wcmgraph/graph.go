@@ -1,8 +1,9 @@
 // Package wcmgraph implements the sharing graph of the wrapper-cell
 // minimization problem (paper §III): nodes are scan flip-flops and TSVs, an
 // edge means "these two can share one wrapper cell", and the heuristic
-// clique partitioner (paper Algorithm 2) repeatedly merges the
-// minimum-degree adjacent pair.
+// clique partitioner (paper Algorithm 2, Graph.Partition) repeatedly merges
+// the minimum-degree adjacent pair, deleting the edge when the merge does
+// not fit.
 //
 // Adjacency is stored as one bitset per node. The WCM graphs of the
 // largest ITC'99 dies hold a few thousand nodes, so a bitset row is a few
@@ -69,22 +70,40 @@ type Graph struct {
 	edges int
 	// degIdx indexes live positive-degree nodes by degree so the
 	// partitioner's min-degree selection is near-O(1) instead of a scan
-	// over all nodes per merge. First axis: plane (all edges, clean
-	// edges); second axis: whether flip-flop nodes are filtered out.
-	// Every degree mutation flows through bumpDeg/bumpCleanDeg to keep
-	// the four views consistent.
+	// over all nodes per pick. First axis: plane (all edges, clean edges);
+	// second axis: node kind (non-flip-flop, flip-flop). The two kinds are
+	// disjoint views, so a degree change moves a node in exactly one view
+	// of its plane; a tier that admits flip-flops takes the lower
+	// (degree, id) of the two minima. Every degree mutation flows through
+	// reindex.
 	degIdx [2][2]degIndex
-	// pick caches min-degree-neighbor candidates between merges (see
-	// pickCache); minDegreePlaneScan is the uncached reference the tests
-	// pin every pick against.
-	pick pickCache
+	// allIndexed reports whether the all-plane views are built. They are
+	// built on first use: the tiers that read them are only reached once
+	// the clean plane has no edge left, so a partition does no all-plane
+	// index upkeep while clean edges remain.
+	allIndexed bool
+	// noPair memoizes, per tier, the minimum node last found to have no
+	// eligible neighbor (-1: none known). Deleting edges never gives a
+	// node an eligible neighbor, so an entry holds until an edge or node
+	// is added (merges add a node).
+	noPair [4]int32
 }
 
 // Index axes for degIdx.
 const (
 	planeAll   = 0
 	planeClean = 1
+	kindTSV    = 0 // nodes without a flip-flop
+	kindFF     = 1
 )
+
+// tiers is the selection order of MinDegreePair and Partition: clean edges
+// before overlap edges, and within a plane pure-TSV pairs before pairs that
+// may attach a flip-flop.
+var tiers = [4]struct {
+	plane int
+	noFF  bool
+}{{planeClean, true}, {planeClean, false}, {planeAll, true}, {planeAll, false}}
 
 // New creates a graph able to hold up to initialNodes original nodes plus
 // all merge products (capacity 2×initialNodes).
@@ -95,18 +114,18 @@ func New(initialNodes int) *Graph {
 		cap:   capIDs,
 	}
 	for p := range g.degIdx {
-		for f := range g.degIdx[p] {
-			g.degIdx[p][f].init(capIDs)
+		for k := range g.degIdx[p] {
+			g.degIdx[p][k].init(capIDs)
 		}
 	}
+	g.forgetNoPair()
 	return g
 }
 
 // degIndex is one degree-bucket view: a bitset of node ids per degree
 // value, plus a lazily-advanced minimum-degree cursor. Membership is
-// "alive with positive degree in this view's plane" (and non-FF for the
-// filtered views). add/remove are O(1); min is O(row words) on the lowest
-// non-empty bucket.
+// "alive with positive degree in this view's plane, of this view's kind".
+// add/remove are O(1); min is O(row words) on the lowest non-empty bucket.
 type degIndex struct {
 	words   int
 	counts  []int32
@@ -145,10 +164,11 @@ func (x *degIndex) remove(id int, d int32) {
 }
 
 // min returns the lowest-id member of the lowest non-empty bucket — the
-// same node a lowest-id-tie-broken linear scan over ascending ids finds.
-func (x *degIndex) min() (int, bool) {
+// same node a lowest-id-tie-broken linear scan over ascending ids finds —
+// and its degree.
+func (x *degIndex) min() (id int, deg int32, ok bool) {
 	if x.size == 0 {
-		return -1, false
+		return -1, 0, false
 	}
 	d := x.minDeg
 	for x.counts[d] == 0 {
@@ -157,57 +177,59 @@ func (x *degIndex) min() (int, bool) {
 	x.minDeg = d // removals only raise the minimum; adds lower it eagerly
 	for wi, w := range x.buckets[d] {
 		if w != 0 {
-			return wi*64 + bits.TrailingZeros64(w), true
+			return wi*64 + bits.TrailingZeros64(w), d, true
 		}
 	}
 	panic("wcmgraph: degree index count drifted from bucket contents")
 }
 
-// pickCache memoizes the expensive half of minDegreePlane: the scan over
-// n1's neighbors for the minimum-degree eligible one. Between two merges
-// the partitioner only deletes the pair it was just handed, which changes
-// no other node's degree — so the sorted candidate list collected on the
-// last full scan keeps yielding exact successive argmins until a merge
-// (or any other structural mutation) invalidates it. Tiers that found no
-// eligible neighbor are remembered too (negN1): edge deletions can never
-// create eligibility, so a failing (tier, n1) keeps failing until a merge
-// or edge insertion. A repeated pick with no deletion in between returns
-// the same pair. Every pop re-checks adjacency and degree, so a violated
-// assumption degrades to a rescan, never a wrong pick.
-type pickCache struct {
-	valid  bool
-	tier   uint8
-	n1     int32
-	lastN2 int32
-	next   int
-	cands  []pickCand
-	negN1  [4]int32 // per tier: n1 known to have no eligible neighbor
-	negSet [4]bool
-}
-
-type pickCand struct {
-	deg int32
-	id  int32
-}
-
-// pickCacheCap bounds the candidates kept per scan. Exhausting the list
-// just forces the next pick back onto a full scan.
-const pickCacheCap = 48
-
-func (g *Graph) invalidatePicks() {
-	g.pick.valid = false
-	g.pick.negSet = [4]bool{}
-}
-
-func tierKey(cleanOnly, noFF bool) uint8 {
-	k := uint8(0)
-	if cleanOnly {
-		k |= 2
+// tierMin returns the lowest (degree, id) node with positive degree in
+// the plane, among non-flip-flop nodes only when noFF.
+func (g *Graph) tierMin(plane int, noFF bool) (int, bool) {
+	if plane == planeAll && !g.allIndexed {
+		g.allIndexed = true
+		for i := range g.nodes {
+			if n := &g.nodes[i]; n.alive {
+				g.reindex(planeAll, i, 0, n.deg, n.HasFF)
+			}
+		}
 	}
+	id, d, ok := g.degIdx[plane][kindTSV].min()
 	if noFF {
-		k |= 1
+		return id, ok
 	}
-	return k
+	fid, fd, fok := g.degIdx[plane][kindFF].min()
+	if fok && (!ok || fd < d || (fd == d && fid < id)) {
+		return fid, true
+	}
+	return id, ok
+}
+
+func kindOf(hasFF bool) int {
+	if hasFF {
+		return kindFF
+	}
+	return kindTSV
+}
+
+func (g *Graph) forgetNoPair() {
+	g.noPair = [4]int32{-1, -1, -1, -1}
+}
+
+// degOf returns a node's degree in the plane.
+func (g *Graph) degOf(plane, id int) int32 {
+	if plane == planeClean {
+		return g.nodes[id].cleanDeg
+	}
+	return g.nodes[id].deg
+}
+
+// rowOf returns a node's adjacency row in the plane.
+func (g *Graph) rowOf(plane, id int) []uint64 {
+	if plane == planeClean {
+		return g.clean[id]
+	}
+	return g.adj[id]
 }
 
 // bumpDeg changes a node's all-plane degree by delta, keeping the degree
@@ -228,20 +250,15 @@ func (g *Graph) bumpCleanDeg(id int, delta int32) {
 }
 
 func (g *Graph) reindex(plane, id int, old, cur int32, hasFF bool) {
-	if old == cur {
+	if old == cur || (plane == planeAll && !g.allIndexed) {
 		return
 	}
+	x := &g.degIdx[plane][kindOf(hasFF)]
 	if old > 0 {
-		g.degIdx[plane][0].remove(id, old)
-		if !hasFF {
-			g.degIdx[plane][1].remove(id, old)
-		}
+		x.remove(id, old)
 	}
 	if cur > 0 {
-		g.degIdx[plane][0].add(id, cur)
-		if !hasFF {
-			g.degIdx[plane][1].add(id, cur)
-		}
+		x.add(id, cur)
 	}
 }
 
@@ -279,7 +296,7 @@ func (g *Graph) AddNode(n Node) (int, error) {
 	}
 	n.alive = true
 	n.deg, n.cleanDeg = 0, 0 // a new node enters the degree indexes via bumpDeg
-	g.invalidatePicks()
+	g.forgetNoPair()
 	id := len(g.nodes)
 	g.nodes = append(g.nodes, n)
 	g.adj = append(g.adj, make([]uint64, g.words))
@@ -303,7 +320,7 @@ func (g *Graph) addEdge(a, b int, overlap bool) {
 	if a == b || g.HasEdge(a, b) {
 		return
 	}
-	g.invalidatePicks()
+	g.forgetNoPair()
 	g.adj[a][b>>6] |= 1 << (uint(b) & 63)
 	g.adj[b][a>>6] |= 1 << (uint(a) & 63)
 	g.bumpDeg(a, 1)
@@ -335,7 +352,7 @@ func (g *Graph) BulkRows(id int) (adj, clean []uint64) {
 // rows are order-independent sets and the bucket indexes hold the same
 // membership either way.
 func (g *Graph) FinishBulkEdges() (edges, cleanEdges int) {
-	g.invalidatePicks()
+	g.forgetNoPair()
 	totDeg, totClean := 0, 0
 	for id := range g.nodes {
 		n := &g.nodes[id]
@@ -361,15 +378,6 @@ func (g *Graph) DeleteEdge(a, b int) {
 	if !g.HasEdge(a, b) {
 		return
 	}
-	// Deleting exactly the pair the last pick returned keeps the
-	// candidate list valid (no other node's degree moves); any other
-	// deletion drops it. Negative entries survive every deletion: losing
-	// edges can never give a failing (tier, n1) an eligible neighbor.
-	if pc := &g.pick; pc.valid &&
-		!(int32(a) == pc.n1 && int32(b) == pc.lastN2) &&
-		!(int32(b) == pc.n1 && int32(a) == pc.lastN2) {
-		pc.valid = false
-	}
 	g.adj[a][b>>6] &^= 1 << (uint(b) & 63)
 	g.adj[b][a>>6] &^= 1 << (uint(a) & 63)
 	g.bumpDeg(a, -1)
@@ -384,16 +392,7 @@ func (g *Graph) DeleteEdge(a, b int) {
 }
 
 // Neighbors calls fn for every live neighbor of id.
-func (g *Graph) Neighbors(id int, fn func(nb int)) {
-	row := g.adj[id]
-	for wi, w := range row {
-		for w != 0 {
-			bit := bits.TrailingZeros64(w)
-			fn(wi*64 + bit)
-			w &= w - 1
-		}
-	}
-}
+func (g *Graph) Neighbors(id int, fn func(nb int)) { g.neighborsPlane(id, false, fn) }
 
 // MinDegreePair implements the selection rule of paper Algorithm 2 — the
 // node with the smallest non-zero degree, and its smallest-degree
@@ -411,10 +410,8 @@ func (g *Graph) Neighbors(id int, fn func(nb int)) {
 //
 // ok is false when every node has degree zero.
 func (g *Graph) MinDegreePair() (n1, n2 int, ok bool) {
-	for _, tier := range [4]struct{ clean, noFF bool }{
-		{true, true}, {true, false}, {false, true}, {false, false},
-	} {
-		if n1, n2, ok = g.minDegreePlane(tier.clean, tier.noFF); ok {
+	for _, t := range tiers {
+		if n1, n2, ok = g.minDegreePlane(t.plane == planeClean, t.noFF); ok {
 			return n1, n2, true
 		}
 	}
@@ -422,97 +419,90 @@ func (g *Graph) MinDegreePair() (n1, n2 int, ok bool) {
 }
 
 // minDegreePlane picks one tier's pair: n1 from the degree-bucket index
-// (lowest id among the minimal positive degree in the plane, FF-filtered
-// when noFF), then n1's minimum-degree eligible neighbor (lowest id on
-// ties), served from the pick cache between merges. Selection is
-// identical to the O(n)-scan reference minDegreePlaneScan, which the test
-// suite pins it against.
+// (lowest id among the minimal positive degree in the plane, flip-flops
+// excluded when noFF), then n1's minimum-degree eligible neighbor (lowest
+// id on ties). Selection is identical to the O(n)-scan reference
+// minDegreePlaneScan, which the test suite pins it against.
 func (g *Graph) minDegreePlane(cleanOnly, noFF bool) (n1, n2 int, ok bool) {
-	plane := planeAll
-	if cleanOnly {
-		plane = planeClean
+	k := 0
+	if !cleanOnly {
+		k = 2
 	}
-	filter := 0
-	if noFF {
-		filter = 1
+	if !noFF {
+		k++
 	}
-	n1, ok = g.degIdx[plane][filter].min()
+	n1, ok = g.tierMin(tiers[k].plane, noFF)
 	if !ok {
 		return 0, 0, false
 	}
-	deg := func(i int) int32 {
-		if cleanOnly {
-			return g.nodes[i].cleanDeg
-		}
-		return g.nodes[i].deg
-	}
-	key := tierKey(cleanOnly, noFF)
-	pc := &g.pick
-	if pc.negSet[key] && pc.negN1[key] == int32(n1) {
+	sc, ok := g.scanTier(k, n1, nil)
+	if !ok {
 		return 0, 0, false
 	}
-	if pc.valid && pc.tier == key && pc.n1 == int32(n1) {
-		row := g.adj[n1]
-		if cleanOnly {
-			row = g.clean[n1]
-		}
-		// While the cache is valid the only mutation since the last pick
-		// can be the deletion of that pair: if its edge is still there,
-		// nothing changed and the last pick is still the answer.
-		if row[pc.lastN2>>6]&(1<<(uint(pc.lastN2)&63)) != 0 {
-			return n1, int(pc.lastN2), true
-		}
-		for pc.next < len(pc.cands) {
-			c := pc.cands[pc.next]
-			pc.next++
-			// Exactness guard: the candidate must still be adjacent in
-			// this plane with the degree recorded at scan time.
-			// Violations (an untracked mutation) fall back to a scan.
-			if row[c.id>>6]&(1<<(uint(c.id)&63)) != 0 && deg(int(c.id)) == c.deg {
-				pc.lastN2 = c.id
-				return n1, int(c.id), true
+	return n1, sc.best, true
+}
+
+// tierScan is one pass over a tier's n1 row: the lowest (degree, id)
+// eligible neighbor that fits, and the stop candidate (see scanTier).
+type tierScan struct {
+	best, stop   int // -1 when absent
+	bestD, stopD int32
+}
+
+// scanTier makes one pass over n1's neighbors in tier k (plane, and
+// non-flip-flop neighbors only when the tier excludes flip-flops). ok is
+// false when n1 has no eligible neighbor, which is memoized in noPair.
+// best is the lowest (degree, id) eligible neighbor c with fits(n1, c),
+// every neighbor fitting when fits is nil; -1 when none fits.
+//
+// stop serves Partition's batched deletions and is only sought when the
+// tier admits flip-flops and n1 is one. The tier before it, the same
+// plane without flip-flops, failed: its minimum non-flip-flop node has no
+// non-flip-flop neighbor. Deleting (n1, c) for a non-flip-flop c lowers
+// c's degree in that tier's view, which can make c its new minimum and
+// revive it. stop is the lowest (degree, id) such candidate whose lowered
+// key would undercut that minimum; the batch must end with it. (The
+// minimum itself is exempt: it gains no neighbor by losing one.)
+func (g *Graph) scanTier(k, n1 int, fits func(a, b *Node) bool) (sc tierScan, ok bool) {
+	t := tiers[k]
+	if g.noPair[k] == int32(n1) {
+		return sc, false
+	}
+	sc = tierScan{best: -1, stop: -1, bestD: math.MaxInt32, stopD: math.MaxInt32}
+	node1 := &g.nodes[n1]
+	stopRule := !t.noFF && node1.HasFF
+	var minD int32
+	minID := -1
+	if stopRule {
+		minID, minD, _ = g.degIdx[t.plane][kindTSV].min()
+	}
+	found := false
+	row := g.rowOf(t.plane, n1)
+	for wi, w := range row {
+		for ; w != 0; w &= w - 1 {
+			c := wi*64 + bits.TrailingZeros64(w)
+			nc := &g.nodes[c]
+			if t.noFF && nc.HasFF {
+				continue
 			}
-			pc.valid = false
-			break
+			found = true
+			// Ascending ids: a candidate only displaces an earlier one on
+			// a strictly lower degree, which is lowest-id tie-breaking.
+			d := g.degOf(t.plane, c)
+			if d < sc.bestD && (fits == nil || fits(node1, nc)) {
+				sc.best, sc.bestD = c, d
+			}
+			if stopRule && !nc.HasFF && d < sc.stopD && c != minID &&
+				(d-1 < minD || (d-1 == minD && c < minID)) {
+				sc.stop, sc.stopD = c, d
+			}
 		}
 	}
-	// Full scan, keeping the pickCacheCap best (degree, id) candidates in
-	// sorted order. Ascending-id iteration inserts equal-degree candidates
-	// after earlier ids, matching lowest-id tie-breaking.
-	pc.valid = false
-	pc.cands = pc.cands[:0]
-	g.neighborsPlane(n1, cleanOnly, func(nb int) {
-		if noFF && g.nodes[nb].HasFF {
-			return
-		}
-		d := deg(nb)
-		n := len(pc.cands)
-		if n == pickCacheCap && d >= pc.cands[n-1].deg {
-			return
-		}
-		pos := n
-		for pos > 0 && pc.cands[pos-1].deg > d {
-			pos--
-		}
-		if n < pickCacheCap {
-			pc.cands = append(pc.cands, pickCand{})
-		} else {
-			n--
-		}
-		copy(pc.cands[pos+1:], pc.cands[pos:n])
-		pc.cands[pos] = pickCand{deg: d, id: int32(nb)}
-	})
-	if len(pc.cands) == 0 {
-		pc.negN1[key] = int32(n1)
-		pc.negSet[key] = true
-		return 0, 0, false
+	if !found {
+		g.noPair[k] = int32(n1)
+		return sc, false
 	}
-	pc.valid = true
-	pc.tier = key
-	pc.n1 = int32(n1)
-	pc.next = 1
-	pc.lastN2 = pc.cands[0].id
-	return n1, int(pc.cands[0].id), true
+	return sc, true
 }
 
 // minDegreePlaneScan is the pre-index reference implementation: a linear
@@ -556,10 +546,8 @@ func (g *Graph) minDegreePlaneScan(cleanOnly, noFF bool) (n1, n2 int, ok bool) {
 // minDegreePairScan is MinDegreePair over the scan reference — the oracle
 // for the equivalence tests.
 func (g *Graph) minDegreePairScan() (n1, n2 int, ok bool) {
-	for _, tier := range [4]struct{ clean, noFF bool }{
-		{true, true}, {true, false}, {false, true}, {false, false},
-	} {
-		if n1, n2, ok = g.minDegreePlaneScan(tier.clean, tier.noFF); ok {
+	for _, t := range tiers {
+		if n1, n2, ok = g.minDegreePlaneScan(t.plane == planeClean, t.noFF); ok {
 			return n1, n2, true
 		}
 	}
@@ -567,11 +555,11 @@ func (g *Graph) minDegreePairScan() (n1, n2 int, ok bool) {
 }
 
 func (g *Graph) neighborsPlane(id int, cleanOnly bool, fn func(nb int)) {
-	row := g.adj[id]
+	plane := planeAll
 	if cleanOnly {
-		row = g.clean[id]
+		plane = planeClean
 	}
-	for wi, w := range row {
+	for wi, w := range g.rowOf(plane, id) {
 		for w != 0 {
 			bit := bits.TrailingZeros64(w)
 			fn(wi*64 + bit)
@@ -717,14 +705,137 @@ func (g *Graph) Merge(a, b int, mergedLoad float64) (int, error) {
 	return id, nil
 }
 
+// Partition runs paper Algorithm 2 to completion: take the first tier's
+// pair under MinDegreePair's rule, merge it when fits(n1, n2), delete the
+// edge otherwise, and stop when no edge remains. It returns the number of
+// merges and edge deletions, and leaves the graph exactly as that
+// one-pick-at-a-time loop does (PartitionScan, which the tests pin it to).
+//
+// It runs one pass per n1 instead of one pick per deleted edge. While
+// fits(n1, n2) fails, n1 stays its tier's pick: deleting (n1, c) lowers
+// only n1's and c's degrees, by one each, and c ranked no lower than n1,
+// so the remaining candidates keep their order too. The failed picks are
+// therefore exactly the eligible neighbors ranked below c*, the lowest
+// (degree, id) one that fits — fits reads the two nodes alone, which the
+// deletions leave unchanged — and the pick after them is (n1, c*). One
+// pass finds c*, deletes the neighbors ranked below it (all of them when
+// none fits) and merges. The exception is scanTier's stop candidate, which
+// can revive an earlier tier: the pass then ends with it and the tiers are
+// picked afresh.
+func (g *Graph) Partition(fits func(a, b *Node) bool) (merges, edgeDeletes int, err error) {
+pick:
+	for {
+		for k, t := range tiers {
+			n1, ok := g.tierMin(t.plane, t.noFF)
+			if !ok {
+				continue
+			}
+			sc, ok := g.scanTier(k, n1, fits)
+			if !ok {
+				continue
+			}
+			if sc.stop >= 0 && (sc.best < 0 || sc.stopD < sc.bestD || (sc.stopD == sc.bestD && sc.stop < sc.best)) {
+				// Ranked below (stopD, stop+1) is ranked at or below stop.
+				edgeDeletes += g.deleteRanked(k, n1, sc.stopD, sc.stop+1)
+				continue pick
+			}
+			edgeDeletes += g.deleteRanked(k, n1, sc.bestD, sc.best)
+			if sc.best >= 0 {
+				a, b := &g.nodes[n1], &g.nodes[sc.best]
+				if _, err := g.Merge(n1, sc.best, a.Load+b.Load); err != nil {
+					return merges, edgeDeletes, err
+				}
+				merges++
+			}
+			continue pick
+		}
+		return merges, edgeDeletes, nil
+	}
+}
+
+// deleteRanked deletes the edges from n1 to its eligible neighbors in tier
+// k that rank below (cutD, cut) by (degree, id), and returns how many it
+// deleted. A neighbor's degree is still the one scanTier read: only n1's
+// and the deleted neighbors' degrees move, and n1's is reindexed once at
+// the end.
+func (g *Graph) deleteRanked(k, n1 int, cutD int32, cut int) int {
+	t := tiers[k]
+	adj1, clean1 := g.adj[n1], g.clean[n1]
+	row := g.rowOf(t.plane, n1)
+	n1W, n1M := n1>>6, uint64(1)<<(uint(n1)&63)
+	deleted, cleanDeleted := int32(0), int32(0)
+	for wi := range row {
+		for w := row[wi]; w != 0; w &= w - 1 {
+			c := wi*64 + bits.TrailingZeros64(w)
+			nc := &g.nodes[c]
+			if t.noFF && nc.HasFF {
+				continue
+			}
+			if d := g.degOf(t.plane, c); d > cutD || (d == cutD && c >= cut) {
+				continue
+			}
+			m := w & -w
+			adj1[wi] &^= m
+			g.adj[c][n1W] &^= n1M
+			g.bumpDeg(c, -1)
+			if clean1[wi]&m != 0 {
+				clean1[wi] &^= m
+				g.clean[c][n1W] &^= n1M
+				g.bumpCleanDeg(c, -1)
+				cleanDeleted++
+			}
+			deleted++
+		}
+	}
+	g.edges -= int(deleted)
+	g.bumpDeg(n1, -deleted)
+	g.bumpCleanDeg(n1, -cleanDeleted)
+	return int(deleted)
+}
+
+// PartitionScan is Partition one pick at a time over the O(n)-scan
+// reference picker: pick a pair, merge it when it fits, delete the edge
+// otherwise. It is the oracle Partition is tested against, in this
+// package on random graphs and in package wcm on real phase graphs.
+func (g *Graph) PartitionScan(fits func(a, b *Node) bool) (merges, edgeDeletes int, err error) {
+	for {
+		n1, n2, ok := g.minDegreePairScan()
+		if !ok {
+			return merges, edgeDeletes, nil
+		}
+		a, b := &g.nodes[n1], &g.nodes[n2]
+		if !fits(a, b) {
+			g.DeleteEdge(n1, n2)
+			edgeDeletes++
+			continue
+		}
+		if _, err := g.Merge(n1, n2, a.Load+b.Load); err != nil {
+			return merges, edgeDeletes, err
+		}
+		merges++
+	}
+}
+
 // BBoxUnionDiameter returns the Manhattan diameter of the union of two
 // nodes' bounding boxes — the worst-case wire run between any member of
-// the merged clique and a wrapper cell placed inside the box.
+// the merged clique and a wrapper cell placed inside the box. Plain
+// comparisons stand in for math.Min/Max, which differ from them only on
+// NaN and on the sign of zero; placement coordinates are finite, and a
+// zero's sign cannot change a comparison against the distance threshold.
 func BBoxUnionDiameter(a, b *Node) float64 {
-	x1 := math.Min(a.X, b.X)
-	y1 := math.Min(a.Y, b.Y)
-	x2 := math.Max(a.X2, b.X2)
-	y2 := math.Max(a.Y2, b.Y2)
+	x1, y1, x2, y2 := a.X, a.Y, a.X2, a.Y2
+	if b.X < x1 {
+		x1 = b.X
+	}
+	if b.Y < y1 {
+		y1 = b.Y
+	}
+	if b.X2 > x2 {
+		x2 = b.X2
+	}
+	if b.Y2 > y2 {
+		y2 = b.Y2
+	}
 	return (x2 - x1) + (y2 - y1)
 }
 

@@ -1,7 +1,10 @@
 package wcmgraph
 
 import (
+	"math"
+	"math/bits"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -66,14 +69,14 @@ func TestMinDegreePairMatchesScan(t *testing.T) {
 	}
 }
 
-// TestPickCacheLongDeleteRuns drives the pick cache through the workload
-// it exists for — long runs of consecutive DeleteEdge calls between rare
-// merges, deeper than the candidate capacity so exhaustion-rescans are
-// exercised — pinning every pick against the scan oracle.
+// TestPickCacheLongDeleteRuns drives MinDegreePair through long runs of
+// consecutive DeleteEdge calls between rare merges on dense graphs — the
+// failed-merge runs Partition batches, over which the per-tier noPair memo
+// stays valid — pinning every pick against the scan oracle.
 func TestPickCacheLongDeleteRuns(t *testing.T) {
 	for seed := int64(300); seed < 310; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		g := randomGraph(rng, 120, 0.6) // dense: degrees far above pickCacheCap
+		g := randomGraph(rng, 120, 0.6) // dense: runs of hundreds of deletes
 		for step := 0; ; step++ {
 			i1, i2, iok := g.MinDegreePair()
 			s1, s2, sok := g.minDegreePairScan()
@@ -137,16 +140,20 @@ func TestMinDegreePlaneMatchesScanPerTier(t *testing.T) {
 }
 
 // TestDegreeIndexConsistency cross-checks the index contents against the
-// node counters after a long random mutation sequence: every alive node
-// with positive degree must be found, with its exact degree, in the right
-// views.
+// node counters after every step of a random mutation sequence, for as
+// long as edges remain: every alive node with positive degree must be
+// found, with its exact degree, in its plane's view of its kind, and in no
+// other view. Until the all-plane views are first read they must be empty;
+// the run reads them once the clean plane runs out of edges, so both
+// states are checked.
 func TestDegreeIndexConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := randomGraph(rng, 100, 0.05)
-	for step := 0; step < 300; step++ {
+	for step := 0; g.NumEdges() > 0; step++ {
+		checkDegreeIndex(t, g, step)
 		n1, n2, ok := g.MinDegreePair()
 		if !ok {
-			break
+			t.Fatalf("step %d: no pair with %d edges left", step, g.NumEdges())
 		}
 		if step%2 == 0 {
 			g.DeleteEdge(n1, n2)
@@ -154,31 +161,49 @@ func TestDegreeIndexConsistency(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if !g.allIndexed {
+		t.Fatal("the run never read the all-plane views")
+	}
+	checkDegreeIndex(t, g, -1)
+}
+
+func checkDegreeIndex(t *testing.T, g *Graph, step int) {
+	t.Helper()
 	for plane, degOf := range map[int]func(*Node) int32{
 		planeAll:   func(n *Node) int32 { return n.deg },
 		planeClean: func(n *Node) int32 { return n.cleanDeg },
 	} {
-		for filter := 0; filter < 2; filter++ {
-			idx := &g.degIdx[plane][filter]
+		for kind := range g.degIdx[plane] {
+			idx := &g.degIdx[plane][kind]
 			want := 0
 			for i := range g.nodes {
 				n := &g.nodes[i]
-				member := n.alive && degOf(n) > 0 && !(filter == 1 && n.HasFF)
+				member := n.alive && degOf(n) > 0 && kindOf(n.HasFF) == kind &&
+					(plane == planeClean || g.allIndexed)
 				if member {
 					want++
 				}
-				d := degOf(n)
-				inBucket := false
-				if int(d) < len(idx.buckets) && idx.buckets[d] != nil {
-					inBucket = idx.buckets[d][i>>6]&(1<<(uint(i)&63)) != 0
-				}
-				if member != inBucket {
-					t.Errorf("plane %d filter %d node %d: member=%v inBucket=%v (deg %d)",
-						plane, filter, i, member, inBucket, d)
+				for d, b := range idx.buckets {
+					in := b != nil && b[i>>6]&(1<<(uint(i)&63)) != 0
+					if in != (member && int32(d) == degOf(n)) {
+						t.Fatalf("step %d plane %d kind %d node %d: in bucket %d = %v, member %v with degree %d",
+							step, plane, kind, i, d, in, member, degOf(n))
+					}
 				}
 			}
 			if idx.size != want {
-				t.Errorf("plane %d filter %d: size %d, want %d", plane, filter, idx.size, want)
+				t.Fatalf("step %d plane %d kind %d: size %d, want %d", step, plane, kind, idx.size, want)
+			}
+			for d, c := range idx.counts {
+				got := 0
+				if b := idx.buckets[d]; b != nil {
+					for _, w := range b {
+						got += bits.OnesCount64(w)
+					}
+				}
+				if int(c) != got {
+					t.Fatalf("step %d plane %d kind %d: count %d at degree %d, bucket holds %d", step, plane, kind, c, d, got)
+				}
 			}
 		}
 	}
@@ -248,5 +273,91 @@ func TestBulkLoadMatchesAddEdge(t *testing.T) {
 				bulk.DeleteEdge(b1, b2)
 			}
 		}
+	}
+}
+
+// partitionGraph builds a dense random graph for the partition
+// differential: 40–100 nodes at 50–80% density, every third node a
+// flip-flop, a quarter of the edges overlap quality, and mixed Load2
+// against one Budget2, so merges stop fitting partway through a run.
+// Every node holds one distinct member, which mergeLog relies on.
+func partitionGraph(seed int64) *Graph {
+	rng := rand.New(rand.NewSource(seed))
+	n := 40 + rng.Intn(60)
+	density := 0.5 + rng.Float64()*0.3
+	budget := 2 + rng.Float64()*6
+	g := New(n)
+	for i := 0; i < n; i++ {
+		node := Node{Members: []int32{int32(i)}, Budget: math.Inf(1), Budget2: budget, Load2: 0.3 + rng.Float64()*1.5}
+		if rng.Intn(3) == 0 {
+			node.HasFF = true
+			node.FF = int32(i)
+		}
+		if _, err := g.AddNode(node); err != nil {
+			panic(err)
+		}
+	}
+	for a := 0; a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			if rng.Float64() >= density {
+				continue
+			}
+			if rng.Intn(4) == 0 {
+				g.AddOverlapEdge(a, b)
+			} else {
+				g.AddEdge(a, b)
+			}
+		}
+	}
+	return g
+}
+
+// mergeLog recovers the (n1, n2) sequence of a partition's merges from the
+// products' member lists: node n0+j is the j-th merge, and its members are
+// n1's followed by n2's. Every original node must hold one distinct member.
+func mergeLog(g *Graph, n0 int) [][2]int {
+	owner := map[int32]int{} // first member -> live node holding it
+	for id := 0; id < n0; id++ {
+		owner[g.nodes[id].Members[0]] = id
+	}
+	var log [][2]int
+	for id := n0; id < len(g.nodes); id++ {
+		m := g.nodes[id].Members
+		a := owner[m[0]]
+		second := m[len(g.nodes[a].Members)]
+		log = append(log, [2]int{a, owner[second]})
+		delete(owner, second)
+		owner[m[0]] = id
+	}
+	return log
+}
+
+// TestPartitionMatchesScan runs the batched Partition against PartitionScan,
+// Algorithm 2 one pick at a time over the scan reference, with the same
+// fits. Both must make the same merges in the same order, delete as many
+// edges and leave the same cliques.
+func TestPartitionMatchesScan(t *testing.T) {
+	fits := func(a, b *Node) bool { return a.Load2+b.Load2 < minF(a.Budget2, b.Budget2) }
+	for seed := int64(400); seed < 440; seed++ {
+		got, want := partitionGraph(seed), partitionGraph(seed)
+		n0 := len(got.nodes)
+		gm, gd, err := got.Partition(fits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wm, wd, err := want.PartitionScan(fits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gm != wm || gd != wd {
+			t.Fatalf("seed %d: Partition made %d merges and %d deletes, the scan loop %d and %d", seed, gm, gd, wm, wd)
+		}
+		if gl, wl := mergeLog(got, n0), mergeLog(want, n0); !reflect.DeepEqual(gl, wl) {
+			t.Fatalf("seed %d: merge sequences differ:\n got %v\nwant %v", seed, gl, wl)
+		}
+		if !reflect.DeepEqual(got.Cliques(), want.Cliques()) || got.NumEdges() != 0 {
+			t.Fatalf("seed %d: cliques %v, want %v (%d edges left)", seed, got.Cliques(), want.Cliques(), got.NumEdges())
+		}
+		checkConsistency(t, got)
 	}
 }
