@@ -18,6 +18,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 
 	"wcm3d/internal/cells"
 	"wcm3d/internal/faults"
@@ -50,6 +51,25 @@ type Die struct {
 	// netlist), shared by every wrapper variant of the die.
 	StuckAt    []faults.Fault
 	Transition []faults.TransitionFault
+
+	// timer is the die's functional-mode timer (functionalTimer),
+	// guarded by timerMu.
+	timerMu sync.Mutex
+	timer   *scan.FunctionalTimer
+}
+
+// functionalTimer returns the die's functional-mode timer, shared by
+// every caller. It is built on first use, since a Die may be assembled as
+// a literal, and built again when the die changed since: another netlist,
+// placement or library, or a netlist edited in place (TSV repair patches
+// its die's). Concurrent first callers wait for one build.
+func (d *Die) functionalTimer() *scan.FunctionalTimer {
+	d.timerMu.Lock()
+	defer d.timerMu.Unlock()
+	if d.timer == nil || !d.timer.Current(d.Netlist, d.Placement, d.Lib) {
+		d.timer = scan.NewFunctionalTimer(d.Netlist, d.Placement, d.Lib)
+	}
+	return d.timer
 }
 
 // Input packages the die for the WCM solvers, including the cross-phase
@@ -75,7 +95,7 @@ func (d *Die) Input() wcm.Input {
 // reference).
 func (d *Die) projectPartial(partial *scan.Assignment) (*sta.Result, error) {
 	n := d.Netlist
-	timed, err := scan.TimeFunctionalMode(n, d.Placement, d.Lib, withFullWrap(n, partial), d.ClockPS)
+	timed, err := d.functionalTimer().Time(withFullWrap(n, partial), d.ClockPS)
 	if err != nil {
 		return nil, err
 	}
@@ -163,8 +183,10 @@ func PrepareNetlist(n *netlist.Netlist, seed int64) (*Die, error) {
 	}
 	// Critical path with the full-wrap DFT overhead in place. Arrivals do
 	// not depend on the clock, so the probe's one arrival pass also
-	// serves the analysis at the real clock below.
-	probe, err := scan.TimeFunctionalMode(n, pl, lib, scan.FullWrap(n), 1e9)
+	// serves the analysis at the real clock below. The probe's timer
+	// becomes the die's.
+	timer := scan.NewFunctionalTimer(n, pl, lib)
+	probe, err := timer.Time(scan.FullWrap(n), 1e9)
 	if err != nil {
 		return nil, err
 	}
@@ -214,6 +236,7 @@ func PrepareNetlist(n *netlist.Netlist, seed int64) (*Die, error) {
 		Timing:     timing,
 		StuckAt:    faults.CollapsedList(n),
 		Transition: faults.TransitionList(n),
+		timer:      timer,
 	}
 	return d, nil
 }

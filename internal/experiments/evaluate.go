@@ -96,7 +96,7 @@ func testability(r atpgResult) Testability {
 // (test_en tied low) and reports whether the die still meets its clock
 // (Table III's "timing violation" column), along with the worst slack.
 func CheckTiming(d *Die, asn *scan.Assignment) (violation bool, wnsPS float64, err error) {
-	r, err := scan.TimeFunctionalMode(d.Netlist, d.Placement, d.Lib, asn, d.ClockPS)
+	r, err := d.functionalTimer().Time(asn, d.ClockPS)
 	if err != nil {
 		return false, 0, err
 	}

@@ -12,11 +12,13 @@ var ErrCycle = errors.New("combinational cycle detected")
 // Graph is a circuit's connectivity in flat, pointer-free arrays: gate
 // types, the fanin and fanout edges in CSR layout (FaninOff[i] ..
 // FaninOff[i+1] indexes into Fanin, likewise for fanouts), and a
-// topological order with logic levels. A Netlist derives one lazily; the
-// timing view of a DFT edit (scan.TimeFunctionalMode) assembles one
-// without materializing a Netlist. Both go through Derive, so fanout
-// order — and with it every sum a consumer takes over fanouts — agrees by
-// construction.
+// topological order with logic levels. A Netlist derives one lazily
+// through Derive. The timing view of a DFT edit (scan.FunctionalTimer)
+// assembles one without materializing a Netlist or calling Derive: it
+// fills Types, the fanin CSR and an Order built from its base die's, and
+// leaves the fanout CSR and levels nil. Static timing reads only those
+// (sta sums loads by scattering over fanins in ascending reader order,
+// which is the fanout CSR's order), so both ways agree by construction.
 //
 // A Graph handed out by a Netlist is shared and must not be mutated.
 type Graph struct {
@@ -128,7 +130,13 @@ func (g *Graph) Derive() {
 // does not cover every signal.
 func (g *Graph) CheckAcyclic(name string) error {
 	if len(g.Order) != len(g.Types) {
-		return fmt.Errorf("netlist %q: %w (%d of %d gates ordered)", name, ErrCycle, len(g.Order), len(g.Types))
+		return CycleError(name, len(g.Order), len(g.Types))
 	}
 	return nil
+}
+
+// CycleError is CheckAcyclic's error for a circuit whose topological order
+// covers only ordered of its gates.
+func CycleError(name string, ordered, gates int) error {
+	return fmt.Errorf("netlist %q: %w (%d of %d gates ordered)", name, ErrCycle, ordered, gates)
 }

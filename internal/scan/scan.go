@@ -12,8 +12,9 @@
 //     physical test hardware (test multiplexers, observation XORs) present
 //     on the functional paths, plus placement coordinates for the new
 //     cells. This is the circuit static timing analysis checks for
-//     violations — the paper's Table III experiment. TimeFunctionalMode
-//     times it without materializing a Netlist (see functional.go).
+//     violations — the paper's Table III experiment. A FunctionalTimer,
+//     built once per die, times it for any plan without materializing a
+//     Netlist (see functional.go).
 package scan
 
 import (
@@ -112,8 +113,16 @@ func (a *Assignment) AdditionalCells() int {
 // member a real TSV of the right direction, every TSV covered exactly once,
 // and no flip-flop used by two groups.
 func (a *Assignment) Validate(n *netlist.Netlist) error {
-	ffUsed := map[string]string{}
-	tsvSeen := map[netlist.SignalID]struct{}{}
+	// ffUsed maps a reused flip-flop to the group using it: control group
+	// i as i, observe group i as -1-i.
+	ffUsed := make(map[netlist.SignalID]int, len(a.Control)+len(a.Observe))
+	user := func(g int) string {
+		if g < 0 {
+			return fmt.Sprintf("observe group %d", -1-g)
+		}
+		return fmt.Sprintf("control group %d", g)
+	}
+	tsvSeen := make(map[netlist.SignalID]struct{}, len(a.Control))
 	for i, g := range a.Control {
 		if len(g.TSVs) == 0 {
 			return invalid("control group %d is empty", i)
@@ -122,10 +131,10 @@ func (a *Assignment) Validate(n *netlist.Netlist) error {
 			if n.TypeOf(g.ReusedFF) != netlist.GateDFF {
 				return invalid("control group %d reuses non-FF %q", i, n.NameOf(g.ReusedFF))
 			}
-			if prev, dup := ffUsed[n.NameOf(g.ReusedFF)]; dup {
-				return invalid("FF %q used by %s and control group %d", n.NameOf(g.ReusedFF), prev, i)
+			if prev, dup := ffUsed[g.ReusedFF]; dup {
+				return invalid("FF %q used by %s and control group %d", n.NameOf(g.ReusedFF), user(prev), i)
 			}
-			ffUsed[n.NameOf(g.ReusedFF)] = fmt.Sprintf("control group %d", i)
+			ffUsed[g.ReusedFF] = i
 		}
 		for _, t := range g.TSVs {
 			if n.TypeOf(t) != netlist.GateTSVIn {
@@ -137,7 +146,7 @@ func (a *Assignment) Validate(n *netlist.Netlist) error {
 			tsvSeen[t] = struct{}{}
 		}
 	}
-	portSeen := map[int]struct{}{}
+	portSeen := make([]bool, len(n.Outputs))
 	for i, g := range a.Observe {
 		if len(g.Ports) == 0 {
 			return invalid("observe group %d is empty", i)
@@ -146,19 +155,19 @@ func (a *Assignment) Validate(n *netlist.Netlist) error {
 			if n.TypeOf(g.ReusedFF) != netlist.GateDFF {
 				return invalid("observe group %d reuses non-FF %q", i, n.NameOf(g.ReusedFF))
 			}
-			if prev, dup := ffUsed[n.NameOf(g.ReusedFF)]; dup {
-				return invalid("FF %q used by %s and observe group %d", n.NameOf(g.ReusedFF), prev, i)
+			if prev, dup := ffUsed[g.ReusedFF]; dup {
+				return invalid("FF %q used by %s and observe group %d", n.NameOf(g.ReusedFF), user(prev), i)
 			}
-			ffUsed[n.NameOf(g.ReusedFF)] = fmt.Sprintf("observe group %d", i)
+			ffUsed[g.ReusedFF] = -1 - i
 		}
 		for _, pIdx := range g.Ports {
 			if pIdx < 0 || pIdx >= len(n.Outputs) || n.Outputs[pIdx].Class != netlist.PortTSVOut {
 				return invalid("observe group %d references invalid TSV_OUT port %d", i, pIdx)
 			}
-			if _, dup := portSeen[pIdx]; dup {
+			if portSeen[pIdx] {
 				return invalid("outbound TSV port %d in two groups", pIdx)
 			}
-			portSeen[pIdx] = struct{}{}
+			portSeen[pIdx] = true
 		}
 	}
 	return nil

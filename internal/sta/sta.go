@@ -74,8 +74,8 @@ type Result struct {
 }
 
 // circuit is what the passes read: the flat connectivity, the output
-// ports, the library's per-type parameters looked up once, and — when
-// placed — coordinates indexed like the signals.
+// ports, the library's per-type parameters looked up once, the prices, and
+// — when placed — coordinates indexed like the signals.
 type circuit struct {
 	g                 *netlist.Graph
 	outs              []netlist.Output
@@ -84,25 +84,133 @@ type circuit struct {
 	placed            bool
 	coords, outCoords []place.Point
 	tied              []bool // MUX selects tied low; nil when none are
+	prices            *Prices
 }
 
-func newCircuit(g *netlist.Graph, outs []netlist.Output, lib *cells.Library, cfg Config) *circuit {
+func newCircuit(g *netlist.Graph, outs []netlist.Output, lib *cells.Library, pl *place.Placement, tieLow []netlist.SignalID) *circuit {
 	c := &circuit{g: g, outs: outs, lib: lib}
 	for t := range c.par {
 		c.par[t] = lib.Of(netlist.GateType(t))
 	}
-	if pl := cfg.Placement; pl != nil {
+	if pl != nil {
 		c.placed, c.coords, c.outCoords = true, pl.Coords, pl.OutCoords
 	}
-	if len(cfg.TieLow) > 0 {
+	if len(tieLow) > 0 {
 		c.tied = make([]bool, g.NumGates())
-		for _, s := range cfg.TieLow {
+		for _, s := range tieLow {
 			if s >= 0 && int(s) < len(c.tied) {
 				c.tied[s] = true
 			}
 		}
 	}
 	return c
+}
+
+// Prices are what the timing passes read besides the connectivity: the
+// capacitive load each signal drives, the wire delay of each fanin edge
+// and of each output port's run to its pad. Price computes them for a
+// whole circuit. A caller that edits a priced circuit can copy them and
+// Reprice only what the edit touched.
+type Prices struct {
+	// LoadFF[id] is the total capacitive load (fF) driven by signal id.
+	LoadFF []float64
+	// WirePS[e] is the wire delay (ps) from the driver of fanin edge e to
+	// its reader, indexed like Graph.Fanin.
+	WirePS []float64
+	// OutWirePS[oi] is the wire delay (ps) from output port oi's signal to
+	// its pad.
+	OutWirePS []float64
+}
+
+// Price computes every price of a circuit given in flat form: its types
+// and fanin CSR (no fanout or order is read), its output ports, and the
+// placement supplying coordinates indexed like its signals and ports (nil
+// prices no wire).
+func Price(g *netlist.Graph, outs []netlist.Output, lib *cells.Library, pl *place.Placement) *Prices {
+	p := &Prices{
+		LoadFF:    make([]float64, g.NumGates()),
+		WirePS:    make([]float64, len(g.Fanin)),
+		OutWirePS: make([]float64, len(outs)),
+	}
+	c := newCircuit(g, outs, lib, pl, nil)
+	c.priceWires(p, nil)
+	c.addLoads(p.LoadFF, nil, nil)
+	return p
+}
+
+// Reprice brings p up to date after an edit of the circuit it priced. p's
+// arrays must already be indexed like the edited circuit, g, outs and pl.
+// drivers marks the signals whose fanout or ports the edit changed;
+// readers marks the gates whose fanin it changed or added, and every
+// other gate that reads a marked driver. Reprice recomputes the wire
+// delay of each marked reader's fanin edges, the load of each marked
+// driver and every port's wire delay. Every other price must still hold;
+// the result then equals Price of the edited circuit bit for bit.
+func (p *Prices) Reprice(g *netlist.Graph, outs []netlist.Output, lib *cells.Library, pl *place.Placement, readers, drivers []bool) {
+	c := newCircuit(g, outs, lib, pl, nil)
+	c.priceWires(p, readers)
+	for i, touched := range drivers {
+		if touched {
+			p.LoadFF[i] = 0
+		}
+	}
+	c.addLoads(p.LoadFF, readers, drivers)
+}
+
+// priceWires prices the fanin edges of the marked readers (every gate's
+// when readers is nil) and the output ports.
+func (c *circuit) priceWires(p *Prices, readers []bool) {
+	g := c.g
+	for r := range g.Types {
+		if readers != nil && !readers[r] {
+			continue
+		}
+		for e := g.FaninOff[r]; e < g.FaninOff[r+1]; e++ {
+			p.WirePS[e] = c.wirePS(g.Fanin[e], netlist.SignalID(r))
+		}
+	}
+	for oi, o := range c.outs {
+		p.OutWirePS[oi] = c.wireToOutPS(o.Signal, oi)
+	}
+}
+
+// addLoads adds to load, for every driver marked in drivers (every signal
+// when drivers is nil), the input capacitance of each fanout pin of a
+// marked reader (every gate when readers is nil), the wire capacitance to
+// each such sink (if placed), and the TSV pad capacitance (plus wire) for
+// outbound-TSV ports. Readers are scattered in ascending SignalID order
+// and pin order, then ports in port order, so each sum runs in the order
+// of the signal's fanout list.
+func (c *circuit) addLoads(load []float64, readers, drivers []bool) {
+	g, lib := c.g, c.lib
+	off, fanin := g.FaninOff, g.Fanin
+	for r, t := range g.Types {
+		if readers != nil && !readers[r] {
+			continue
+		}
+		for _, f := range fanin[off[r]:off[r+1]] {
+			if drivers != nil && !drivers[f] {
+				continue
+			}
+			load[f] += c.par[t].InputCapFF
+			if c.placed {
+				load[f] += lib.WireCapFF(c.coords[f].ManhattanTo(c.coords[r]))
+			}
+		}
+	}
+	for oi, o := range c.outs {
+		if drivers != nil && !drivers[o.Signal] {
+			continue
+		}
+		extra := 0.0
+		if o.Class == netlist.PortTSVOut {
+			extra = lib.TSVCapFF
+		}
+		if c.placed {
+			extra += lib.WireCapFF(c.coords[o.Signal].ManhattanTo(c.outCoords[oi]))
+		}
+		load[o.Signal] += extra
+	}
 }
 
 // Analyze runs a full timing analysis.
@@ -125,25 +233,45 @@ func Analyze(n *netlist.Netlist, lib *cells.Library, cfg Config) (*Result, error
 // field is not consulted). This is how a view that was never
 // materialized as a Netlist gets timed; the Result's Netlist is nil.
 func AnalyzeGraph(g *netlist.Graph, outs []netlist.Output, lib *cells.Library, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
+	if err := checkConfig(g, outs, cfg.withDefaults()); err != nil {
+		return nil, err
+	}
+	return AnalyzePriced(g, outs, lib, cfg, Price(g, outs, lib, cfg.Placement))
+}
+
+func checkConfig(g *netlist.Graph, outs []netlist.Output, cfg Config) error {
 	if cfg.ClockPS <= 0 {
-		return nil, fmt.Errorf("sta: clock period must be positive, got %v", cfg.ClockPS)
+		return fmt.Errorf("sta: clock period must be positive, got %v", cfg.ClockPS)
 	}
 	if pl := cfg.Placement; pl != nil && (len(pl.Coords) < g.NumGates() || len(pl.OutCoords) < len(outs)) {
-		return nil, fmt.Errorf("sta: placement covers %d signals and %d ports, circuit has %d and %d",
+		return fmt.Errorf("sta: placement covers %d signals and %d ports, circuit has %d and %d",
 			len(pl.Coords), len(pl.OutCoords), g.NumGates(), len(outs))
 	}
+	return nil
+}
+
+// AnalyzePriced is AnalyzeGraph over prices the caller already holds (as
+// Price computes them for cfg.Placement). It reads the graph's types,
+// fanin CSR and Order, which the caller may supply without the fanout CSR
+// or levels: any topological order gives the same figures. The Result
+// takes p.LoadFF as its LoadFF.
+func AnalyzePriced(g *netlist.Graph, outs []netlist.Output, lib *cells.Library, cfg Config, p *Prices) (*Result, error) {
+	cfg = cfg.withDefaults()
+	if err := checkConfig(g, outs, cfg); err != nil {
+		return nil, err
+	}
 	nG := g.NumGates()
+	c := newCircuit(g, outs, lib, cfg.Placement, cfg.TieLow)
+	c.prices = p
 	r := &Result{
 		Lib:        lib,
 		Config:     cfg,
-		LoadFF:     make([]float64, nG),
+		LoadFF:     p.LoadFF,
 		DelayPS:    make([]float64, nG),
 		ArrivalPS:  make([]float64, nG),
 		RequiredPS: make([]float64, nG),
-		c:          newCircuit(g, outs, lib, cfg),
+		c:          c,
 	}
-	r.computeLoads()
 	r.computeDelays()
 	r.computeArrivals()
 	r.computeRequired()
@@ -166,51 +294,23 @@ func (r *Result) AtClock(clockPS float64) (*Result, error) {
 }
 
 // circ returns the circuit the result times. A Result assembled by hand
-// (a projection onto a base netlist) gets one built from its Netlist and
-// Config on every call, so concurrent readers never write to it.
+// (a projection onto a base netlist) gets one built and priced from its
+// Netlist and Config on every call, so concurrent readers never write to
+// it.
 func (r *Result) circ() *circuit {
 	if r.c != nil {
 		return r.c
 	}
-	return newCircuit(r.Netlist.Graph(), r.Netlist.Outputs, r.Lib, r.Config)
+	g, outs := r.Netlist.Graph(), r.Netlist.Outputs
+	c := newCircuit(g, outs, r.Lib, r.Config.Placement, r.Config.TieLow)
+	c.prices = Price(g, outs, r.Lib, r.Config.Placement)
+	return c
 }
 
-// timedFanin returns the fanin pins of id that are timed: for a MUX whose
-// select is tied low, only pin 1; otherwise all pins.
-func (c *circuit) timedFanin(id netlist.SignalID) []netlist.SignalID {
-	fanin := c.g.FaninOf(id)
-	if c.tied != nil && c.g.Types[id] == netlist.GateMux2 && c.tied[fanin[0]] {
-		return fanin[1:2]
-	}
-	return fanin
-}
-
-// computeLoads sums, for every signal, the input capacitance of each fanout
-// pin, the wire capacitance to each sink (if placed), and the TSV pad
-// capacitance (plus wire) for outbound-TSV ports.
-func (r *Result) computeLoads() {
-	c := r.c
-	g, lib := c.g, c.lib
-	for i := range r.LoadFF {
-		var load float64
-		for _, fo := range g.FanoutOf(netlist.SignalID(i)) {
-			load += c.par[g.Types[fo]].InputCapFF
-			if c.placed {
-				load += lib.WireCapFF(c.coords[i].ManhattanTo(c.coords[fo]))
-			}
-		}
-		r.LoadFF[i] = load
-	}
-	for oi, o := range c.outs {
-		extra := 0.0
-		if o.Class == netlist.PortTSVOut {
-			extra = lib.TSVCapFF
-		}
-		if c.placed {
-			extra += lib.WireCapFF(c.coords[o.Signal].ManhattanTo(c.outCoords[oi]))
-		}
-		r.LoadFF[o.Signal] += extra
-	}
+// tiedMux reports whether a gate of type t whose fanin starts at edge lo
+// is a MUX with its select tied low, timed through pin 1 only.
+func (c *circuit) tiedMux(t netlist.GateType, lo int32) bool {
+	return c.tied != nil && t == netlist.GateMux2 && c.tied[c.g.Fanin[lo]]
 }
 
 func (r *Result) computeDelays() {
@@ -237,11 +337,13 @@ func (c *circuit) wireToOutPS(from netlist.SignalID, outIdx int) float64 {
 	return c.lib.WireDelayPS(c.coords[from].ManhattanTo(c.outCoords[outIdx]), c.par[c.g.Types[from]].DriveResKOhm)
 }
 
-// forEachFF calls fn with every flip-flop and the signal on its D pin.
-func (c *circuit) forEachFF(fn func(ff, d netlist.SignalID)) {
+// forEachFF calls fn with every flip-flop and the wire delay into its D
+// pin, from the signal on it.
+func (c *circuit) forEachFF(fn func(d netlist.SignalID, wirePS float64)) {
 	for i, t := range c.g.Types {
 		if t == netlist.GateDFF {
-			fn(netlist.SignalID(i), c.g.Fanin[c.g.FaninOff[i]])
+			e := c.g.FaninOff[i]
+			fn(c.g.Fanin[e], c.prices.WirePS[e])
 		}
 	}
 }
@@ -250,20 +352,26 @@ func (c *circuit) forEachFF(fn func(ff, d netlist.SignalID)) {
 // launch at t=0 except flip-flops, which launch at their clk-to-Q delay.
 func (r *Result) computeArrivals() {
 	c := r.c
+	types, off, fanin, wire := c.g.Types, c.g.FaninOff, c.g.Fanin, c.prices.WirePS
+	arrival, delay := r.ArrivalPS, r.DelayPS
 	for _, id := range c.g.Order {
-		switch t := c.g.Types[id]; {
+		switch t := types[id]; {
 		case t == netlist.GateDFF:
-			r.ArrivalPS[id] = r.DelayPS[id] // clk->Q
+			arrival[id] = delay[id] // clk->Q
 		case t.IsSource():
-			r.ArrivalPS[id] = 0
+			arrival[id] = 0
 		default:
+			lo, hi := off[id], off[id+1]
+			if c.tiedMux(t, lo) {
+				lo, hi = lo+1, lo+2
+			}
 			worst := 0.0
-			for _, f := range c.timedFanin(id) {
-				if at := r.ArrivalPS[f] + c.wirePS(f, id); at > worst {
+			for e := lo; e < hi; e++ {
+				if at := arrival[fanin[e]] + wire[e]; at > worst {
 					worst = at
 				}
 			}
-			r.ArrivalPS[id] = worst + r.DelayPS[id]
+			arrival[id] = worst + delay[id]
 		}
 	}
 }
@@ -272,14 +380,16 @@ func (r *Result) computeArrivals() {
 // flip-flop D pins and output ports, both required at clock - setup.
 func (r *Result) computeRequired() {
 	c := r.c
+	types, off, fanin, wire := c.g.Types, c.g.FaninOff, c.g.Fanin, c.prices.WirePS
+	required, delay := r.RequiredPS, r.DelayPS
 	deadline := r.Config.ClockPS - r.Config.SetupPS
-	for i := range r.RequiredPS {
-		r.RequiredPS[i] = math.Inf(1)
+	for i := range required {
+		required[i] = math.Inf(1)
 	}
 	for oi, o := range c.outs {
-		req := deadline - c.wireToOutPS(o.Signal, oi)
-		if req < r.RequiredPS[o.Signal] {
-			r.RequiredPS[o.Signal] = req
+		req := deadline - c.prices.OutWirePS[oi]
+		if req < required[o.Signal] {
+			required[o.Signal] = req
 		}
 	}
 	// Seed every capture endpoint BEFORE the backward sweep: flip-flops
@@ -287,22 +397,28 @@ func (r *Result) computeRequired() {
 	// handling their D pins during the reverse walk would set the
 	// endpoint after its fan-in cone had already been processed, leaving
 	// everything upstream optimistically untimed.
-	c.forEachFF(func(ff, d netlist.SignalID) {
-		req := deadline - c.wirePS(d, ff)
-		if req < r.RequiredPS[d] {
-			r.RequiredPS[d] = req
+	c.forEachFF(func(d netlist.SignalID, wirePS float64) {
+		req := deadline - wirePS
+		if req < required[d] {
+			required[d] = req
 		}
 	})
 	order := c.g.Order
 	for k := len(order) - 1; k >= 0; k-- {
 		id := order[k]
-		if t := c.g.Types[id]; t == netlist.GateDFF || t.IsSource() {
+		t := types[id]
+		if t == netlist.GateDFF || t.IsSource() {
 			continue // endpoints seeded above; sources have no fanin
 		}
-		for _, f := range c.timedFanin(id) {
-			req := r.RequiredPS[id] - r.DelayPS[id] - c.wirePS(f, id)
-			if req < r.RequiredPS[f] {
-				r.RequiredPS[f] = req
+		lo, hi := off[id], off[id+1]
+		if c.tiedMux(t, lo) {
+			lo, hi = lo+1, lo+2
+		}
+		budget := required[id] - delay[id]
+		for e := lo; e < hi; e++ {
+			f := fanin[e]
+			if req := budget - wire[e]; req < required[f] {
+				required[f] = req
 			}
 		}
 	}
@@ -352,12 +468,12 @@ func (r *Result) CriticalPathPS() float64 {
 	c := r.circ()
 	worst := 0.0
 	for oi, o := range c.outs {
-		if at := r.ArrivalPS[o.Signal] + c.wireToOutPS(o.Signal, oi); at > worst {
+		if at := r.ArrivalPS[o.Signal] + c.prices.OutWirePS[oi]; at > worst {
 			worst = at
 		}
 	}
-	c.forEachFF(func(ff, d netlist.SignalID) {
-		if at := r.ArrivalPS[d] + c.wirePS(d, ff); at > worst {
+	c.forEachFF(func(d netlist.SignalID, wirePS float64) {
+		if at := r.ArrivalPS[d] + wirePS; at > worst {
 			worst = at
 		}
 	})

@@ -66,9 +66,16 @@ func AddSpares(n *netlist.Netlist, spec SpareSpec) error {
 // (spare sites were part of it) and the cross-phase refresh re-times the
 // patched die exactly.
 func CloneDie(d *experiments.Die) *experiments.Die {
-	c := *d
 	n := d.Netlist.Clone()
-	c.Netlist = n
+	c := &experiments.Die{
+		Profile:    d.Profile,
+		Netlist:    n,
+		Lib:        d.Lib,
+		ClockPS:    d.ClockPS,
+		MarginPS:   d.MarginPS,
+		StuckAt:    d.StuckAt,
+		Transition: d.Transition,
+	}
 	if d.Placement != nil {
 		pl := *d.Placement
 		pl.Netlist = n
@@ -79,7 +86,7 @@ func CloneDie(d *experiments.Die) *experiments.Die {
 		t.Netlist = n
 		c.Timing = &t
 	}
-	return &c
+	return c
 }
 
 // spareSites scans a die for unpromoted spare sites, in name order.

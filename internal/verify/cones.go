@@ -1,23 +1,21 @@
 package verify
 
 import (
-	"slices"
-
 	"wcm3d/internal/netlist"
 )
 
 // The cone walks below share nothing with the optimizer's BitSet/ConeSet
-// machinery: a breadth-first walk over the netlist's gates into a sorted
-// signal list instead of bit vectors, a merge instead of word algebra, and
-// the traversal rules transcribed from the paper rather than from
-// internal/netlist's cone code. An error in the optimizer's masks, word
-// indexes or dense rows therefore cannot repeat itself here. The walks are
-// still cheap: one visited slice, as long as the netlist, serves every walk
-// of a run — each walk unmarks what it marked — so a cone costs what it
-// holds, not a fresh set per member.
+// machinery: a breadth-first walk over the netlist's gates into a signal
+// list instead of bit vectors, a marked-slice count instead of word
+// algebra, and the traversal rules transcribed from the paper rather than
+// from internal/netlist's cone code. An error in the optimizer's masks,
+// word indexes or dense rows therefore cannot repeat itself here. The
+// walks are still cheap: one visited slice, as long as the netlist, serves
+// every walk and overlap count of a run — each unmarks what it marked — so
+// a cone costs what it holds, not a fresh set per member.
 
 // naiveFaninCone collects every signal that can influence the anchor
-// through combinational logic, in ascending order. The walk expands
+// through combinational logic, in walk order. The walk expands
 // backwards through gate fan-ins and stops at sources (primary inputs, TSV
 // pads, constants) and at flip-flop outputs other than the anchor itself —
 // those are the sequential and interface boundaries of the cone; the
@@ -39,11 +37,11 @@ func naiveFaninCone(n *netlist.Netlist, anchor netlist.SignalID, seen []bool) []
 			}
 		}
 	}
-	return sortAndUnmark(cone, seen)
+	return unmark(cone, seen)
 }
 
 // naiveFanoutCone collects every signal the anchor can influence through
-// combinational logic, in ascending order. The walk expands forward
+// combinational logic, in walk order. The walk expands forward
 // through fan-outs and stops at flip-flops other than the anchor (the
 // flip-flop itself is included as the capture boundary). seen must be all
 // false and is left so.
@@ -63,46 +61,43 @@ func naiveFanoutCone(n *netlist.Netlist, anchor netlist.SignalID, seen []bool) [
 			}
 		}
 	}
-	return sortAndUnmark(cone, seen)
+	return unmark(cone, seen)
 }
 
-// sortAndUnmark clears the walk's marks and sorts its cone.
-func sortAndUnmark(cone []netlist.SignalID, seen []bool) []netlist.SignalID {
+// unmark clears the walk's marks.
+func unmark(cone []netlist.SignalID, seen []bool) []netlist.SignalID {
 	for _, s := range cone {
 		seen[s] = false
 	}
-	slices.Sort(cone)
 	return cone
 }
 
-// maskedOverlap counts the shared members of two ascending cones after
-// masking out sources and flip-flops — the same masking Algorithm 1
-// applies before its disjointness test: a shared primary input or a shared
-// upstream flip-flop is a fan-out point of the circuit, not shared
-// *combinational* logic, and does not alias test responses. Every shared
-// gate is also recorded in collect so deep mode can build its fault list
-// from the union of all overlaps.
-func maskedOverlap(n *netlist.Netlist, a, b []netlist.SignalID, collect map[netlist.SignalID]bool) int {
+// maskedOverlap counts the shared members of two cones after masking out
+// sources and flip-flops — the same masking Algorithm 1 applies before its
+// disjointness test: a shared primary input or a shared upstream flip-flop
+// is a fan-out point of the circuit, not shared *combinational* logic, and
+// does not alias test responses. It marks a's members in mark, counts b's
+// marked ones and unmarks a again: mark must be all false and is left so.
+// Every shared gate is also recorded in collect so deep mode can build its
+// fault list from the union of all overlaps.
+func maskedOverlap(n *netlist.Netlist, a, b []netlist.SignalID, mark []bool, collect map[netlist.SignalID]bool) int {
+	for _, s := range a {
+		mark[s] = true
+	}
 	shared := 0
-	for i, j := 0, 0; i < len(a) && j < len(b); {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			s := a[i]
-			i++
-			j++
-			t := n.TypeOf(s)
-			if t.IsSource() || t == netlist.GateDFF {
-				continue
-			}
-			shared++
-			if collect != nil {
-				collect[s] = true
-			}
+	for _, s := range b {
+		if !mark[s] {
+			continue
+		}
+		t := n.TypeOf(s)
+		if t.IsSource() || t == netlist.GateDFF {
+			continue
+		}
+		shared++
+		if collect != nil {
+			collect[s] = true
 		}
 	}
+	unmark(a, mark)
 	return shared
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // The map-based walks below are the verifier's earlier cone code, kept as
-// the reference its visited-slice walks and sorted-list merge are held to: a fresh
+// the reference its visited-slice walks and marked-slice overlap count are held to: a fresh
 // map per cone, membership by map lookup, overlap by probing the larger
 // map with the smaller one's members.
 
@@ -77,8 +77,7 @@ func mapMaskedOverlap(n *netlist.Netlist, a, b map[netlist.SignalID]bool, collec
 	return shared
 }
 
-// sortedKeys lists a map cone in ascending order, the form the checker's
-// members carry.
+// sortedKeys lists a map cone in ascending order.
 func sortedKeys(cone map[netlist.SignalID]bool) []netlist.SignalID {
 	out := make([]netlist.SignalID, 0, len(cone))
 	for s := range cone {
@@ -91,9 +90,10 @@ func sortedKeys(cone map[netlist.SignalID]bool) []netlist.SignalID {
 // ConeWalksMatchReference compares the visited-slice walks against the map-based
 // reference on every inbound TSV pad, outbound port driver and flip-flop
 // of n (fan-out and fan-in cones of each, both sides' anchors): the cones
-// must hold the same members in ascending order, and for every pair of
-// consecutive anchors the merge overlap must count and collect what the
-// map overlap does. It returns the number of cones compared.
+// must hold the same members, and for every pair of consecutive anchors
+// the marked-slice overlap must count and collect what the map overlap
+// does. Every walk and count must leave the shared visited slice all
+// false. It returns the number of cones compared.
 func ConeWalksMatchReference(n *netlist.Netlist) (int, error) {
 	var anchors []netlist.SignalID
 	anchors = append(anchors, n.InboundTSVs()...)
@@ -118,19 +118,24 @@ func ConeWalksMatchReference(n *netlist.Netlist) (int, error) {
 		var prevRef map[netlist.SignalID]bool
 		for _, s := range anchors {
 			got, ref := w.walk(s), w.ref(s)
-			if want := sortedKeys(ref); !slices.Equal(got, want) {
+			members := slices.Clone(got)
+			slices.Sort(members)
+			if want := sortedKeys(ref); !slices.Equal(members, want) {
 				return cones, fmt.Errorf("%s cone of %s: visited-slice walk holds %d members, map walk %d (or different ones)",
 					w.name, n.NameOf(s), len(got), len(want))
 			}
 			cones++
 			if prev != nil {
 				gotSet, wantSet := map[netlist.SignalID]bool{}, map[netlist.SignalID]bool{}
-				g := maskedOverlap(n, prev, got, gotSet)
+				g := maskedOverlap(n, prev, got, seen, gotSet)
 				want := mapMaskedOverlap(n, prevRef, ref, wantSet)
 				if g != want || !reflect.DeepEqual(gotSet, wantSet) {
-					return cones, fmt.Errorf("%s overlap ending at %s: merge counts %d (%d collected), map %d (%d collected)",
+					return cones, fmt.Errorf("%s overlap ending at %s: marked count %d (%d collected), map %d (%d collected)",
 						w.name, n.NameOf(s), g, len(gotSet), want, len(wantSet))
 				}
+			}
+			if i := slices.Index(seen, true); i >= 0 {
+				return cones, fmt.Errorf("%s cone of %s left %s marked", w.name, n.NameOf(s), n.NameOf(netlist.SignalID(i)))
 			}
 			prev, prevRef = got, ref
 		}
@@ -139,7 +144,7 @@ func ConeWalksMatchReference(n *netlist.Netlist) (int, error) {
 }
 
 // StructuralMatchesReference runs Plan's structural checks on asn twice:
-// once on the visited-slice walks and the merge overlap, once on the map-based
+// once on the visited-slice walks and the marked-slice overlap, once on the map-based
 // reference. Every overlap the first run takes is also recounted by the
 // map overlap. The two runs must agree on Pairs, Groups, ReusedFFs, the
 // Violations in order, the overlapping-pair count and the shared-gate set
@@ -151,9 +156,9 @@ func StructuralMatchesReference(in wcm.Input, asn *scan.Assignment, vo Options) 
 	}
 	n := in.Netlist
 	var mismatch error
-	merge := c.overlap
+	marked := c.overlap
 	c.overlap = func(a, b []netlist.SignalID, collect map[netlist.SignalID]bool) int {
-		got := merge(a, b, collect)
+		got := marked(a, b, collect)
 		if want := mapMaskedOverlap(n, setOf(a), setOf(b), nil); got != want && mismatch == nil {
 			mismatch = fmt.Errorf("maskedOverlap counts %d shared gates, the map reference %d", got, want)
 		}

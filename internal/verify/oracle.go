@@ -129,7 +129,7 @@ type oracleMember struct {
 	sig    netlist.SignalID
 	anchor netlist.SignalID
 	port   int
-	cone   []netlist.SignalID // ascending
+	cone   []netlist.SignalID
 	pos    place.Point
 	load   float64
 }
@@ -213,7 +213,7 @@ func oraclePhase(in wcm.Input, opts wcm.Options, inbound bool, available map[net
 	}
 	for i := range items {
 		for j := i + 1; j < len(items); j++ {
-			ok := oraclePairOK(in, opts, &items[i], &items[j])
+			ok := oraclePairOK(in, opts, &items[i], &items[j], seen)
 			feas[i][j], feas[j][i] = ok, ok
 		}
 	}
@@ -221,7 +221,7 @@ func oraclePhase(in wcm.Input, opts wcm.Options, inbound bool, available map[net
 	for f := range ffMembers {
 		ffFeas[f] = make([]bool, len(items))
 		for i := range items {
-			ffFeas[f][i] = oraclePairOK(in, opts, &ffMembers[f], &items[i])
+			ffFeas[f][i] = oraclePairOK(in, opts, &ffMembers[f], &items[i], seen)
 		}
 	}
 
@@ -267,8 +267,8 @@ func oraclePhase(in wcm.Input, opts wcm.Options, inbound bool, available map[net
 }
 
 // oraclePairOK re-derives one edge of Algorithm 1's sharing graph between
-// two members (TSV×TSV or flip-flop×TSV).
-func oraclePairOK(in wcm.Input, opts wcm.Options, a, b *oracleMember) bool {
+// two members (TSV×TSV or flip-flop×TSV). mark is maskedOverlap's scratch.
+func oraclePairOK(in wcm.Input, opts wcm.Options, a, b *oracleMember, mark []bool) bool {
 	if a.anchor == b.anchor {
 		return false // XOR folding of a signal with itself cancels
 	}
@@ -280,7 +280,7 @@ func oraclePairOK(in wcm.Input, opts wcm.Options, a, b *oracleMember) bool {
 	if !(a.load+b.load < opts.CapThFF) {
 		return false
 	}
-	shared := maskedOverlap(in.Netlist, a.cone, b.cone, nil)
+	shared := maskedOverlap(in.Netlist, a.cone, b.cone, mark, nil)
 	if shared == 0 {
 		return true
 	}

@@ -8,8 +8,8 @@
 // Violations.
 //
 // The point of the package is trust, not speed: it shares no code with the
-// optimizer's hot path. Cones are walked into sorted signal lists instead
-// of the precomputed BitSet ConeSet, pair conditions are re-evaluated from
+// optimizer's hot path. Cones are walked into signal lists instead of the
+// precomputed BitSet ConeSet, pair conditions are re-evaluated from
 // the paper's formulas rather than replayed from graph state, and phase-two
 // slacks are re-derived through internal/sta via the input's RefreshTiming
 // hook. A bug in the optimizer's indexes, striping, or bitset algebra
@@ -222,7 +222,7 @@ func newChecker(in wcm.Input, asn *scan.Assignment, vo Options) (*checker, error
 		fanin:       func(s netlist.SignalID) []netlist.SignalID { return naiveFaninCone(n, s, seen) },
 		fanout:      func(s netlist.SignalID) []netlist.SignalID { return naiveFanoutCone(n, s, seen) },
 		overlap: func(a, b []netlist.SignalID, collect map[netlist.SignalID]bool) int {
-			return maskedOverlap(n, a, b, collect)
+			return maskedOverlap(n, a, b, seen, collect)
 		},
 	}, nil
 }
@@ -277,7 +277,7 @@ func (c *checker) warn(v Violation) { c.res.Warnings = append(c.res.Warnings, v)
 type member struct {
 	label  string
 	anchor netlist.SignalID
-	cone   []netlist.SignalID // ascending
+	cone   []netlist.SignalID
 	pos    place.Point
 	load2  float64
 	isFF   bool
