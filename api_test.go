@@ -4,6 +4,7 @@ package wcm3d_test
 // examples and downstream users consume.
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -456,6 +457,45 @@ func TestPrepareDieWithZeroSparesMatchesPrepareDie(t *testing.T) {
 				t.Errorf("%s: PrepareDieWithSpares(SpareSpec{}) differs from PrepareDie (stuck-at %d vs %d, transition %d vs %d)",
 					p.Name(), len(got.StuckAt), len(want.StuckAt), len(got.Transition), len(want.Transition))
 			}
+		}
+	}
+}
+
+// TestPreparedDieRoundTrip writes a prepared die, its repeaters fbuf0,
+// fbuf1, ... included, to .bench, parses it back and prepares it again:
+// the second repeater pass must take names the die leaves free.
+func TestPreparedDieRoundTrip(t *testing.T) {
+	p, err := wcm3d.ProfileByName("b11/0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := wcm3d.PrepareDie(p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := d.Netlist.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	n, err := wcm3d.ParseNetlist(d.Netlist.Name, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parsed := n.NumGates()
+	if _, ok := n.SignalByName("fbuf0"); !ok {
+		t.Fatal("the prepared die has no repeater fbuf0")
+	}
+	d2, err := wcm3d.PrepareParsed(n, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d2.Netlist.NumGates() == parsed {
+		t.Fatal("the re-placed die needed no repeaters")
+	}
+	for i := parsed; i < d2.Netlist.NumGates(); i++ {
+		name := d2.Netlist.NameOf(wcm3d.SignalID(i))
+		if _, taken := d.Netlist.SignalByName(name); taken || !strings.HasPrefix(name, "fbuf") {
+			t.Errorf("repeater %d named %q", i, name)
 		}
 	}
 }

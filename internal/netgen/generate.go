@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 
 	"wcm3d/internal/netlist"
 )
@@ -101,19 +102,30 @@ func Generate(p Profile, seed int64) (*netlist.Netlist, error) {
 	fmt.Fprintf(h, "%s|%d", p.Name(), seed)
 	rng := rand.New(rand.NewSource(int64(h.Sum64())))
 
-	n := netlist.New(p.Name())
+	// The gates are built in one slice, sized once, and handed to the
+	// netlist in one AppendGates call after the fabric. The pin arena is
+	// sized for gateMix's mean of about 2.06 pins a gate, so one chunk
+	// nearly always holds the die's fanins.
+	sources := p.PIs + p.InboundTSVs + p.ScanFFs
+	gen := &generator{rng: rng, gates: make([]netlist.Gate, 0, sources+p.Gates),
+		pins:      make([]netlist.SignalID, 0, p.ScanFFs+9*p.Gates/4),
+		ancestors: make([][]netlist.SignalID, sources, sources+p.Gates),
+		ancSeen:   make([]uint32, sources, sources+p.Gates),
+		ancPool:   make([]netlist.SignalID, 0, 1<<14)}
 
 	// ---- Sources: primary inputs, inbound TSV pads, flip-flops (Q side).
 	var pis, tins, ffs []netlist.SignalID
 	for i := 0; i < p.PIs; i++ {
-		pis = append(pis, n.MustAddGate(netlist.GateInput, fmt.Sprintf("pi%d", i)))
+		pis = append(pis, gen.add(netlist.GateInput, nil))
 	}
 	for i := 0; i < p.InboundTSVs; i++ {
-		tins = append(tins, n.MustAddGate(netlist.GateTSVIn, fmt.Sprintf("tin%d", i)))
+		tins = append(tins, gen.add(netlist.GateTSVIn, nil))
 	}
 	for i := 0; i < p.ScanFFs; i++ {
 		// D temporarily tied to a PI; rewired to real logic below.
-		ffs = append(ffs, n.MustAddGate(netlist.GateDFF, fmt.Sprintf("ff%d", i), pis[rng.Intn(p.PIs)]))
+		d := carve(&gen.pins, 1)
+		d[0] = pis[rng.Intn(p.PIs)]
+		ffs = append(ffs, gen.add(netlist.GateDFF, d))
 	}
 
 	// ---- Cluster assignment. Every cluster gets a roughly even share of
@@ -127,6 +139,7 @@ func Generate(p Profile, seed int64) (*netlist.Netlist, error) {
 	for c := range clusters {
 		clusters[c] = &clusterState{}
 	}
+	gen.clusters = clusters
 	assign := func(sigs []netlist.SignalID) {
 		perm := rng.Perm(len(sigs))
 		for i, pi := range perm {
@@ -140,7 +153,7 @@ func Generate(p Profile, seed int64) (*netlist.Netlist, error) {
 	ffCluster := make(map[netlist.SignalID]int)
 	for ci, c := range clusters {
 		for _, s := range c.sources {
-			if n.TypeOf(s) == netlist.GateDFF {
+			if gen.gates[s].Type == netlist.GateDFF {
 				ffCluster[s] = ci
 			}
 		}
@@ -205,7 +218,7 @@ func Generate(p Profile, seed int64) (*netlist.Netlist, error) {
 	totalPorts := p.OutboundTSVs + p.POs
 	for ci, c := range clusters {
 		for _, src := range c.sources {
-			if n.TypeOf(src) == netlist.GateDFF {
+			if gen.gates[src].Type == netlist.GateDFF {
 				c.sinks++
 			}
 		}
@@ -215,14 +228,20 @@ func Generate(p Profile, seed int64) (*netlist.Netlist, error) {
 	}
 
 	// ---- Fabric, cluster by cluster.
-	sources, total := n.NumGates(), n.NumGates()+p.Gates
-	gen := &generator{n: n, rng: rng, clusters: clusters,
-		ancestors: make([][]netlist.SignalID, sources, total), ancSeen: make([]uint32, sources, total)}
-	gateNo := 0
 	for ci := range clusters {
-		if err := gen.buildCluster(ci, &gateNo); err != nil {
-			return nil, err
-		}
+		gen.buildCluster(ci)
+	}
+
+	names := slices.Concat(netlist.NumberedNames("pi", p.PIs, nil),
+		netlist.NumberedNames("tin", p.InboundTSVs, nil),
+		netlist.NumberedNames("ff", p.ScanFFs, nil),
+		netlist.NumberedNames("g", len(gen.gates)-sources, nil))
+	for i := range gen.gates {
+		gen.gates[i].Name = names[i]
+	}
+	n := netlist.New(p.Name())
+	if _, err := n.AppendGates(gen.gates); err != nil {
+		return nil, fmt.Errorf("netgen: %w", err)
 	}
 
 	// ---- Flip-flop D rewiring: shallow cluster-local logic. Real
@@ -552,16 +571,39 @@ func contains(list []netlist.SignalID, s netlist.SignalID) bool {
 
 // generator holds cross-cluster state for the fabric build.
 type generator struct {
-	n        *netlist.Netlist
 	rng      *rand.Rand
 	clusters []*clusterState
+	// gates is the die under construction, indexed by SignalID; names
+	// come last. pins backs the gates' fanin lists.
+	gates []netlist.Gate
+	pins  []netlist.SignalID
 
-	// ancestors is indexed by SignalID (nil for sources); ancSeen and
-	// ancStamp dedupe recordAncestors' insertions without a map per gate.
+	// ancestors is indexed by SignalID (nil for sources) and carved from
+	// ancPool, which the netlist does not keep; ancSeen and ancStamp dedupe
+	// recordAncestors' insertions without a map per gate.
 	ancestors [][]netlist.SignalID
 	ancSeen   []uint32
 	ancStamp  uint32
 	ancBuf    []netlist.SignalID
+	ancPool   []netlist.SignalID
+}
+
+// add appends a gate and returns its SignalID.
+func (g *generator) add(typ netlist.GateType, fanin []netlist.SignalID) netlist.SignalID {
+	g.gates = append(g.gates, netlist.Gate{Type: typ, Fanin: fanin})
+	return netlist.SignalID(len(g.gates) - 1)
+}
+
+// carve cuts k signals from the arena, capped at their length so an
+// append (AppendFanin) reallocates instead of overrunning the next gate's
+// slice. A full arena moves to a fresh chunk of its first chunk's size.
+func carve(arena *[]netlist.SignalID, k int) []netlist.SignalID {
+	if len(*arena)+k > cap(*arena) {
+		*arena = make([]netlist.SignalID, 0, max(k, cap(*arena)))
+	}
+	lo := len(*arena)
+	*arena = (*arena)[:lo+k]
+	return (*arena)[lo : lo+k : lo+k]
 }
 
 // ancCap truncates the approximate ancestor sets used to reject
@@ -583,7 +625,7 @@ func (g *generator) related(a, b netlist.SignalID) bool {
 }
 
 // buildCluster generates one cluster's layered fabric.
-func (g *generator) buildCluster(ci int, gateNo *int) error {
+func (g *generator) buildCluster(ci int) {
 	c := g.clusters[ci]
 	rng := g.rng
 	c.pool = append(c.pool, c.sources...)
@@ -673,7 +715,7 @@ func (g *generator) buildCluster(ci int, gateNo *int) error {
 			default:
 				nIn = 2 + rng.Intn(4)/3 // mostly 2-input, some 3-input
 			}
-			fanin := make([]netlist.SignalID, nIn)
+			fanin := carve(&g.pins, nIn)
 			for j := range fanin {
 				// Distinct, non-ancestor-related pins: duplicates and
 				// dominated pairs breed redundancy synthesis would
@@ -707,8 +749,7 @@ func (g *generator) buildCluster(ci int, gateNo *int) error {
 					fanin[j] = leaves[rng.Intn(len(leaves))]
 				}
 			}
-			gid := g.n.MustAddGate(typ, fmt.Sprintf("g%d", *gateNo), fanin...)
-			*gateNo++
+			gid := g.add(typ, fanin)
 			created++
 			c.pool = append(c.pool, gid)
 			c.gates = append(c.gates, gid)
@@ -721,7 +762,7 @@ func (g *generator) buildCluster(ci int, gateNo *int) error {
 	// Compact: drop entries that gained fanout via later picks.
 	fanouts := map[netlist.SignalID]bool{}
 	for _, gid := range c.gates {
-		for _, f := range g.n.Gate(gid).Fanin {
+		for _, f := range g.gates[gid].Fanin {
 			fanouts[f] = true
 		}
 	}
@@ -732,11 +773,10 @@ func (g *generator) buildCluster(ci int, gateNo *int) error {
 		}
 	}
 	c.dangling, c.dangHead = live, 0
-	return nil
 }
 
 func (g *generator) recordAncestors(gid netlist.SignalID, fanin []netlist.SignalID) {
-	if need := g.n.NumGates(); len(g.ancestors) < need {
+	if need := len(g.gates); len(g.ancestors) < need {
 		g.ancestors = append(g.ancestors, make([][]netlist.SignalID, need-len(g.ancestors))...)
 		g.ancSeen = append(g.ancSeen, make([]uint32, need-len(g.ancSeen))...)
 	}
@@ -758,7 +798,8 @@ func (g *generator) recordAncestors(gid netlist.SignalID, fanin []netlist.Signal
 		}
 	}
 	g.ancBuf = anc
-	g.ancestors[gid] = append([]netlist.SignalID(nil), anc...)
+	g.ancestors[gid] = carve(&g.ancPool, len(anc))
+	copy(g.ancestors[gid], anc)
 }
 
 // deconstant finds combinational gates whose output never toggles across a
@@ -768,73 +809,83 @@ func (g *generator) recordAncestors(gid netlist.SignalID, fanin []netlist.Signal
 // flip-flop with no other fan-out keeps its source — rewiring it would
 // strand that source — so the rewire takes the next pin that strands
 // nothing, or skips the gate when every pin would.
+//
+// The graph is derived once per call. A rewire points a pin at a source,
+// and the topological order lists every source first, so the order stays
+// valid: each sweep evaluates a local copy of the fanin CSR that the
+// rewires patch in place alongside the netlist.
 func deconstant(n *netlist.Netlist, rng *rand.Rand) error {
+	base := n.Graph()
+	g := &netlist.Graph{Types: base.Types, FaninOff: base.FaninOff,
+		Fanin: slices.Clone(base.Fanin), Order: base.Order}
+	nGates := g.NumGates()
 	var srcs []netlist.SignalID
-	isSrc := make([]bool, n.NumGates())
-	for i := range n.Gates {
-		id := netlist.SignalID(i)
-		switch n.TypeOf(id) {
+	isSrc := make([]bool, nGates)
+	for i, t := range g.Types {
+		switch t {
 		case netlist.GateInput, netlist.GateTSVIn, netlist.GateDFF:
-			srcs = append(srcs, id)
-			isSrc[id] = true
+			srcs = append(srcs, netlist.SignalID(i))
+			isSrc[i] = true
 		}
 	}
 	if len(srcs) == 0 {
 		return nil
 	}
 	// fanout counts each signal's consuming pins.
-	fanout := make([]int32, n.NumGates())
-	for i := range n.Gates {
-		for _, f := range n.Gates[i].Fanin {
-			fanout[f]++
-		}
+	fanout := make([]int32, nGates)
+	for _, f := range g.Fanin {
+		fanout[f]++
 	}
 	strands := func(src netlist.SignalID) bool { return isSrc[src] && fanout[src] == 1 }
-	// The sweep simulates 96 patterns as two 64-bit words, bit p%64 of word
-	// p/64 carrying pattern p; the last word holds only 32 patterns.
+	// The sweep simulates 96 patterns as two 64-bit words per signal, bit
+	// p%64 of word p/64 carrying pattern p; the last word holds only 32
+	// patterns. Each sweep draws its source bits pattern by pattern into
+	// drawn, one row of source words per pattern word, then scatters them
+	// once.
 	const patterns = 96
-	words := make([][]uint64, (patterns+63)/64)
-	for w := range words {
-		words[w] = make([]uint64, n.NumGates())
-	}
+	const words = (patterns + 63) / 64
+	vals := make([]uint64, words*nGates)
+	drawn := make([]uint64, words*len(srcs))
 	for sweep := 0; sweep < 4; sweep++ {
-		for _, w := range words {
-			clear(w)
-		}
+		clear(vals)
+		clear(drawn)
 		for p := 0; p < patterns; p++ {
-			for _, s := range srcs {
-				if rng.Intn(2) == 1 {
-					words[p/64][s] |= 1 << (p % 64)
-				}
+			row := drawn[p/64*len(srcs) : (p/64+1)*len(srcs)]
+			for si := range row {
+				row[si] |= uint64(rng.Intn(2)) << (p % 64)
 			}
 		}
-		for _, w := range words {
-			if err := n.EvaluateWords(w); err != nil {
-				return fmt.Errorf("netgen: deconstant sim: %w", err)
+		for si, s := range srcs {
+			for w := 0; w < words; w++ {
+				vals[int(s)*words+w] = drawn[w*len(srcs)+si]
 			}
+		}
+		if err := g.EvaluateWords(vals); err != nil {
+			return fmt.Errorf("netgen: deconstant sim: %w", err)
 		}
 		fixed := 0
-		for i := range n.Gates {
+		for i, t := range g.Types {
 			id := netlist.SignalID(i)
-			if !n.TypeOf(id).IsCombinational() || toggles(words, i, patterns) {
+			if !t.IsCombinational() || toggles(vals[i*words:i*words+words], patterns) {
 				continue
 			}
-			g := n.Gate(id)
-			pin := rng.Intn(len(g.Fanin))
-			for k := 0; k < len(g.Fanin) && strands(g.Fanin[pin]); k++ {
-				pin = (pin + 1) % len(g.Fanin)
+			fanin := g.FaninOf(id)
+			pin := rng.Intn(len(fanin))
+			for k := 0; k < len(fanin) && strands(fanin[pin]); k++ {
+				pin = (pin + 1) % len(fanin)
 			}
-			if strands(g.Fanin[pin]) {
+			if strands(fanin[pin]) {
 				continue
 			}
 			for tries := 0; tries < 8; tries++ {
 				cand := srcs[rng.Intn(len(srcs))]
-				if !contains(g.Fanin, cand) {
-					fanout[g.Fanin[pin]]--
+				if !contains(fanin, cand) {
+					fanout[fanin[pin]]--
 					fanout[cand]++
 					if err := n.RewireFanin(id, pin, cand); err != nil {
 						return fmt.Errorf("netgen: deconstant rewire: %w", err)
 					}
+					fanin[pin] = cand
 					fixed++
 					break
 				}
@@ -847,17 +898,17 @@ func deconstant(n *netlist.Netlist, rng *rand.Rand) error {
 	return nil
 }
 
-// toggles reports whether signal i takes both values across the first
+// toggles reports whether a signal takes both values across the first
 // `patterns` bits of its simulation words.
-func toggles(words [][]uint64, i, patterns int) bool {
+func toggles(words []uint64, patterns int) bool {
 	var ones, zeros uint64
-	for w, vals := range words {
+	for w, v := range words {
 		mask := ^uint64(0)
 		if rest := patterns - 64*w; rest < 64 {
 			mask = 1<<rest - 1
 		}
-		ones |= vals[i] & mask
-		zeros |= ^vals[i] & mask
+		ones |= v & mask
+		zeros |= ^v & mask
 	}
 	return ones != 0 && zeros != 0
 }

@@ -1,6 +1,7 @@
 package netgen
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -105,5 +106,74 @@ func TestModularityProperty(t *testing.T) {
 	}
 	if frac := float64(disjoint) / float64(total); frac < 0.25 {
 		t.Errorf("only %.0f%% of TSV pairs have disjoint cones; reuse needs modularity", 100*frac)
+	}
+}
+
+// TestQuickEvaluateWordsMatchesScalar: on any random die, the single-pass
+// word evaluator deconstant sweeps with (96 patterns, two words per
+// signal) gives every signal the scalar Netlist.Evaluate value under each
+// pattern. Across the dies every gate type the generator emits occurs.
+func TestQuickEvaluateWordsMatchesScalar(t *testing.T) {
+	const patterns, words = 96, 2
+	seen := map[netlist.GateType]bool{}
+	f := func(gatesRaw, ffsRaw, tsvRaw uint8, seed int64) bool {
+		n, err := Random(RandomOptions{
+			Gates: 20 + int(gatesRaw), FFs: int(ffsRaw % 12),
+			InboundTSVs: int(tsvRaw % 10), OutboundTSVs: int(tsvRaw % 7), Seed: seed,
+		})
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		rng := rand.New(rand.NewSource(seed))
+		vals := make([]uint64, words*n.NumGates())
+		assigns := make([]map[netlist.SignalID]bool, patterns)
+		for p := range assigns {
+			assigns[p] = map[netlist.SignalID]bool{}
+		}
+		for i := range n.Gates {
+			id := netlist.SignalID(i)
+			seen[n.TypeOf(id)] = true
+			switch n.TypeOf(id) {
+			case netlist.GateInput, netlist.GateTSVIn, netlist.GateDFF:
+				for p := range assigns {
+					v := rng.Intn(2) == 1
+					assigns[p][id] = v
+					if v {
+						vals[i*words+p/64] |= 1 << (p % 64)
+					}
+				}
+			}
+		}
+		if err := n.Graph().EvaluateWords(vals); err != nil {
+			t.Log(err)
+			return false
+		}
+		for p, a := range assigns {
+			want, err := n.Evaluate(a)
+			if err != nil {
+				t.Log(err)
+				return false
+			}
+			for id, v := range want {
+				if got := vals[id*words+p/64]>>(p%64)&1 == 1; got != v {
+					t.Logf("pattern %d: %s = %v, scalar %v", p, n.NameOf(netlist.SignalID(id)), got, v)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+	want := []netlist.GateType{netlist.GateInput, netlist.GateTSVIn, netlist.GateDFF}
+	for _, g := range gateMix {
+		want = append(want, g.typ)
+	}
+	for _, typ := range want {
+		if !seen[typ] {
+			t.Errorf("no random die had a %s gate", typ)
+		}
 	}
 }

@@ -7,7 +7,7 @@ import "fmt"
 // TSV pads, flip-flop outputs) to a value; constants are implied. It
 // returns the value of every signal, indexed by SignalID.
 //
-// This scalar evaluator is the reference model: EvaluateWords and the
+// This scalar evaluator is the reference model: Graph.EvaluateWords and the
 // bit-parallel simulator in internal/faultsim are checked against it
 // property-style in tests.
 func (n *Netlist) Evaluate(assign map[SignalID]bool) ([]bool, error) {
@@ -36,61 +36,68 @@ func (n *Netlist) Evaluate(assign map[SignalID]bool) ([]bool, error) {
 	return vals, nil
 }
 
-// EvaluateWords is the word-parallel form of Evaluate: a two-valued
-// simulation of 64 patterns at once, bit k of each word carrying pattern k.
-// vals is indexed by SignalID and must hold one word per signal. On entry
-// the words of the sources (primary inputs, TSV pads, flip-flop outputs)
-// carry the patterns; on return every signal's word holds its value, with
-// constants driven to all-zeros or all-ones. Evaluate is its reference.
-func (n *Netlist) EvaluateWords(vals []uint64) error {
-	if len(vals) != len(n.Gates) {
-		return fmt.Errorf("netlist: EvaluateWords got %d words for %d signals", len(vals), len(n.Gates))
+// EvaluateWords is the word-parallel form of Netlist.Evaluate: a
+// two-valued simulation of 64 patterns per word. vals holds the same
+// number of words w for every signal, signal id's at vals[id*w:id*w+w], so
+// one pass over the order evaluates 64*w patterns; bit k of a signal's
+// word j carries pattern 64*j+k. On entry the words of the sources
+// (primary inputs, TSV pads, flip-flop outputs) carry the patterns; on
+// return every signal's words hold its value, with constants driven to
+// all-zeros or all-ones. Netlist.Evaluate is its reference.
+func (g *Graph) EvaluateWords(vals []uint64) error {
+	nGates := len(g.Types)
+	if nGates == 0 || len(vals) == 0 || len(vals)%nGates != 0 {
+		return fmt.Errorf("netlist: EvaluateWords got %d words for %d signals", len(vals), nGates)
 	}
-	g := n.Graph()
+	w := len(vals) / nGates
 	for _, id := range g.Order {
 		t := g.Types[id]
-		fanin := g.FaninOf(id)
-		var v uint64
-		switch t {
-		case GateInput, GateTSVIn, GateDFF:
+		if t == GateInput || t == GateTSVIn || t == GateDFF {
 			continue
-		case GateConst0:
-			v = 0
-		case GateConst1:
-			v = ^uint64(0)
-		case GateBuf:
-			v = vals[fanin[0]]
-		case GateNot:
-			v = ^vals[fanin[0]]
-		case GateAnd, GateNand:
-			v = ^uint64(0)
-			for _, f := range fanin {
-				v &= vals[f]
-			}
-			if t == GateNand {
-				v = ^v
-			}
-		case GateOr, GateNor:
-			for _, f := range fanin {
-				v |= vals[f]
-			}
-			if t == GateNor {
-				v = ^v
-			}
-		case GateXor, GateXnor:
-			for _, f := range fanin {
-				v ^= vals[f]
-			}
-			if t == GateXnor {
-				v = ^v
-			}
-		case GateMux2:
-			sel := vals[fanin[0]]
-			v = vals[fanin[1]]&^sel | vals[fanin[2]]&sel
-		default:
-			return fmt.Errorf("netlist: gate %q: cannot evaluate %s", n.Gates[id].Name, t)
 		}
-		vals[id] = v
+		fanin := g.FaninOf(id)
+		out := vals[int(id)*w : int(id)*w+w]
+		for j := range out {
+			var v uint64
+			switch t {
+			case GateConst0:
+				v = 0
+			case GateConst1:
+				v = ^uint64(0)
+			case GateBuf:
+				v = vals[int(fanin[0])*w+j]
+			case GateNot:
+				v = ^vals[int(fanin[0])*w+j]
+			case GateAnd, GateNand:
+				v = ^uint64(0)
+				for _, f := range fanin {
+					v &= vals[int(f)*w+j]
+				}
+				if t == GateNand {
+					v = ^v
+				}
+			case GateOr, GateNor:
+				for _, f := range fanin {
+					v |= vals[int(f)*w+j]
+				}
+				if t == GateNor {
+					v = ^v
+				}
+			case GateXor, GateXnor:
+				for _, f := range fanin {
+					v ^= vals[int(f)*w+j]
+				}
+				if t == GateXnor {
+					v = ^v
+				}
+			case GateMux2:
+				sel := vals[int(fanin[0])*w+j]
+				v = vals[int(fanin[1])*w+j]&^sel | vals[int(fanin[2])*w+j]&sel
+			default:
+				return fmt.Errorf("netlist: signal %d: cannot evaluate %s", id, t)
+			}
+			out[j] = v
+		}
 	}
 	return nil
 }

@@ -42,11 +42,10 @@ func randomEvalCircuit(rng *rand.Rand, nGates int) *Netlist {
 
 // TestEvaluateWordsMatchesScalar is the differential test of the
 // word-parallel simulator against the scalar reference: every signal's bit
-// k must equal Evaluate's value under pattern k, including across a
-// partial last word.
+// for pattern p must equal Evaluate's value under pattern p, with one, two
+// or three words per signal and across a partial last word.
 func TestEvaluateWordsMatchesScalar(t *testing.T) {
-	const patterns = 64 + 37
-	for seed := int64(1); seed <= 20; seed++ {
+	for seed := int64(1); seed <= 21; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := randomEvalCircuit(rng, 40+rng.Intn(160))
 		if err := n.Validate(); err != nil {
@@ -69,25 +68,22 @@ func TestEvaluateWordsMatchesScalar(t *testing.T) {
 				srcs = append(srcs, SignalID(i))
 			}
 		}
+		w := 1 + int(seed%3)
+		patterns := 64*(w-1) + 37
 		assigns := make([]map[SignalID]bool, patterns)
-		words := make([][]uint64, (patterns+63)/64)
-		for w := range words {
-			words[w] = make([]uint64, n.NumGates())
-		}
+		vals := make([]uint64, w*n.NumGates())
 		for p := range assigns {
 			assigns[p] = map[SignalID]bool{}
 			for _, s := range srcs {
 				v := rng.Intn(2) == 1
 				assigns[p][s] = v
 				if v {
-					words[p/64][s] |= 1 << (p % 64)
+					vals[int(s)*w+p/64] |= 1 << (p % 64)
 				}
 			}
 		}
-		for _, w := range words {
-			if err := n.EvaluateWords(w); err != nil {
-				t.Fatal(err)
-			}
+		if err := n.Graph().EvaluateWords(vals); err != nil {
+			t.Fatal(err)
 		}
 		for p, a := range assigns {
 			want, err := n.Evaluate(a)
@@ -95,7 +91,7 @@ func TestEvaluateWordsMatchesScalar(t *testing.T) {
 				t.Fatal(err)
 			}
 			for id, v := range want {
-				if got := words[p/64][id]>>(p%64)&1 == 1; got != v {
+				if got := vals[id*w+p/64]>>(p%64)&1 == 1; got != v {
 					t.Fatalf("seed %d pattern %d: %s (%s) = %v, scalar %v",
 						seed, p, n.Gates[id].Name, n.Gates[id].Type, got, v)
 				}
@@ -107,7 +103,10 @@ func TestEvaluateWordsMatchesScalar(t *testing.T) {
 func TestEvaluateWordsRejectsShortBuffer(t *testing.T) {
 	n := New("x")
 	n.MustAddGate(GateInput, "a")
-	if err := n.EvaluateWords(nil); err == nil {
-		t.Error("a word buffer shorter than the netlist must error")
+	n.MustAddGate(GateNot, "b", 0)
+	for _, vals := range [][]uint64{nil, make([]uint64, 3)} {
+		if err := n.Graph().EvaluateWords(vals); err == nil {
+			t.Errorf("%d words for 2 signals must error", len(vals))
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"strconv"
 )
 
 // Netlist is a single die's gate-level circuit. Build one either with the
@@ -45,7 +46,7 @@ var ErrUnknownSignal = errors.New("netlist: unknown signal")
 func (n *Netlist) NumGates() int { return len(n.Gates) }
 
 // Gate returns the gate driving the signal. The returned pointer stays
-// valid until the next AddGate call.
+// valid until the next AddGate or AppendGates call.
 func (n *Netlist) Gate(id SignalID) *Gate { return &n.Gates[id] }
 
 // SignalByName looks a signal up by its output name.
@@ -94,6 +95,69 @@ func (n *Netlist) AddGate(typ GateType, name string, fanin ...SignalID) (SignalI
 	n.byName[name] = id
 	n.derivedOK = false
 	return id, nil
+}
+
+// AppendGates appends a batch of gates as one AddGate call each would, in
+// order, with the same checks, and returns the first one's SignalID. A
+// gate's fanin may name an earlier gate of the batch. The netlist keeps
+// the gates' Fanin slices instead of copying them. Gates and the name
+// index grow once; on error the netlist is left as it was.
+func (n *Netlist) AppendGates(gates []Gate) (SignalID, error) {
+	first := len(n.Gates)
+	byName := make(map[string]SignalID, len(n.byName)+len(gates))
+	maps.Copy(byName, n.byName)
+	for i := range gates {
+		g := &gates[i]
+		if g.Name == "" {
+			return InvalidSignal, errors.New("netlist: empty gate name")
+		}
+		if min := g.Type.MinFanin(); len(g.Fanin) < min {
+			return InvalidSignal, fmt.Errorf("netlist: %s %q needs at least %d fanin, got %d", g.Type, g.Name, min, len(g.Fanin))
+		}
+		if max := g.Type.MaxFanin(); max >= 0 && len(g.Fanin) > max {
+			return InvalidSignal, fmt.Errorf("netlist: %s %q accepts at most %d fanin, got %d", g.Type, g.Name, max, len(g.Fanin))
+		}
+		for _, f := range g.Fanin {
+			if f < 0 || int(f) >= first+i {
+				return InvalidSignal, fmt.Errorf("%w: fanin %d of %q", ErrUnknownSignal, f, g.Name)
+			}
+		}
+		// A taken name leaves the index's size unchanged; the overwritten
+		// entry is harmless, as the index is dropped on error.
+		size := len(byName)
+		if byName[g.Name] = SignalID(first + i); len(byName) == size {
+			return InvalidSignal, fmt.Errorf("%w: signal %q", ErrDuplicateName, g.Name)
+		}
+	}
+	n.Gates = append(n.Gates, gates...)
+	n.byName = byName
+	n.derivedOK = false
+	return SignalID(first), nil
+}
+
+// NumberedNames returns the first count names prefix<i>, i = 0, 1, ...,
+// that taken does not hold, formatted into one buffer that they all slice.
+func NumberedNames(prefix string, count int, taken map[string]bool) []string {
+	buf := make([]byte, 0, count*(len(prefix)+len(strconv.Itoa(count))))
+	ends := make([]int, count)
+	for k, i := 0, 0; k < count; i++ {
+		lo := len(buf)
+		buf = strconv.AppendInt(append(buf, prefix...), int64(i), 10)
+		if taken[string(buf[lo:])] {
+			buf = buf[:lo]
+			continue
+		}
+		ends[k] = len(buf)
+		k++
+	}
+	all := string(buf)
+	names := make([]string, count)
+	lo := 0
+	for k, hi := range ends {
+		names[k] = all[lo:hi]
+		lo = hi
+	}
+	return names
 }
 
 // MustAddGate is AddGate for construction code paths where the arguments

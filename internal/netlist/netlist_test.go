@@ -386,3 +386,42 @@ func TestFanoutCountAfterRewire(t *testing.T) {
 		t.Errorf("fanout(a) = %d, want %d", got, before-1)
 	}
 }
+
+func TestAppendGates(t *testing.T) {
+	n := New("bulk")
+	a := n.MustAddGate(GateInput, "a")
+	first, err := n.AppendGates([]Gate{
+		{Type: GateBuf, Name: "b0", Fanin: []SignalID{a}},
+		{Type: GateAnd, Name: "b1", Fanin: []SignalID{a, 1}},
+	})
+	if err != nil || first != 1 {
+		t.Fatalf("AppendGates = %d, %v", first, err)
+	}
+	if id, ok := n.SignalByName("b1"); !ok || id != 2 || n.Graph().NumGates() != 3 {
+		t.Fatalf("b1 at %d (%v), graph of %d gates", id, ok, n.Graph().NumGates())
+	}
+	for _, bad := range [][]Gate{
+		{{Type: GateBuf, Name: "c0", Fanin: []SignalID{a}}, {Type: GateBuf, Name: "a", Fanin: []SignalID{a}}},
+		{{Type: GateBuf, Name: "c0", Fanin: []SignalID{a}}, {Type: GateBuf, Name: "c0", Fanin: []SignalID{a}}},
+		{{Type: GateBuf, Name: "c0", Fanin: []SignalID{4}}},
+		{{Type: GateBuf, Name: "c0", Fanin: []SignalID{a, a}}},
+		{{Type: GateBuf, Fanin: []SignalID{a}}},
+	} {
+		if _, err := n.AppendGates(bad); err == nil {
+			t.Errorf("%v: accepted", bad)
+		}
+		if _, ok := n.SignalByName("c0"); ok || n.NumGates() != 3 {
+			t.Fatalf("%v: a failed batch changed the netlist", bad)
+		}
+	}
+}
+
+func TestNumberedNames(t *testing.T) {
+	got := NumberedNames("x", 4, map[string]bool{"x0": true, "x2": true, "y1": true})
+	if want := []string{"x1", "x3", "x4", "x5"}; !slices.Equal(got, want) {
+		t.Errorf("got %v, want %v", got, want)
+	}
+	if got := NumberedNames("g", 3, nil); !slices.Equal(got, []string{"g0", "g1", "g2"}) {
+		t.Errorf("got %v", got)
+	}
+}
