@@ -202,30 +202,6 @@ func BenchmarkAblation_WireDelay(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_MergePolicy isolates design decision 4: minimum-degree
-// pair selection versus merging arbitrary edges.
-func BenchmarkAblation_MergePolicy(b *testing.B) {
-	dies := prepareDies(b, "b12")
-	for _, policy := range []wcm.MergePolicy{wcm.MergeMinDegree, wcm.MergeFirstEdge} {
-		b.Run(policy.String(), func(b *testing.B) {
-			cells := 0
-			for i := 0; i < b.N; i++ {
-				cells = 0
-				for _, d := range dies {
-					opts := experiments.OurOptions(d, true)
-					opts.Merge = policy
-					res, err := wcm.Run(d.Input(), opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					cells += res.AdditionalCells
-				}
-			}
-			b.ReportMetric(float64(cells), "cells")
-		})
-	}
-}
-
 // ------------------------------------------------------------- substrates
 
 // BenchmarkGenerateDie measures the synthetic benchmark generator at b20

@@ -70,25 +70,16 @@ func (n *Netlist) Valid(id SignalID) bool {
 // validates the name, the fanin count for the cell type, and every fanin
 // reference.
 func (n *Netlist) AddGate(typ GateType, name string, fanin ...SignalID) (SignalID, error) {
-	if name == "" {
-		return InvalidSignal, errors.New("netlist: empty gate name")
-	}
 	if n.byName == nil {
 		n.byName = make(map[string]SignalID)
 	}
+	// The name index never holds the empty name, so an empty name still
+	// fails as such before any other check.
 	if _, dup := n.byName[name]; dup {
 		return InvalidSignal, fmt.Errorf("%w: signal %q", ErrDuplicateName, name)
 	}
-	if min := typ.MinFanin(); len(fanin) < min {
-		return InvalidSignal, fmt.Errorf("netlist: %s %q needs at least %d fanin, got %d", typ, name, min, len(fanin))
-	}
-	if max := typ.MaxFanin(); max >= 0 && len(fanin) > max {
-		return InvalidSignal, fmt.Errorf("netlist: %s %q accepts at most %d fanin, got %d", typ, name, max, len(fanin))
-	}
-	for _, f := range fanin {
-		if !n.Valid(f) {
-			return InvalidSignal, fmt.Errorf("%w: fanin %d of %q", ErrUnknownSignal, f, name)
-		}
+	if err := checkGate(typ, name, fanin, len(n.Gates)); err != nil {
+		return InvalidSignal, err
 	}
 	id := SignalID(len(n.Gates))
 	n.Gates = append(n.Gates, Gate{Type: typ, Name: name, Fanin: append([]SignalID(nil), fanin...)})
@@ -108,19 +99,8 @@ func (n *Netlist) AppendGates(gates []Gate) (SignalID, error) {
 	maps.Copy(byName, n.byName)
 	for i := range gates {
 		g := &gates[i]
-		if g.Name == "" {
-			return InvalidSignal, errors.New("netlist: empty gate name")
-		}
-		if min := g.Type.MinFanin(); len(g.Fanin) < min {
-			return InvalidSignal, fmt.Errorf("netlist: %s %q needs at least %d fanin, got %d", g.Type, g.Name, min, len(g.Fanin))
-		}
-		if max := g.Type.MaxFanin(); max >= 0 && len(g.Fanin) > max {
-			return InvalidSignal, fmt.Errorf("netlist: %s %q accepts at most %d fanin, got %d", g.Type, g.Name, max, len(g.Fanin))
-		}
-		for _, f := range g.Fanin {
-			if f < 0 || int(f) >= first+i {
-				return InvalidSignal, fmt.Errorf("%w: fanin %d of %q", ErrUnknownSignal, f, g.Name)
-			}
+		if err := checkGate(g.Type, g.Name, g.Fanin, first+i); err != nil {
+			return InvalidSignal, err
 		}
 		// A taken name leaves the index's size unchanged; the overwritten
 		// entry is harmless, as the index is dropped on error.
@@ -133,6 +113,27 @@ func (n *Netlist) AppendGates(gates []Gate) (SignalID, error) {
 	n.byName = byName
 	n.derivedOK = false
 	return SignalID(first), nil
+}
+
+// checkGate applies the checks every added gate passes: a name, a fanin
+// count its type accepts, and fanin references to the limit gates before
+// it.
+func checkGate(typ GateType, name string, fanin []SignalID, limit int) error {
+	if name == "" {
+		return errors.New("netlist: empty gate name")
+	}
+	if min := typ.MinFanin(); len(fanin) < min {
+		return fmt.Errorf("netlist: %s %q needs at least %d fanin, got %d", typ, name, min, len(fanin))
+	}
+	if max := typ.MaxFanin(); max >= 0 && len(fanin) > max {
+		return fmt.Errorf("netlist: %s %q accepts at most %d fanin, got %d", typ, name, max, len(fanin))
+	}
+	for _, f := range fanin {
+		if f < 0 || int(f) >= limit {
+			return fmt.Errorf("%w: fanin %d of %q", ErrUnknownSignal, f, name)
+		}
+	}
+	return nil
 }
 
 // NumberedNames returns the first count names prefix<i>, i = 0, 1, ...,

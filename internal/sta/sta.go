@@ -2,9 +2,10 @@
 // netlist — the reproduction's stand-in for PrimeTime. It computes, for
 // every signal, the quantities the wrapper-cell flow consumes:
 //
-//   - capacitive load (gate pins + wire + TSV pads), the paper's
-//     capacity_load(n) for inbound TSVs and the cap side of the merge test
-//     in Algorithm 2;
+//   - capacitive load (gate pins + wire + TSV pads), which sets every gate's
+//     delay and is the flip-flop load Li and Xiang's reuse baseline
+//     (internal/wcm/li) checks. The merge test of Algorithm 2 does not
+//     read it: it prices a clique from library constants alone;
 //   - arrival time, required time and slack under a clock-period
 //     constraint, the paper's slack(n) for outbound TSVs;
 //   - worst negative slack and the endpoint violation list used to judge
@@ -55,7 +56,9 @@ func (c Config) withDefaults() Config {
 
 // Result is a completed timing analysis.
 type Result struct {
-	// Netlist is the analyzed netlist; nil for an AnalyzeGraph result.
+	// Netlist is the analyzed netlist; nil for a result of
+	// scan.FunctionalTimer.Time, which times a functional-mode view that
+	// was never materialized as a Netlist.
 	Netlist *netlist.Netlist
 	Lib     *cells.Library
 	Config  Config
@@ -219,24 +222,16 @@ func Analyze(n *netlist.Netlist, lib *cells.Library, cfg Config) (*Result, error
 		return nil, fmt.Errorf("sta: placement belongs to netlist %q, analyzing %q",
 			cfg.Placement.Netlist.Name, n.Name)
 	}
-	r, err := AnalyzeGraph(n.Graph(), n.Outputs, lib, cfg)
+	g := n.Graph()
+	if err := checkConfig(g, n.Outputs, cfg.withDefaults()); err != nil {
+		return nil, err
+	}
+	r, err := AnalyzePriced(g, n.Outputs, lib, cfg, Price(g, n.Outputs, lib, cfg.Placement))
 	if err != nil {
 		return nil, err
 	}
 	r.Netlist = n
 	return r, nil
-}
-
-// AnalyzeGraph runs a full timing analysis of a circuit given in flat
-// form: its connectivity and output ports, with cfg.Placement supplying
-// coordinates indexed like the graph's signals and ports (its Netlist
-// field is not consulted). This is how a view that was never
-// materialized as a Netlist gets timed; the Result's Netlist is nil.
-func AnalyzeGraph(g *netlist.Graph, outs []netlist.Output, lib *cells.Library, cfg Config) (*Result, error) {
-	if err := checkConfig(g, outs, cfg.withDefaults()); err != nil {
-		return nil, err
-	}
-	return AnalyzePriced(g, outs, lib, cfg, Price(g, outs, lib, cfg.Placement))
 }
 
 func checkConfig(g *netlist.Graph, outs []netlist.Output, cfg Config) error {
@@ -250,8 +245,10 @@ func checkConfig(g *netlist.Graph, outs []netlist.Output, cfg Config) error {
 	return nil
 }
 
-// AnalyzePriced is AnalyzeGraph over prices the caller already holds (as
-// Price computes them for cfg.Placement). It reads the graph's types,
+// AnalyzePriced runs a full timing analysis of a circuit given in flat
+// form, its connectivity and output ports, over prices the caller already
+// holds (as Price computes them for cfg.Placement, whose Netlist field is
+// not consulted). The Result's Netlist is nil. It reads the graph's types,
 // fanin CSR and Order, which the caller may supply without the fanout CSR
 // or levels: any topological order gives the same figures. The Result
 // takes p.LoadFF as its LoadFF.

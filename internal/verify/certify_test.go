@@ -41,11 +41,6 @@ func TestCertifyWCMPlans(t *testing.T) {
 			o.AllowOverlap = false
 			return o
 		}},
-		{"first-edge", func() wcm.Options {
-			o := wcm.DefaultOptions()
-			o.Merge = wcm.MergeFirstEdge
-			return o
-		}},
 	}
 	for _, s := range shapes {
 		in := prep(t, s.gates, s.ffs, s.in, s.out, s.seed)

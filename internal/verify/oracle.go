@@ -152,7 +152,7 @@ func oraclePhase(in wcm.Input, opts wcm.Options, inbound bool, available map[net
 			for _, fo := range n.Graph().FanoutOf(t) {
 				pinLoad += lib.Of(n.TypeOf(fo)).InputCapFF
 			}
-			if pinLoad >= opts.PadCapThFF {
+			if pinLoad >= wcm.PadCapThFF {
 				excluded = append(excluded, it)
 				continue
 			}

@@ -581,10 +581,10 @@ func (c *checker) checkGroupBudgets(where string, ms []member, inbound bool, tim
 			for _, fo := range c.graph.FanoutOf(m.sig) {
 				pinLoad += c.lib.Of(c.n.TypeOf(fo)).InputCapFF
 			}
-			if !(pinLoad < c.th.PadCapThFF) {
+			if !(pinLoad < wcm.PadCapThFF) {
 				c.add(Violation{Code: CodePadLoad, Where: where, Signal: m.label,
-					Got: pinLoad, Limit: c.th.PadCapThFF,
-					Detail: fmt.Sprintf("pad drives %.1f fF of pins, above the %.1f fF wrapper-mux bound; it needed a dedicated cell", pinLoad, c.th.PadCapThFF)})
+					Got: pinLoad, Limit: wcm.PadCapThFF,
+					Detail: fmt.Sprintf("pad drives %.1f fF of pins, above the %.1f fF wrapper-mux bound; it needed a dedicated cell", pinLoad, wcm.PadCapThFF)})
 			}
 		} else if timing != nil {
 			slack := timing.SlackPS(m.sig)

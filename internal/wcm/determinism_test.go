@@ -20,8 +20,6 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 		{name: "outbound-heavy", gates: 300, ffs: 12, in: 4, out: 10, seed: 5},
 		{name: "no-overlap", gates: 350, ffs: 16, in: 10, out: 8, seed: 7,
 			mutate: func(o *Options) { o.AllowOverlap = false; o.Timing = TimingCapOnly }},
-		{name: "first-edge", gates: 350, ffs: 16, in: 10, out: 8, seed: 9,
-			mutate: func(o *Options) { o.Merge = MergeFirstEdge }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			in := prep(t, tc.gates, tc.ffs, tc.in, tc.out, tc.seed)

@@ -115,7 +115,7 @@ func buildSharePhase(in Input, opts Options, inbound bool) (*SharePhase, error) 
 	if err != nil {
 		return nil, err
 	}
-	sp := &SharePhase{Inbound: inbound, CapThFF: opts.CapThFF}
+	sp := &SharePhase{Inbound: inbound, ItemLoadFF: itemLoadFF(in.Lib, inbound), CapThFF: opts.CapThFF}
 	itemOf := func(i int) ShareItem {
 		it := ShareItem{Sig: ph.tsvSignals[i], Port: -1}
 		if !inbound {
@@ -128,11 +128,6 @@ func buildSharePhase(in Input, opts Options, inbound bool) (*SharePhase, error) 
 	}
 	for _, i := range excluded {
 		sp.Excluded = append(sp.Excluded, itemOf(i))
-	}
-	if inbound {
-		sp.ItemLoadFF = in.Lib.TSVCapFF + in.Lib.Of(netlist.GateMux2).InputCapFF
-	} else {
-		sp.ItemLoadFF = in.Lib.TSVCapFF + in.Lib.Of(netlist.GateXor).InputCapFF
 	}
 	// Graph node ids: items in admission order first, then flip-flops (the
 	// AddNode order of buildGraph).

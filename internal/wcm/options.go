@@ -12,8 +12,8 @@
 //     thresholds (cov_th, p_th) that admit edges between nodes with
 //     overlapping fan-in/fan-out cones;
 //  3. heuristic clique partitioning (Algorithm 2) repeatedly merges the
-//     minimum-degree adjacent pair while the merged clique's cost stays
-//     within its budget;
+//     minimum-degree adjacent pair while the merged clique's post-bond
+//     drive load stays under cap_th;
 //  4. cliques become the wrapper plan: a clique with a scan flip-flop
 //     reuses it, a clique without one gets a single additional wrapper
 //     cell.
@@ -98,15 +98,10 @@ func (m TimingModel) String() string {
 // Options configures a WCM run. DefaultOptions gives the paper's
 // "ours, performance-optimized" configuration.
 type Options struct {
-	// CapThFF is cap_th: the maximum capacitive load (fF) a control
-	// point may accumulate.
+	// CapThFF is cap_th: the bound (fF) a shared wrapper cell's post-bond
+	// drive load must stay strictly under. Algorithm 2 merges two cliques
+	// only while the sum of both sides' loads is below it.
 	CapThFF float64
-	// PadCapThFF filters inbound TSVs at node construction: a pad whose
-	// existing downstream load exceeds this (the library wrapper mux's
-	// drive capability) gets a dedicated, up-sized wrapper cell instead
-	// of entering the sharing graph. Zero means the default 400 fF (a
-	// large library mux/buffer).
-	PadCapThFF float64
 	// SlackThPS is s_th: the minimum timing slack (ps) an outbound TSV's
 	// driver must retain after the observation hardware is added.
 	SlackThPS float64
@@ -132,9 +127,6 @@ type Options struct {
 	// it. Zero means the default 0.20; +Inf disables slack budgeting
 	// (the paper's area-optimized scenario). Ignored under TimingCapOnly.
 	SlackSpendFrac float64
-	// Merge picks the pair-selection heuristic of the clique
-	// partitioner (ablation knob; the paper uses minimum degree).
-	Merge MergePolicy
 	// Workers bounds the worker pool a single Run uses for cone and edge
 	// construction. 0 (or negative) means GOMAXPROCS; 1 forces the fully
 	// serial path. The produced plan and statistics are bit-identical at
@@ -142,31 +134,11 @@ type Options struct {
 	Workers int
 }
 
-// MergePolicy selects how Algorithm 2 picks the next pair to merge.
-type MergePolicy uint8
-
-// Merge policies.
-const (
-	// MergeMinDegree merges the minimum-degree node with its
-	// minimum-degree neighbor — the paper's heuristic. Low-degree nodes
-	// have the fewest sharing options, so serving them first preserves
-	// flexibility.
-	MergeMinDegree MergePolicy = iota + 1
-	// MergeFirstEdge merges the first edge found (ablation baseline).
-	MergeFirstEdge
-)
-
-// String names the policy.
-func (m MergePolicy) String() string {
-	switch m {
-	case MergeMinDegree:
-		return "min-degree"
-	case MergeFirstEdge:
-		return "first-edge"
-	default:
-		return fmt.Sprintf("MergePolicy(%d)", uint8(m))
-	}
-}
+// PadCapThFF filters inbound TSVs at node construction: a pad whose
+// downstream pin load (fF) reaches this bound, the drive capability of a
+// large library wrapper mux, gets a dedicated, up-sized wrapper cell instead
+// of entering the sharing graph.
+const PadCapThFF = 400.0
 
 // DefaultOptions returns the paper's configuration: larger set first,
 // wire-aware timing, overlapped cones admitted under cov_th = 0.5 % and
@@ -206,12 +178,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SlackSpendFrac == 0 {
 		o.SlackSpendFrac = 0.20
-	}
-	if o.Merge == 0 {
-		o.Merge = MergeMinDegree
-	}
-	if o.PadCapThFF == 0 {
-		o.PadCapThFF = 400
 	}
 	return o
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"wcm3d/internal/cells"
 	"wcm3d/internal/netlist"
 	"wcm3d/internal/par"
 	"wcm3d/internal/scan"
@@ -148,8 +149,11 @@ func (ph *phaseRunner) run(asn *scan.Assignment) (PhaseStats, error) {
 		return stats, err
 	}
 
-	// ----- Heuristic clique partitioning (Algorithm 2).
-	if err := ph.partition(&stats); err != nil {
+	// ----- Heuristic clique partitioning (Algorithm 2): repeatedly take the
+	// minimum-degree node and its minimum-degree neighbor; merge them when
+	// mergeFits, otherwise delete the edge; stop when no edges remain.
+	stats.Merges, stats.EdgeDeletes, err = ph.graph.Partition(ph.mergeFits)
+	if err != nil {
 		return stats, err
 	}
 
@@ -201,7 +205,7 @@ func (ph *phaseRunner) collect() {
 			for _, fo := range n.Graph().FanoutOf(t) {
 				pinLoad += ph.in.Lib.Of(n.TypeOf(fo)).InputCapFF
 			}
-			if pinLoad < ph.opts.PadCapThFF {
+			if pinLoad < PadCapThFF {
 				ph.items = append(ph.items, i)
 			} else {
 				ph.excluded = append(ph.excluded, i)
@@ -254,18 +258,22 @@ func (ph *phaseRunner) buildGraph(stats *PhaseStats) (items, excluded []int, err
 
 	// ----- Node construction.
 	// Items take node ids [0, len(items)) in admission order, flip-flops
-	// the ids after them.
+	// the ids after them. The functional costs of sharing are per node (the
+	// tap check at item collection, ffEligible), so a node carries only the
+	// post-bond drive load its wrapper cell must supply; a flip-flop adds
+	// none.
 	ph.graph = wcmgraph.New(len(items) + len(ffs))
+	load := itemLoadFF(ph.in.Lib, ph.inbound)
 	for _, i := range items {
-		node := wcmgraph.Node{Members: []int32{int32(i)}}
-		ph.fillTSVNode(&node, i)
+		node := wcmgraph.Node{Members: []int32{int32(i)}, Load: load}
+		ph.setPos(&node, ph.tsvSignals[i])
 		if _, err := ph.graph.AddNode(node); err != nil {
 			return nil, nil, err
 		}
 	}
 	for _, ff := range ffs {
 		node := wcmgraph.Node{HasFF: true, FF: int32(ff)}
-		ph.fillFFNode(&node, ff)
+		ph.setPos(&node, ff)
 		if _, err := ph.graph.AddNode(node); err != nil {
 			return nil, nil, err
 		}
@@ -423,35 +431,9 @@ func (ph *phaseRunner) loadEdges(stats *PhaseStats, verdicts []uint8, offs []int
 	stats.OverlapEdges = edges - cleanEdges
 }
 
-// fillTSVNode initializes load/budget/position for a TSV node.
-func (ph *phaseRunner) fillTSVNode(node *wcmgraph.Node, item int) {
-	lib := ph.in.Lib
-	if ph.inbound {
-		// Under buffered test routing the functional costs of control
-		// sharing are per-node, not per-clique (the one-time segment on
-		// the reused flip-flop's Q is checked by ffEligible); dimension
-		// 1 is inert and dimension 2 carries post-bond drive capacity:
-		// the wrapper must drive each member's TSV pillar.
-		node.Load = 0
-		node.Budget = math.Inf(1)
-		node.Load2 = lib.TSVCapFF + lib.Of(netlist.GateMux2).InputCapFF
-		node.Budget2 = ph.opts.CapThFF
-		if ph.in.Placement != nil {
-			pt := ph.in.Placement.Coords[ph.tsvSignals[item]]
-			node.X, node.Y = pt.X, pt.Y
-			node.X2, node.Y2 = pt.X, pt.Y
-		}
-		return
-	}
-	// Observation: the functional tap cost is per-node and checked at
-	// item collection; the fold-XOR chain is a test-mode path policed by
-	// d_th and drive capacity, so dimension 1 is inert here too.
-	sig := ph.tsvSignals[item]
-	xor := lib.Of(netlist.GateXor)
-	node.Load = 0
-	node.Budget = math.Inf(1)
-	node.Load2 = lib.TSVCapFF + xor.InputCapFF
-	node.Budget2 = ph.opts.CapThFF
+// setPos places a node at a signal's placement point (a zero-size box);
+// without a placement it stays at the origin.
+func (ph *phaseRunner) setPos(node *wcmgraph.Node, sig netlist.SignalID) {
 	if ph.in.Placement != nil {
 		pt := ph.in.Placement.Coords[sig]
 		node.X, node.Y = pt.X, pt.Y
@@ -459,16 +441,14 @@ func (ph *phaseRunner) fillTSVNode(node *wcmgraph.Node, item int) {
 	}
 }
 
-// fillFFNode initializes load/budget/position for a flip-flop node.
-func (ph *phaseRunner) fillFFNode(node *wcmgraph.Node, ff netlist.SignalID) {
-	node.Budget2 = ph.opts.CapThFF // post-bond drive capacity of the FF
-	node.Load = 0
-	node.Budget = math.Inf(1) // per-node functional costs checked by ffEligible
-	if ph.in.Placement != nil {
-		pt := ph.in.Placement.Coords[ff]
-		node.X, node.Y = pt.X, pt.Y
-		node.X2, node.Y2 = pt.X, pt.Y
+// itemLoadFF is the post-bond drive load one TSV adds to a shared wrapper
+// cell: its pillar plus the test-mux pin that drives it (control) or the
+// fold-XOR pin that observes it (observe).
+func itemLoadFF(lib *cells.Library, inbound bool) float64 {
+	if inbound {
+		return lib.TSVCapFF + lib.Of(netlist.GateMux2).InputCapFF
 	}
+	return lib.TSVCapFF + lib.Of(netlist.GateXor).InputCapFF
 }
 
 // tapCostPS is the functional delay penalty a fold tap puts on the
@@ -636,46 +616,14 @@ func (ph *phaseRunner) anchor(id int) netlist.SignalID {
 	return ph.tsvSignals[node.Members[0]]
 }
 
-// partition runs paper Algorithm 2: repeatedly take the minimum-degree
-// node and its minimum-degree neighbor; merge them when the combined cost
-// fits the budget, otherwise delete the edge; stop when no edges remain.
-// The MergeFirstEdge ablation takes an arbitrary edge instead.
-func (ph *phaseRunner) partition(stats *PhaseStats) (err error) {
-	g := ph.graph
-	if ph.opts.Merge != MergeFirstEdge {
-		stats.Merges, stats.EdgeDeletes, err = g.Partition(ph.mergeFits)
-		return err
-	}
-	for {
-		n1, n2, ok := g.FirstEdgePair()
-		if !ok {
-			return nil
-		}
-		a, b := g.Node(n1), g.Node(n2)
-		if ph.mergeFits(a, b) {
-			if _, err := g.Merge(n1, n2, a.Load+b.Load); err != nil {
-				return err
-			}
-			stats.Merges++
-		} else {
-			g.DeleteEdge(n1, n2)
-			stats.EdgeDeletes++
-		}
-	}
-}
-
-// mergeFits applies the merge test of Algorithm 2 ("cap + 1 < cap_th") in
-// both cost dimensions: the accumulated load against its budget, and
-// post-bond drive capacity against the library bound. Merging adds no
-// wire term to the load: test routing is buffered on both sides, so the
-// shared wrapper's load does not grow with clique span (control) and the
-// fold chain is a relaxed-clock test path (observe). Span is policed by
-// d_th in edgeAllowed, drive by the capacity dimension.
+// mergeFits is the merge test of Algorithm 2 ("cap + 1 < cap_th"): the two
+// cliques' summed post-bond drive load stays strictly under cap_th. Merging
+// adds no wire term: test routing is buffered on both sides, so the shared
+// wrapper's load does not grow with clique span (control) and the fold
+// chain is a relaxed-clock test path (observe). Span is policed by d_th in
+// edgeAllowed.
 func (ph *phaseRunner) mergeFits(a, b *wcmgraph.Node) bool {
-	if a.Load+b.Load >= minF(a.Budget, b.Budget) {
-		return false
-	}
-	return a.Load2+b.Load2 < minF(a.Budget2, b.Budget2)
+	return a.Load+b.Load < ph.opts.CapThFF
 }
 
 // emitGroup appends one clique to the plan.
@@ -693,11 +641,4 @@ func (ph *phaseRunner) emitGroup(asn *scan.Assignment, ff netlist.SignalID, memb
 		grp.Ports = append(grp.Ports, ph.tsvPorts[m])
 	}
 	asn.Observe = append(asn.Observe, grp)
-}
-
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -34,7 +34,7 @@ func makeSpec(nodes int, density float64, seed int64) *graphSpec {
 func (sp *graphSpec) build() *Graph {
 	g := New(sp.nodes)
 	for i := 0; i < sp.nodes; i++ {
-		node := Node{Budget: 1e18, Load2: 1, Budget2: 4}
+		node := Node{Load: 1}
 		if sp.ff[i] {
 			node.HasFF = true
 			node.FF = int32(i)
@@ -59,7 +59,7 @@ func (sp *graphSpec) build() *Graph {
 // nodes. BenchmarkPartitionB22Die2 (package wcm) times a real phase graph.
 func BenchmarkPartition(b *testing.B) {
 	sp := makeSpec(2048, 0.004, 1)
-	fits := func(a, b *Node) bool { return a.Load2+b.Load2 < minF(a.Budget2, b.Budget2) }
+	fits := func(a, b *Node) bool { return a.Load+b.Load < 4 }
 	b.Logf("graph: %d nodes, %d edges", sp.nodes, len(sp.edges))
 	for _, bc := range []struct {
 		name string

@@ -27,19 +27,10 @@ type Node struct {
 	// Members are caller-defined TSV indices merged into this clique.
 	Members  []int32
 	cleanDeg int32
-	// Load is the accumulated wire-aware sharing cost (capacitance on
-	// the control side, delay on the observe side). Additive under
-	// merge.
+	// Load is the clique's post-bond drive load: the capacitance a shared
+	// wrapper cell must drive (TSV pillar plus pin capacitance per member,
+	// no wires). Merge sums it; the caller's fits test bounds it.
 	Load float64
-	// Budget is the bound on Load (cap_th headroom on the control side,
-	// timing slack on the observe side). The minimum survives a merge.
-	Budget float64
-	// Load2 and Budget2 are a second, independent cost dimension: the
-	// post-bond drive capacity a wrapper cell must supply (TSV pillar
-	// plus pin capacitance per member, no wires). Leave Budget2 zero for
-	// "unbounded" (it is normalized to +Inf on AddNode).
-	Load2   float64
-	Budget2 float64
 	// X, Y / X2, Y2 are the clique's bounding box (µm): the area its
 	// members span. Merges take the union. The box bounds how much wire
 	// any member needs to reach a shared wrapper cell.
@@ -284,9 +275,6 @@ func (g *Graph) Node(id int) *Node { return &g.nodes[id] }
 func (g *Graph) AddNode(n Node) (int, error) {
 	if len(g.nodes) >= g.cap {
 		return -1, fmt.Errorf("wcmgraph: node capacity %d exhausted", g.cap)
-	}
-	if n.Budget2 == 0 {
-		n.Budget2 = math.Inf(1)
 	}
 	if n.X2 < n.X {
 		n.X2 = n.X
@@ -568,43 +556,18 @@ func (g *Graph) neighborsPlane(id int, cleanOnly bool, fn func(nb int)) {
 	}
 }
 
-// FirstEdgePair returns an arbitrary existing edge (the lowest-id live
-// node with non-zero degree and its first neighbor) — the ablation
-// baseline against MinDegreePair.
-func (g *Graph) FirstEdgePair() (n1, n2 int, ok bool) {
-	for i := range g.nodes {
-		n := &g.nodes[i]
-		if !n.alive || n.deg == 0 {
-			continue
-		}
-		first := -1
-		g.Neighbors(i, func(nb int) {
-			if first < 0 {
-				first = nb
-			}
-		})
-		if first >= 0 {
-			return i, first, true
-		}
-	}
-	return 0, 0, false
-}
-
 // Merge combines adjacent nodes a and b into a new clique node whose
 // neighbors are the common neighbors of a and b (preserving the clique
-// invariant), then deletes a and b. The caller supplies the merged load;
-// position and budget combine automatically.
-func (g *Graph) Merge(a, b int, mergedLoad float64) (int, error) {
+// invariant), then deletes a and b. The merged load is the sum of the two
+// loads, and the bounding box is the union of the two boxes.
+func (g *Graph) Merge(a, b int) (int, error) {
 	if !g.HasEdge(a, b) {
 		return -1, fmt.Errorf("wcmgraph: merge of non-adjacent %d, %d", a, b)
 	}
 	na, nb := &g.nodes[a], &g.nodes[b]
 	merged := Node{
 		HasFF:   na.HasFF || nb.HasFF,
-		Load:    mergedLoad,
-		Budget:  minF(na.Budget, nb.Budget),
-		Load2:   na.Load2 + nb.Load2,
-		Budget2: minF(na.Budget2, nb.Budget2),
+		Load:    na.Load + nb.Load,
 		Members: append(append([]int32(nil), na.Members...), nb.Members...),
 	}
 	switch {
@@ -741,8 +704,7 @@ pick:
 			}
 			edgeDeletes += g.deleteRanked(k, n1, sc.bestD, sc.best)
 			if sc.best >= 0 {
-				a, b := &g.nodes[n1], &g.nodes[sc.best]
-				if _, err := g.Merge(n1, sc.best, a.Load+b.Load); err != nil {
+				if _, err := g.Merge(n1, sc.best); err != nil {
 					return merges, edgeDeletes, err
 				}
 				merges++
@@ -803,13 +765,12 @@ func (g *Graph) PartitionScan(fits func(a, b *Node) bool) (merges, edgeDeletes i
 		if !ok {
 			return merges, edgeDeletes, nil
 		}
-		a, b := &g.nodes[n1], &g.nodes[n2]
-		if !fits(a, b) {
+		if !fits(&g.nodes[n1], &g.nodes[n2]) {
 			g.DeleteEdge(n1, n2)
 			edgeDeletes++
 			continue
 		}
-		if _, err := g.Merge(n1, n2, a.Load+b.Load); err != nil {
+		if _, err := g.Merge(n1, n2); err != nil {
 			return merges, edgeDeletes, err
 		}
 		merges++
@@ -849,11 +810,4 @@ func (g *Graph) Cliques() []int {
 		}
 	}
 	return out
-}
-
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }

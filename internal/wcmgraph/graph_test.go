@@ -10,7 +10,7 @@ func TestAddNodesAndEdges(t *testing.T) {
 	g := New(4)
 	ids := make([]int, 4)
 	for i := range ids {
-		id, err := g.AddNode(Node{Budget: 100})
+		id, err := g.AddNode(Node{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,15 +72,15 @@ func TestMergeKeepsCliqueInvariant(t *testing.T) {
 	// Triangle a-b-c plus pendant a-d. Merging a,b must keep only c (the
 	// common neighbor); d drops away.
 	g := New(4)
-	a, _ := g.AddNode(Node{HasFF: true, FF: 7, Budget: 10, Load: 1, X: 0, Y: 0})
-	b, _ := g.AddNode(Node{Members: []int32{5}, Budget: 20, Load: 2, X: 2, Y: 2})
-	c, _ := g.AddNode(Node{Members: []int32{6}, Budget: 30})
-	d, _ := g.AddNode(Node{Members: []int32{9}, Budget: 40})
+	a, _ := g.AddNode(Node{HasFF: true, FF: 7, Load: 1, X: 0, Y: 0})
+	b, _ := g.AddNode(Node{Members: []int32{5}, Load: 2.5, X: 2, Y: 2})
+	c, _ := g.AddNode(Node{Members: []int32{6}})
+	d, _ := g.AddNode(Node{Members: []int32{9}})
 	g.AddEdge(a, b)
 	g.AddEdge(b, c)
 	g.AddEdge(a, c)
 	g.AddEdge(a, d)
-	m, err := g.Merge(a, b, 3.5)
+	m, err := g.Merge(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,10 +89,7 @@ func TestMergeKeepsCliqueInvariant(t *testing.T) {
 		t.Error("merged node must inherit the flip-flop")
 	}
 	if mn.Load != 3.5 {
-		t.Errorf("Load = %v, want 3.5", mn.Load)
-	}
-	if mn.Budget != 10 {
-		t.Errorf("Budget = %v, want min(10,20)", mn.Budget)
+		t.Errorf("Load = %v, want 1+2.5", mn.Load)
 	}
 	if len(mn.Members) != 1 || mn.Members[0] != 5 {
 		t.Errorf("Members = %v, want [5]", mn.Members)
@@ -118,7 +115,7 @@ func TestMergeNonAdjacentFails(t *testing.T) {
 	g := New(2)
 	a, _ := g.AddNode(Node{})
 	b, _ := g.AddNode(Node{})
-	if _, err := g.Merge(a, b, 0); err == nil {
+	if _, err := g.Merge(a, b); err == nil {
 		t.Error("merging non-adjacent nodes must fail")
 	}
 }
@@ -148,7 +145,7 @@ func TestRandomMergeInvariants(t *testing.T) {
 		g := New(n)
 		ids := make([]int, n)
 		for i := range ids {
-			ids[i], _ = g.AddNode(Node{Budget: 1000})
+			ids[i], _ = g.AddNode(Node{})
 		}
 		for i := 0; i < n*3; i++ {
 			g.AddEdge(ids[rng.Intn(n)], ids[rng.Intn(n)])
@@ -161,7 +158,7 @@ func TestRandomMergeInvariants(t *testing.T) {
 			if rng.Intn(4) == 0 {
 				g.DeleteEdge(n1, n2)
 			} else {
-				if _, err := g.Merge(n1, n2, 0); err != nil {
+				if _, err := g.Merge(n1, n2); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -204,9 +201,9 @@ func TestOverlapEdgesConsumedLast(t *testing.T) {
 	// a-b clean; a-c overlap. MinDegreePair must offer the clean pair
 	// first even though c has lower degree.
 	g := New(3)
-	a, _ := g.AddNode(Node{Budget: 100, Budget2: 100})
-	b, _ := g.AddNode(Node{Budget: 100, Budget2: 100})
-	c, _ := g.AddNode(Node{Budget: 100, Budget2: 100})
+	a, _ := g.AddNode(Node{})
+	b, _ := g.AddNode(Node{})
+	c, _ := g.AddNode(Node{})
 	g.AddEdge(a, b)
 	g.AddOverlapEdge(a, c)
 	n1, n2, ok := g.MinDegreePair()
@@ -218,7 +215,7 @@ func TestOverlapEdgesConsumedLast(t *testing.T) {
 		t.Errorf("first pair must be the clean edge (a,b), got (%d,%d)", n1, n2)
 	}
 	// After the clean edge is gone, the overlap edge is offered.
-	m, err := g.Merge(a, b, 0)
+	m, err := g.Merge(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,13 +235,13 @@ func TestMergePreservesOverlapQuality(t *testing.T) {
 	// Clique (a,b) merged; a-x clean, b-x overlap => merged-x must be
 	// overlap quality (NOT clean), since one member's relation is weak.
 	g := New(3)
-	a, _ := g.AddNode(Node{Budget: 100, Budget2: 100})
-	b, _ := g.AddNode(Node{Budget: 100, Budget2: 100})
-	x, _ := g.AddNode(Node{Budget: 100, Budget2: 100})
+	a, _ := g.AddNode(Node{})
+	b, _ := g.AddNode(Node{})
+	x, _ := g.AddNode(Node{})
 	g.AddEdge(a, b)
 	g.AddEdge(a, x)
 	g.AddOverlapEdge(b, x)
-	m, err := g.Merge(a, b, 0)
+	m, err := g.Merge(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,9 +257,9 @@ func TestMergePreservesOverlapQuality(t *testing.T) {
 func TestFFLastSelection(t *testing.T) {
 	// TSV-TSV edges must be merged before FF-TSV edges.
 	g := New(3)
-	ff, _ := g.AddNode(Node{HasFF: true, FF: 1, Budget: 100, Budget2: 100})
-	t1, _ := g.AddNode(Node{Members: []int32{0}, Budget: 100, Budget2: 100})
-	t2, _ := g.AddNode(Node{Members: []int32{1}, Budget: 100, Budget2: 100})
+	ff, _ := g.AddNode(Node{HasFF: true, FF: 1})
+	t1, _ := g.AddNode(Node{Members: []int32{0}})
+	t2, _ := g.AddNode(Node{Members: []int32{1}})
 	g.AddEdge(ff, t1)
 	g.AddEdge(t1, t2)
 	n1, n2, ok := g.MinDegreePair()
@@ -274,28 +271,15 @@ func TestFFLastSelection(t *testing.T) {
 	}
 }
 
-func TestFirstEdgePair(t *testing.T) {
-	g := New(3)
-	a, _ := g.AddNode(Node{Budget2: 100})
-	b, _ := g.AddNode(Node{Budget2: 100})
-	c, _ := g.AddNode(Node{Budget2: 100})
-	g.AddEdge(b, c)
-	_ = a
-	n1, n2, ok := g.FirstEdgePair()
-	if !ok || (n1 != b && n1 != c) || n1 == n2 {
-		t.Errorf("FirstEdgePair = (%d,%d,%v)", n1, n2, ok)
-	}
-}
-
 func TestBBoxUnion(t *testing.T) {
 	g := New(2)
-	a, _ := g.AddNode(Node{X: 0, Y: 0, Budget: 1000, Budget2: 1000})
-	b, _ := g.AddNode(Node{X: 30, Y: 40, Budget: 1000, Budget2: 1000})
+	a, _ := g.AddNode(Node{X: 0, Y: 0})
+	b, _ := g.AddNode(Node{X: 30, Y: 40})
 	if d := BBoxUnionDiameter(g.Node(a), g.Node(b)); d != 70 {
 		t.Errorf("diameter = %v, want 70", d)
 	}
 	g.AddEdge(a, b)
-	m, err := g.Merge(a, b, 0)
+	m, err := g.Merge(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,17 +289,9 @@ func TestBBoxUnion(t *testing.T) {
 	}
 }
 
-func TestBudget2Normalization(t *testing.T) {
-	g := New(1)
-	id, _ := g.AddNode(Node{})
-	if g.Node(id).Budget2 < 1e300 {
-		t.Error("zero Budget2 must normalize to +Inf")
-	}
-}
-
 // TestQuickMergeMonotonics: random merge sequences preserve the structural
-// invariants: member counts are conserved into the merged clique, budgets
-// never increase, bounding boxes only grow.
+// invariants: member counts are conserved into the merged clique, its load
+// is the sum of its parents' loads, bounding boxes only grow.
 func TestQuickMergeMonotonics(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -327,7 +303,7 @@ func TestQuickMergeMonotonics(t *testing.T) {
 			totalMembers++
 			x, y := rng.Float64()*100, rng.Float64()*100
 			if _, err := g.AddNode(Node{
-				Members: m, Budget: 1e9, Budget2: 1e9,
+				Members: m, Load: rng.Float64() * 10,
 				X: x, Y: y, X2: x, Y2: y,
 			}); err != nil {
 				return false
@@ -343,13 +319,14 @@ func TestQuickMergeMonotonics(t *testing.T) {
 			}
 			na, nb := g.Node(a), g.Node(b)
 			wantMembers := len(na.Members) + len(nb.Members)
+			wantLoad := na.Load + nb.Load
 			diam := BBoxUnionDiameter(na, nb)
-			m, err := g.Merge(a, b, 0)
+			m, err := g.Merge(a, b)
 			if err != nil {
 				return false
 			}
 			mn := g.Node(m)
-			if len(mn.Members) != wantMembers {
+			if len(mn.Members) != wantMembers || mn.Load != wantLoad {
 				return false
 			}
 			if (mn.X2-mn.X)+(mn.Y2-mn.Y) != diam {

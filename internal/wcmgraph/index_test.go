@@ -1,7 +1,6 @@
 package wcmgraph
 
 import (
-	"math"
 	"math/bits"
 	"math/rand"
 	"reflect"
@@ -13,7 +12,7 @@ import (
 func randomGraph(rng *rand.Rand, n int, density float64) *Graph {
 	g := New(n)
 	for i := 0; i < n; i++ {
-		node := Node{Budget: 1e9, Budget2: 1e9}
+		node := Node{}
 		if i%3 == 2 {
 			node.HasFF = true
 			node.FF = int32(i)
@@ -59,7 +58,7 @@ func TestMinDegreePairMatchesScan(t *testing.T) {
 			// Alternate merge and delete like the partitioner does when
 			// mergeFits flips, so both mutation paths exercise the index.
 			if rng.Intn(3) != 0 {
-				if _, err := g.Merge(i1, i2, 0); err != nil {
+				if _, err := g.Merge(i1, i2); err != nil {
 					t.Fatalf("seed %d step %d: %v", seed, step, err)
 				}
 			} else {
@@ -88,7 +87,7 @@ func TestPickCacheLongDeleteRuns(t *testing.T) {
 				break
 			}
 			if rng.Intn(40) == 0 {
-				if _, err := g.Merge(i1, i2, 0); err != nil {
+				if _, err := g.Merge(i1, i2); err != nil {
 					t.Fatal(err)
 				}
 			} else {
@@ -131,7 +130,7 @@ func TestMinDegreePlaneMatchesScanPerTier(t *testing.T) {
 					g.AddEdge(a, b)
 				}
 			default:
-				if _, err := g.Merge(n1, n2, 0); err != nil {
+				if _, err := g.Merge(n1, n2); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -157,7 +156,7 @@ func TestDegreeIndexConsistency(t *testing.T) {
 		}
 		if step%2 == 0 {
 			g.DeleteEdge(n1, n2)
-		} else if _, err := g.Merge(n1, n2, 0); err != nil {
+		} else if _, err := g.Merge(n1, n2); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -262,10 +261,10 @@ func TestBulkLoadMatchesAddEdge(t *testing.T) {
 				break
 			}
 			if rng.Intn(3) != 0 {
-				if _, err := ref.Merge(r1, r2, 0); err != nil {
+				if _, err := ref.Merge(r1, r2); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := bulk.Merge(b1, b2, 0); err != nil {
+				if _, err := bulk.Merge(b1, b2); err != nil {
 					t.Fatal(err)
 				}
 			} else {
@@ -278,17 +277,17 @@ func TestBulkLoadMatchesAddEdge(t *testing.T) {
 
 // partitionGraph builds a dense random graph for the partition
 // differential: 40–100 nodes at 50–80% density, every third node a
-// flip-flop, a quarter of the edges overlap quality, and mixed Load2
-// against one Budget2, so merges stop fitting partway through a run.
-// Every node holds one distinct member, which mergeLog relies on.
-func partitionGraph(seed int64) *Graph {
+// flip-flop, a quarter of the edges overlap quality, and mixed loads
+// against the one returned bound, so merges stop fitting partway through a
+// run. Every node holds one distinct member, which mergeLog relies on.
+func partitionGraph(seed int64) (g *Graph, bound float64) {
 	rng := rand.New(rand.NewSource(seed))
 	n := 40 + rng.Intn(60)
 	density := 0.5 + rng.Float64()*0.3
-	budget := 2 + rng.Float64()*6
-	g := New(n)
+	bound = 2 + rng.Float64()*6
+	g = New(n)
 	for i := 0; i < n; i++ {
-		node := Node{Members: []int32{int32(i)}, Budget: math.Inf(1), Budget2: budget, Load2: 0.3 + rng.Float64()*1.5}
+		node := Node{Members: []int32{int32(i)}, Load: 0.3 + rng.Float64()*1.5}
 		if rng.Intn(3) == 0 {
 			node.HasFF = true
 			node.FF = int32(i)
@@ -309,7 +308,7 @@ func partitionGraph(seed int64) *Graph {
 			}
 		}
 	}
-	return g
+	return g, bound
 }
 
 // mergeLog recovers the (n1, n2) sequence of a partition's merges from the
@@ -337,9 +336,10 @@ func mergeLog(g *Graph, n0 int) [][2]int {
 // fits. Both must make the same merges in the same order, delete as many
 // edges and leave the same cliques.
 func TestPartitionMatchesScan(t *testing.T) {
-	fits := func(a, b *Node) bool { return a.Load2+b.Load2 < minF(a.Budget2, b.Budget2) }
 	for seed := int64(400); seed < 440; seed++ {
-		got, want := partitionGraph(seed), partitionGraph(seed)
+		got, bound := partitionGraph(seed)
+		want, _ := partitionGraph(seed)
+		fits := func(a, b *Node) bool { return a.Load+b.Load < bound }
 		n0 := len(got.nodes)
 		gm, gd, err := got.Partition(fits)
 		if err != nil {
